@@ -29,21 +29,15 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .graphs import Graph, diameter, girth, mask_members
+from .graphs import Graph, mask_members
 from .graphio import EDGE_LIST, FORMATS, parse_graph, serialize_graph
-from .hypergraph import SpernerFamily
-from .domination import (
-    CORE_COMPLETE,
-    CORE_MINIMAL_VALID,
-    dominating_edge_subgraph,
-    mtds,
-    packing_number,
-    realize_mtds,
-    recognize_wtd_k,
-    report,
-)
+from .hypergraph import SpernerFamily, require_total_domination
+from .domination import CORE_COMPLETE, CORE_MINIMAL_VALID, realize_mtds, recognize_wtd_k
 from .reduction import MatchingSelection, reduce_by_matching
-from .search import SearchFilter, run_search
+from .search import SearchFilter, profile, run_search
+# unused here; bound because perfbench/layers.json traces cli.<name> sites
+from .graphs import diameter, girth  # noqa: F401
+from .domination import dominating_edge_subgraph, mtds, packing_number, report  # noqa: F401
 from .wtd2 import construct_w2, parse_recipe, serialize_recipe, w2_membership
 
 
@@ -63,22 +57,23 @@ def _names(g: Graph, mask: int) -> list:
 
 
 def _analyze_payload(g: Graph) -> dict:
-    fam = mtds(g)
-    rep = report(g, fam)
+    require_total_domination(g)
+    prof = profile(g)
     payload = {
         "n": g.n,
         "m": g.m,
-        "gamma_t": rep.gamma_t,
-        "Gamma_t": rep.Gamma_t,
-        "is_wtd": rep.is_wtd,
-        "mtds": [_names(g, e) for e in fam.edges],
-        "rho": packing_number(g),
-        "diameter": diameter(g),
-        "girth": girth(g),
+        "gamma_t": prof.report.gamma_t,
+        "Gamma_t": prof.report.Gamma_t,
+        "is_wtd": prof.report.is_wtd,
+        "mtds": [_names(g, e) for e in prof.family.edges],
+        "rho": prof.rho,
+        "diameter": prof.diameter,
+        "girth": prof.girth,
     }
-    if rep.gamma_t == 2:
-        gde = dominating_edge_subgraph(g, fam)
-        payload["g_de_edges"] = [[g.label(u), g.label(v)] for u, v in gde.edges]
+    if prof.dominating_edges is not None:
+        payload["g_de_edges"] = [
+            [g.label(u), g.label(v)] for u, v in prof.dominating_edges.edges
+        ]
     return payload
 
 

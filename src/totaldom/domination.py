@@ -11,39 +11,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DominationUndefinedError, ValidationError
-from .graphs import (
-    Edge,
-    Graph,
-    diameter,
-    iter_bits,
-    mask_members,
-    vertex_mask,
-)
+from .errors import ValidationError
+from .graphs import Edge, Graph, iter_bits, mask_members, vertex_mask
+# unused here; bound because perfbench/layers.json traces domination.diameter
+from .graphs import diameter  # noqa: F401
 from .hypergraph import (
     SpernerFamily,
     all_minimal_transversals_have_size_k,
     enumerate_minimal_transversals,
     neighborhood_hypergraph,
+    require_total_domination,
 )
 
 CORE_COMPLETE = "complete"
 CORE_MINIMAL_VALID = "minimal-valid"
 
 
-def _require_total_domination(g: Graph) -> None:
-    if g.n == 0:
-        raise DominationUndefinedError("total domination undefined: graph has no vertices")
-    for v in range(g.n):
-        if g.adj[v] == 0:
-            raise DominationUndefinedError(
-                f"total domination undefined: vertex {g.label(v)} is isolated"
-            )
-
-
 def is_tds(g: Graph, s: int) -> bool:
     """True when every vertex of g has a neighbor in the bitmask s."""
-    _require_total_domination(g)
+    require_total_domination(g)
     if s & ~g.full_mask:
         raise ValueError("vertex set mentions out-of-range vertices")
     return all(g.adj[v] & s for v in range(g.n))
@@ -116,9 +102,9 @@ class DominatingEdgeSubgraph:
     """The dominating edges of g together with their endpoints.
 
     A dominating edge is an edge whose two endpoints form a TDS; the
-    subgraph they span is not necessarily induced.  Only meaningful when
-    gamma_t(g) = 2; otherwise ``defined`` is False and both tuples are
-    empty.
+    subgraph they span is not necessarily induced.  Such an edge is a
+    minimal TDS of size 2, so ``defined`` (some edge dominates) holds exactly
+    when gamma_t(g) = 2; otherwise both tuples are empty.
     """
 
     vertices: tuple[int, ...]
@@ -130,11 +116,8 @@ class DominatingEdgeSubgraph:
         return vertex_mask(self.vertices)
 
 
-def dominating_edge_subgraph(g: Graph, family: SpernerFamily | None = None) -> DominatingEdgeSubgraph:
-    _require_total_domination(g)
-    fam = family if family is not None else mtds(g)
-    if min(e.bit_count() for e in fam.edges) != 2:
-        return DominatingEdgeSubgraph((), (), False)
+def dominating_edge_subgraph(g: Graph) -> DominatingEdgeSubgraph:
+    require_total_domination(g)
     spanned = 0
     dom_edges = []
     for u, v in g.edges():
@@ -142,33 +125,16 @@ def dominating_edge_subgraph(g: Graph, family: SpernerFamily | None = None) -> D
         if all(g.adj[w] & pair for w in range(g.n)):
             dom_edges.append((u, v))
             spanned |= pair
-    return DominatingEdgeSubgraph(mask_members(spanned), tuple(dom_edges), True)
+    return DominatingEdgeSubgraph(mask_members(spanned), tuple(dom_edges), bool(dom_edges))
 
 
-def _dominating_edge_exists(g: Graph) -> bool:
-    if g.n == 0 or g.has_isolated_vertex():
-        return False
-    for u, v in g.edges():
-        pair = (1 << u) | (1 << v)
-        if all(g.adj[w] & pair for w in range(g.n)):
-            return True
-    return False
-
-
-def packing_number(g: Graph, method: str = "auto") -> int:
+def packing_number(g: Graph) -> int:
     """Maximum number of vertices with pairwise disjoint closed neighborhoods.
 
-    ``method="auto"`` uses the diameter shortcut whenever gamma_t(g) = 2 (a
-    dominating edge exists): the packing number is then 2 iff the diameter is
-    3, else 1.  ``method="exact"`` always takes the general route: a maximum
-    independent set of the closed-neighborhood-intersection graph.
+    Computed exactly, as a maximum independent set of the
+    closed-neighborhood-intersection graph, and never read off the diameter,
+    so the search's DIAM3 assertion compares two independent quantities.
     """
-    if method not in ("auto", "exact"):
-        raise ValueError(f"unknown method {method!r}")
-    if g.n == 0:
-        return 0
-    if method == "auto" and _dominating_edge_exists(g):
-        return 2 if diameter(g) == 3 else 1
     closed = [g.closed_neighborhood(v) for v in range(g.n)]
     conflict = []
     for v in range(g.n):

@@ -70,12 +70,8 @@ def minimize_family(ground: int, raw: Iterable[int]) -> SpernerFamily:
     return SpernerFamily(ground, tuple(sorted(kept)))
 
 
-def neighborhood_hypergraph(g: Graph) -> SpernerFamily:
-    """Minimized family of open neighborhoods {N(v) : v in V(g)}.
-
-    Total dominating sets of g are exactly the transversals of this family,
-    and minimizing preserves the minimal ones.
-    """
+def require_total_domination(g: Graph) -> None:
+    """Raise DominationUndefinedError unless g has vertices and none is isolated."""
     if g.n == 0:
         raise DominationUndefinedError("total domination undefined: graph has no vertices")
     for v in range(g.n):
@@ -83,6 +79,15 @@ def neighborhood_hypergraph(g: Graph) -> SpernerFamily:
             raise DominationUndefinedError(
                 f"total domination undefined: vertex {g.label(v)} is isolated"
             )
+
+
+def neighborhood_hypergraph(g: Graph) -> SpernerFamily:
+    """Minimized family of open neighborhoods {N(v) : v in V(g)}.
+
+    Total dominating sets of g are exactly the transversals of this family,
+    and minimizing preserves the minimal ones.
+    """
+    require_total_domination(g)
     return minimize_family(g.n, g.adj)
 
 

@@ -24,13 +24,14 @@ from .graphs import (
     diameter,
     girth,
     graph_from_canonical,
-    is_connected,
     is_planar,
     is_triangle_free,
     max_matching_of_edges,
     iter_bits,
 )
 from .graphio import GRAPH6, serialize_graph
+from .hypergraph import SpernerFamily
+from .domination import DominatingEdgeSubgraph, TotalDominationReport
 from .domination import dominating_edge_subgraph, mtds, packing_number, report
 
 
@@ -40,7 +41,6 @@ class SearchFilter:
 
     n_max: int
     n_min: int = 2
-    require_connected: bool = True
     min_degree: int | None = None
     planar_only: bool = False
     triangle_free_only: bool = False
@@ -83,35 +83,52 @@ class CatalogEntry:
     triangle_free: bool
 
 
+@dataclass(frozen=True)
+class Profile:
+    """Total-domination profile of one graph, shared by the catalog and the CLI.
+
+    family and report are None when total domination is undefined (an
+    isolated vertex, or no vertex); dominating_edges only when gamma_t is 2.
+    """
+
+    family: SpernerFamily | None
+    report: TotalDominationReport | None
+    rho: int
+    diameter: int | None
+    girth: int | None
+    dominating_edges: DominatingEdgeSubgraph | None
+
+
+def profile(g: Graph) -> Profile:
+    """Compute the total-domination profile of g once."""
+    try:
+        fam = mtds(g)
+    except DominationUndefinedError:
+        fam = rep = gde = None
+    else:
+        rep = report(g, fam)
+        gde = dominating_edge_subgraph(g) if rep.gamma_t == 2 else None
+    return Profile(fam, rep, packing_number(g), diameter(g), girth(g), gde)
+
+
 def classify(g: Graph, key: bytes | None = None) -> CatalogEntry:
     """Compute the full catalog record for one graph."""
     if key is None:
         key = canonical_form(g)
-    gamma_t = big_gamma = None
-    is_wtd = None
-    nu = None
-    try:
-        fam = mtds(g)
-    except DominationUndefinedError:
-        fam = None
-    if fam is not None:
-        rep = report(g, fam)
-        gamma_t, big_gamma, is_wtd = rep.gamma_t, rep.Gamma_t, rep.is_wtd
-        if gamma_t == 2:
-            gde = dominating_edge_subgraph(g, fam)
-            nu = max_matching_of_edges(gde.edges)
+    prof = profile(g)
+    rep, gde = prof.report, prof.dominating_edges
     return CatalogEntry(
         canonical_key=key.hex(),
         n=g.n,
         m=g.m,
         min_degree=g.min_degree(),
-        gamma_t=gamma_t,
-        Gamma_t=big_gamma,
-        is_wtd=is_wtd,
-        rho=packing_number(g),
-        diameter=diameter(g),
-        girth=girth(g),
-        nu_gde=nu,
+        gamma_t=None if rep is None else rep.gamma_t,
+        Gamma_t=None if rep is None else rep.Gamma_t,
+        is_wtd=None if rep is None else rep.is_wtd,
+        rho=prof.rho,
+        diameter=prof.diameter,
+        girth=prof.girth,
+        nu_gde=None if gde is None else max_matching_of_edges(gde.edges),
         planar=is_planar(g),
         triangle_free=is_triangle_free(g),
     )
@@ -120,11 +137,10 @@ def classify(g: Graph, key: bytes | None = None) -> CatalogEntry:
 def enumerate_graphs(filt: SearchFilter):
     """Yield (canonical key, graph) per isomorphism class, by level then key.
 
-    Augmentation: each level-k class spawns level-(k+1) children by attaching
-    a new vertex with every possible neighborhood.  With
-    ``require_connected`` the new vertex always gets at least one neighbor
-    and only connected classes are kept, which still reaches every connected
-    graph (every connected graph has a non-cut vertex).  The planar and
+    Only connected classes are enumerated.  Augmentation: each level-k class
+    spawns level-(k+1) children by attaching a new vertex with every nonempty
+    neighborhood, so every child of a connected parent is connected, and
+    every connected graph is reached (it has a non-cut vertex).  The planar and
     triangle-free restrictions prune whole subtrees: both properties are
     inherited by induced subgraphs, so a child can qualify only if its
     parent does.
@@ -136,8 +152,6 @@ def enumerate_graphs(filt: SearchFilter):
             for key in sorted(level):
                 adj = level[key]
                 g = Graph(n, adj)
-                if filt.require_connected and not is_connected(g):
-                    continue
                 if filt.min_degree is not None and g.min_degree() < filt.min_degree:
                     continue
                 yield key, g
@@ -145,9 +159,8 @@ def enumerate_graphs(filt: SearchFilter):
             return
         nxt: dict[bytes, tuple[int, ...]] = {}
         rejected: set[bytes] = set()
-        lo = 1 if filt.require_connected else 0
         for adj in level.values():
-            for nb in range(lo, 1 << n):
+            for nb in range(1, 1 << n):
                 if filt.triangle_free_only and any(
                     adj[u] & nb for u in iter_bits(nb)
                 ):
@@ -256,19 +269,29 @@ def _classify_payload(payload: tuple[bytes, int, tuple[int, ...]]) -> CatalogEnt
 
 
 def _load_existing(path: str) -> dict[str, CatalogEntry]:
+    """Read a catalog.  A final line without its newline is the tail of an
+    interrupted write: it is cut off (even if it parses, as the next record
+    would join it) and its class classified again.  Other bad lines raise.
+    """
     entries: dict[str, CatalogEntry] = {}
     fields = {f for f in CatalogEntry.__dataclass_fields__}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                entry = CatalogEntry(**{k: record[k] for k in fields})
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: unreadable catalog line ({exc})") from exc
-            entries[entry.canonical_key] = entry
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines = data.split(b"\n")
+    torn = lines.pop()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            entry = CatalogEntry(**{k: record[k] for k in fields})
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: unreadable catalog line ({exc})") from exc
+        entries[entry.canonical_key] = entry
+    if torn:
+        with open(path, "rb+") as fh:
+            fh.truncate(len(data) - len(torn))
     return entries
 
 
@@ -284,9 +307,13 @@ def run_search(
     to how many entries it applied to and which canonical keys violate it,
     and carries a frontier note: the largest classified instance that is
     planar with uniform size 2 and minimum degree 3 (the open range for the
-    size bounds), if any showed up.
+    size bounds), if any showed up.  ``jobs`` must be at least 1; more
+    workers than CPUs are clamped to the CPU count.
     """
     ids = resolve_assertion_ids(assertion_ids)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     existing: dict[str, CatalogEntry] = {}
     if out_path is not None and os.path.exists(out_path):
         existing = _load_existing(out_path)

@@ -1,11 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 import totaldom as td
-from totaldom.cli import main
+from totaldom import search
+from totaldom.cli import _analyze_payload, main
 
 FIGURE1 = "n 5\n# labels: x y z t w\n0 1\n0 3\n1 2\n1 3\n2 4\n3 4\n"
 P5 = "n 5\n0 1\n1 2\n2 3\n3 4\n"
@@ -112,6 +114,16 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", str(tmp_path / "nope.txt"))
         assert code == 2
         assert err.startswith("error:")
+
+    def test_agrees_with_catalog_on_atlas6(self, atlas6):
+        for key, g in atlas6:
+            payload = _analyze_payload(g)
+            entry = td.classify(g, key=key)
+            for field in ("gamma_t", "Gamma_t", "is_wtd", "rho", "diameter", "girth"):
+                assert payload[field] == getattr(entry, field), (key.hex(), field)
+            edges = payload.get("g_de_edges")
+            nu = None if edges is None else td.max_matching_of_edges(map(tuple, edges))
+            assert entry.nu_gde == nu, key.hex()
 
 
 class TestRecognize:
@@ -285,6 +297,51 @@ class TestSearch:
         assert code == 0
         payload = json.loads(out)
         assert set(payload["assertions"]) == {"T12", "L12B"}
+
+    @pytest.mark.parametrize("cut", [1, 40])
+    def test_resume_after_torn_final_line(self, capsys, tmp_path, cut):
+        out_path = tmp_path / "cat5.jsonl"
+        argv = ("search", "--n-max", "5", "--out", str(out_path))
+        code, fresh, _ = run_cli(capsys, *argv)
+        assert code == 0
+        complete = out_path.read_bytes()
+        out_path.write_bytes(complete[:-cut])
+        code, repaired, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert repaired == fresh
+        lines = out_path.read_text().splitlines()
+        assert len(lines) == 30
+        for line in lines:
+            json.loads(line)
+        assert out_path.read_bytes() == complete
+
+    def test_corrupt_middle_line(self, capsys, tmp_path):
+        out_path = tmp_path / "cat5.jsonl"
+        argv = ("search", "--n-max", "5", "--out", str(out_path))
+        assert run_cli(capsys, *argv)[0] == 0
+        lines = out_path.read_text().splitlines(keepends=True)
+        lines[10] = lines[10][:-40] + "\n"
+        out_path.write_text("".join(lines))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "cat5.jsonl:11: unreadable catalog line" in err
+        assert out_path.read_text() == "".join(lines)
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "search", "--n-max", "4", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "jobs must be at least 1" in err
+
+    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started on a one-CPU machine")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        code, out, _ = run_cli(capsys, "search", "--n-max", "4", "--jobs", "2")
+        assert code == 0
+        assert json.loads(out)["classified"] == 9
 
 
 class TestEntryPoint:

@@ -196,21 +196,15 @@ class TestPackingNumber:
         assert td.packing_number(cycle_graph(6)) == 2
         assert td.packing_number(petersen_graph()) == 1
 
-    def test_method_validation(self):
-        with pytest.raises(ValueError):
-            td.packing_number(path_graph(3), method="fast")
-
-    def test_auto_matches_exact(self):
-        rng = random.Random(19)
-        for _ in range(200):
-            g = random_isolate_free_graph(rng, rng.randint(2, 7))
-            assert td.packing_number(g, "auto") == td.packing_number(g, "exact")
+    def test_matches_brute_on_atlas7(self, atlas7):
+        for _, g in atlas7:
+            assert td.packing_number(g) == brute_packing_number(g)
 
     def test_matches_brute(self):
         rng = random.Random(23)
         for _ in range(120):
             g = random_isolate_free_graph(rng, rng.randint(2, 6))
-            assert td.packing_number(g, "exact") == brute_packing_number(g)
+            assert td.packing_number(g) == brute_packing_number(g)
 
     def test_isolated_vertices_allowed(self):
         # closed neighborhoods of isolated vertices are pairwise disjoint

@@ -133,7 +133,7 @@ class TestMetricsAgainstOracles:
             g = random_graph(rng, rng.randint(1, 8), rng.random())
             assert td.diameter(g) == brute_diameter(g)
             assert td.girth(g) == brute_girth(g)
-            assert td.packing_number(g, method="exact") == brute_packing_number(g)
+            assert td.packing_number(g) == brute_packing_number(g)
 
     def test_planarity_matches_kuratowski_oracle(self):
         rng = random.Random(5)

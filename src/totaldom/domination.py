@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ValidationError
-from .graphs import Edge, Graph, iter_bits, mask_members, vertex_mask
+from .errors import CapabilityError, ValidationError
+from .graphs import MAX_VERTICES, Edge, Graph, iter_bits, mask_members, vertex_mask
 # unused here; bound because perfbench/layers.json traces domination.diameter
 from .graphs import diameter  # noqa: F401
 from .hypergraph import (
+    SizeKDecision,
     SpernerFamily,
     all_minimal_transversals_have_size_k,
     enumerate_minimal_transversals,
@@ -75,26 +76,15 @@ def report(g: Graph, family: SpernerFamily | None = None) -> TotalDominationRepo
     )
 
 
-@dataclass(frozen=True)
-class RecognitionResult:
-    """Uniform-size decision plus a certificate.
+def recognize_wtd_k(g: Graph, k: int) -> SizeKDecision:
+    """Decide whether every minimal TDS of g has size exactly k (k >= 2).
 
-    ``witness`` is a minimal TDS: of size k when accepted, of a deviating
-    size otherwise.
+    The decision's ``witness`` is a minimal TDS: of size k when accepted, of
+    a deviating size otherwise.
     """
-
-    accepted: bool
-    witness: int
-    reason: str
-
-
-def recognize_wtd_k(g: Graph, k: int) -> RecognitionResult:
-    """Decide whether every minimal TDS of g has size exactly k (k >= 2)."""
     if k < 2:
         raise ValueError(f"uniform minimal-TDS size k must be at least 2, got {k}")
-    h = neighborhood_hypergraph(g)
-    decision = all_minimal_transversals_have_size_k(h, k)
-    return RecognitionResult(decision.uniform, decision.witness, decision.reason)
+    return all_minimal_transversals_have_size_k(neighborhood_hypergraph(g), k)
 
 
 @dataclass(frozen=True)
@@ -164,12 +154,15 @@ def packing_number(g: Graph) -> int:
     return best_packing(g.full_mask)
 
 
-def minimal_vertex_covers(g: Graph | Iterable[Edge], n: int | None = None) -> SpernerFamily:
+def minimal_vertex_covers(
+    g: Graph | Iterable[Edge], n: int | None = None, max_count: int | None = None
+) -> SpernerFamily:
     """All inclusion-minimal vertex covers, as transversals of the edge family.
 
     Accepts a Graph or a bare edge collection (then ``n`` defaults to one
     past the largest endpoint).  An empty edge set is rejected: every set
-    would be a cover and the minimal one is degenerate.
+    would be a cover and the minimal one is degenerate.  With ``max_count``,
+    raise CapabilityError once more than that many covers turn up.
     """
     if isinstance(g, Graph):
         edges = g.edges()
@@ -181,7 +174,7 @@ def minimal_vertex_covers(g: Graph | Iterable[Edge], n: int | None = None) -> Sp
         raise ValueError("minimal vertex covers of an empty edge set are not defined")
     masks = [(1 << u) | (1 << v) for u, v in edges]
     family = SpernerFamily(ground, tuple(sorted(set(masks))))
-    return enumerate_minimal_transversals(family)
+    return enumerate_minimal_transversals(family, max_count)
 
 
 @dataclass(frozen=True)
@@ -217,7 +210,9 @@ def realize_mtds(
     adjacent to at least one member of every family set.
 
     Families with a singleton member are rejected: its element would have to
-    be its own neighbor, and no minimal TDS family contains singletons.
+    be its own neighbor, and no minimal TDS family contains singletons.  A
+    family whose transversals would push the graph past MAX_VERTICES raises
+    CapabilityError as soon as the enumeration finds one too many.
     """
     for e in family.edges:
         if e.bit_count() < 2:
@@ -231,9 +226,14 @@ def realize_mtds(
     pos = {g_id: i for i, g_id in enumerate(ground_vertices)}
     a_size = len(ground_vertices)
 
-    transversals = enumerate_minimal_transversals(family)
-    t_sets = transversals.edges
     ext_n = extension.n if extension is not None else 0
+    try:
+        t_sets = enumerate_minimal_transversals(family, MAX_VERTICES - a_size - ext_n).edges
+    except CapabilityError:
+        raise CapabilityError(
+            f"the realized graph would exceed the {MAX_VERTICES}-vertex limit: {a_size} "
+            f"support and {ext_n} extension vertices plus one per minimal transversal"
+        ) from None
     n = a_size + len(t_sets) + ext_n
     adj = [0] * n
 

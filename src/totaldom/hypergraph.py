@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DominationUndefinedError
+from .errors import CapabilityError, DominationUndefinedError
 from .graphs import Graph, iter_bits, mask_members
 
 MAX_GROUND = 64
@@ -95,15 +95,6 @@ def is_transversal(mask: int, edges: Sequence[int]) -> bool:
     return all(mask & e for e in edges)
 
 
-def _is_minimal_transversal(mask: int, edges: Sequence[int]) -> bool:
-    if not is_transversal(mask, edges):
-        return False
-    for v in iter_bits(mask):
-        if is_transversal(mask ^ (1 << v), edges):
-            return False
-    return True
-
-
 def greedy_minimize_transversal(mask: int, edges: Sequence[int]) -> int:
     """Strip removable elements in ascending id order; result is minimal."""
     if not is_transversal(mask, edges):
@@ -115,14 +106,22 @@ def greedy_minimize_transversal(mask: int, edges: Sequence[int]) -> int:
     return mask
 
 
-def _mmcs(edges: Sequence[int]) -> list[int]:
-    """All minimal transversals, each exactly once (MMCS-style search).
+def _mmcs(
+    edges: Sequence[int], max_size: int = MAX_GROUND, max_count: int | None = None
+) -> list[int]:
+    """Minimal transversals of size <= max_size, each exactly once (MMCS search).
 
     A branch keeps, for every chosen vertex, the set of edges it hits alone
     ("critical" edges); a branch dies as soon as a chosen vertex loses its
     last critical edge, so every completed leaf is inclusion-minimal.
     Candidates consumed by earlier siblings are re-admitted afterwards, which
     makes each minimal transversal appear in exactly one branch.
+
+    A branch only ever adds members of the transversal it ends in, so
+    cutting branches that hold max_size vertices with edges still uncovered
+    loses exactly the larger transversals; the cut search has at most
+    (largest edge size)**max_size leaves.  With ``max_count``, the search
+    raises CapabilityError as soon as it finds more than that many.
     """
     m = len(edges)
     containing = [0] * MAX_GROUND
@@ -135,7 +134,11 @@ def _mmcs(edges: Sequence[int]) -> list[int]:
 
     def rec(chosen: int, cand: int, crit: tuple[tuple[int, int], ...], uncov: int) -> None:
         if uncov == 0:
+            if max_count is not None and len(out) >= max_count:
+                raise CapabilityError(f"more than {max_count} minimal transversals")
             out.append(chosen)
+            return
+        if len(crit) == max_size:
             return
         pick = -1
         pick_width = MAX_GROUND + 1
@@ -173,53 +176,43 @@ def _mmcs(edges: Sequence[int]) -> list[int]:
     return sorted(out)
 
 
-def enumerate_minimal_transversals(h: SpernerFamily) -> SpernerFamily:
-    """Exactly the inclusion-minimal hitting sets of h, ascending by bitmask."""
+def enumerate_minimal_transversals(
+    h: SpernerFamily, max_count: int | None = None
+) -> SpernerFamily:
+    """Exactly the inclusion-minimal hitting sets of h, ascending by bitmask.
+
+    With ``max_count``, raise CapabilityError once more than that many turn
+    up, before enumerating the rest.
+    """
     if not h.edges:
         raise ValueError("transversals of an empty family are not defined here")
-    return SpernerFamily(h.ground, tuple(_mmcs(h.edges)))
+    return SpernerFamily(h.ground, tuple(_mmcs(h.edges, max_count=max_count)))
 
 
 def enumerate_bounded_minimal_transversals(h: SpernerFamily, k: int) -> SpernerFamily:
-    """All minimal transversals of size <= k.
+    """All minimal transversals of size <= k; the result may be empty.
 
-    Depth-<=k branching: each node picks the first edge disjoint from the
-    partial set and branches on its vertices, so the leaf count is bounded by
-    (largest edge size)**k; leaves are filtered to inclusion-minimal hitting
-    sets and deduplicated.  The result may be empty.
+    This is the MMCS search cut at depth k, so the leaf count is bounded by
+    (largest edge size)**k.
     """
     if not h.edges:
         raise ValueError("transversals of an empty family are not defined here")
     if k < 1:
         raise ValueError(f"size bound must be at least 1, got {k}")
-    edges = h.edges
-    found: set[int] = set()
-
-    def rec(partial: int, depth: int) -> None:
-        for e in edges:
-            if e & partial == 0:
-                if depth == k:
-                    return
-                for v in iter_bits(e):
-                    rec(partial | (1 << v), depth + 1)
-                return
-        found.add(partial)
-
-    rec(0, 0)
-    minimal = [t for t in found if _is_minimal_transversal(t, edges)]
-    return SpernerFamily(h.ground, tuple(sorted(minimal)))
+    return SpernerFamily(h.ground, tuple(_mmcs(h.edges, max_size=k)))
 
 
 @dataclass(frozen=True)
 class SizeKDecision:
     """Outcome of the all-minimal-transversals-have-size-k test.
 
-    ``witness`` is always a minimal transversal: a size-k exemplar when
-    ``uniform``, otherwise one whose size differs from k.  ``reason`` is
-    "uniform", "smaller-witness", or "larger-witness".
+    ``accepted`` says every minimal transversal has size k.  ``witness`` is
+    always a minimal transversal: a size-k exemplar when accepted, otherwise
+    one whose size differs from k.  ``reason`` is "uniform",
+    "smaller-witness", or "larger-witness".
     """
 
-    uniform: bool
+    accepted: bool
     witness: int
     reason: str
 
@@ -246,7 +239,7 @@ def all_minimal_transversals_have_size_k(h: SpernerFamily, k: int) -> SizeKDecis
         witness = greedy_minimize_transversal(union, h.edges)
         return SizeKDecision(False, witness, "larger-witness")
     full = enumerate_minimal_transversals(bounded)
-    if set(full.edges) == set(h.edges):
+    if full.edges == h.edges:
         return SizeKDecision(True, bounded.edges[0], "uniform")
     h_set = set(h.edges)
     b = next(e for e in full.edges if e not in h_set)

@@ -318,15 +318,12 @@ def run_search(
     if out_path is not None and os.path.exists(out_path):
         existing = _load_existing(out_path)
 
-    entries: list[CatalogEntry] = []
     fresh: list[tuple[bytes, int, tuple[int, ...]]] = []
     order: list[str] = []
     for key, g in enumerate_graphs(filt):
         hexkey = key.hex()
         order.append(hexkey)
-        if hexkey in existing:
-            entries.append(existing[hexkey])
-        else:
+        if hexkey not in existing:
             fresh.append((key, g.n, g.adj))
 
     # classification results stream to the catalog as they finish, so an
@@ -338,11 +335,10 @@ def run_search(
         if pool is not None
         else map(_classify_payload, fresh)
     )
-    computed: list[CatalogEntry] = []
     sink = open(out_path, "a", encoding="utf-8") if out_path is not None else None
     try:
         for entry in computed_iter:
-            computed.append(entry)
+            existing[entry.canonical_key] = entry
             if sink is not None:
                 record = asdict(entry)
                 rep_graph = graph_from_canonical(bytes.fromhex(entry.canonical_key))
@@ -354,10 +350,7 @@ def run_search(
             sink.close()
         if pool is not None:
             pool.shutdown()
-    by_key = {e.canonical_key: e for e in entries}
-    for entry in computed:
-        by_key[entry.canonical_key] = entry
-    entries = [by_key[h] for h in order]
+    entries = [existing[h] for h in order]
 
     assertion_report: dict[str, dict] = {}
     for name in ids:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .errors import CapabilityError, ParseError, RecipeValidationError
 from .graphs import (
+    MAX_VERTICES,
     Edge,
     Graph,
     bipartition,
@@ -31,10 +32,6 @@ from .domination import (
     packing_number,
     recognize_wtd_k,
 )
-
-# Recipes whose h has more minimal vertex covers than this are refused:
-# every cover costs a fresh vertex, and validation must enumerate them all.
-MVC_BUDGET = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -66,11 +63,16 @@ def construct_w2(recipe: W2Recipe) -> Graph:
     if bipartition(h) is None:
         raise RecipeValidationError(1, "h is not bipartite")
 
-    covers = minimal_vertex_covers(h)
-    if len(covers.edges) > MVC_BUDGET:
+    hp = recipe.h_prime
+    hp_n = hp.n if hp is not None else 0
+    try:
+        # every cover costs a fresh vertex, so stop counting once they cannot fit
+        covers = minimal_vertex_covers(h, max_count=MAX_VERTICES - h.n - hp_n)
+    except CapabilityError:
         raise CapabilityError(
-            f"h has more than {MVC_BUDGET} minimal vertex covers; refusing to build"
-        )
+            f"the built graph would exceed the {MAX_VERTICES}-vertex limit: {h.n} h "
+            f"and {hp_n} h' vertices plus one per minimal vertex cover of h"
+        ) from None
     assigned = dict(recipe.mvc_vertices)
     if len(assigned) != len(recipe.mvc_vertices):
         raise RecipeValidationError(2, "duplicate cover in mvc_vertices")
@@ -95,8 +97,6 @@ def construct_w2(recipe: W2Recipe) -> Graph:
             2, f"fresh vertex ids must be exactly {expected_ids[0]}..{expected_ids[-1]}"
         )
 
-    hp = recipe.h_prime
-    hp_n = hp.n if hp is not None else 0
     if hp is None and recipe.step4_edges:
         raise RecipeValidationError(4, "step4 edges given without an h'")
     n = h.n + k + hp_n

@@ -219,6 +219,14 @@ class TestRealize:
         assert check["diameter"] == 3
         assert check["mtds"] == [["a", "b"]]
 
+    def test_over_vertex_limit(self, capsys):
+        # 14 disjoint pairs: 28 support vertices plus 2**14 transversals
+        family = ";".join(f"{{a{i},b{i}}}" for i in range(14))
+        code, out, err = run_cli(capsys, "realize", "--family", family)
+        assert code == 2
+        assert out == ""
+        assert "64-vertex limit" in err
+
     @pytest.mark.parametrize(
         "family",
         ["a,b", "{a,b", "{a,,b}", "{a,a}", "{a};{b,c}", "{a,b};{a,b,c}"],
@@ -344,24 +352,28 @@ class TestSearch:
         assert json.loads(out)["classified"] == 9
 
 
+def run_module(*argv):
+    # the child imports the same totaldom as this process, installed or not
+    src = os.path.dirname(os.path.dirname(td.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "totaldom", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "p4.txt"
         path.write_text(P4)
-        proc = subprocess.run(
-            [sys.executable, "-m", "totaldom", "analyze", str(path)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("analyze", str(path))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["gamma_t"] == 2
 
     def test_console_script_negative_exit(self, tmp_path):
         path = tmp_path / "c6.txt"
         path.write_text(C6)
-        proc = subprocess.run(
-            [sys.executable, "-m", "totaldom", "recognize", str(path), "--k", "2"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("recognize", str(path), "--k", "2")
         assert proc.returncode == 1

@@ -138,6 +138,18 @@ class TestTransversals:
         tr = td.enumerate_minimal_transversals(fam)
         assert td.enumerate_minimal_transversals(tr) == fam
 
+    @given(family_strategy(), st.integers(min_value=-1, max_value=12))
+    @settings(max_examples=200, deadline=None)
+    def test_count_limit(self, case, limit):
+        ground, raw = case
+        fam = td.minimize_family(ground, raw)
+        brute = brute_minimal_transversals(ground, raw)
+        if len(brute) > limit:
+            with pytest.raises(td.CapabilityError):
+                td.enumerate_minimal_transversals(fam, max_count=limit)
+        else:
+            assert list(td.enumerate_minimal_transversals(fam, max_count=limit).edges) == brute
+
     def test_is_transversal_and_greedy_minimize(self):
         edges = (0b011, 0b110)
         assert td.is_transversal(0b010, edges)
@@ -173,11 +185,7 @@ class TestBoundedEnumeration:
         ground, raw = case
         fam = td.minimize_family(ground, raw)
         bounded = td.enumerate_bounded_minimal_transversals(fam, k)
-        full = [
-            e
-            for e in td.enumerate_minimal_transversals(fam).edges
-            if e.bit_count() <= k
-        ]
+        full = [e for e in brute_minimal_transversals(ground, raw) if e.bit_count() <= k]
         assert list(bounded.edges) == full
 
     @given(family_strategy())
@@ -194,24 +202,24 @@ class TestSizeKDecision:
     def test_uniform_pairs(self):
         fam = td.SpernerFamily(4, (0b0011, 0b1100))
         decision = td.all_minimal_transversals_have_size_k(fam, 2)
-        assert decision.uniform and decision.reason == "uniform"
+        assert decision.accepted and decision.reason == "uniform"
         assert decision.witness == 0b0101
 
     def test_star_family(self):
         fam = td.SpernerFamily(4, (0b0001, 0b1110))
-        assert td.all_minimal_transversals_have_size_k(fam, 2).uniform
+        assert td.all_minimal_transversals_have_size_k(fam, 2).accepted
 
     def test_p5_family_at_3_gives_large_witness(self):
         fam = td.neighborhood_hypergraph(path_graph(5))
         decision = td.all_minimal_transversals_have_size_k(fam, 3)
-        assert not decision.uniform
+        assert not decision.accepted
         assert decision.reason == "larger-witness"
         assert decision.witness == 0b11011
 
     def test_smaller_witness(self):
         fam = td.SpernerFamily(3, (0b001, 0b110))
         decision = td.all_minimal_transversals_have_size_k(fam, 3)
-        assert not decision.uniform
+        assert not decision.accepted
         assert decision.reason == "smaller-witness"
         assert decision.witness.bit_count() < 3
 
@@ -220,14 +228,14 @@ class TestSizeKDecision:
     def test_matches_full_enumeration(self, case, k):
         ground, raw = case
         fam = td.minimize_family(ground, raw)
-        full = td.enumerate_minimal_transversals(fam).edges
+        full = brute_minimal_transversals(ground, raw)
         expected = all(e.bit_count() == k for e in full)
         decision = td.all_minimal_transversals_have_size_k(fam, k)
-        assert decision.uniform == expected
+        assert decision.accepted == expected
         # the witness is always a genuine minimal transversal, of size k
         # exactly when uniform and a deviating size otherwise
         assert decision.witness in full
-        if decision.uniform:
+        if decision.accepted:
             assert decision.witness.bit_count() == k
         else:
             assert decision.witness.bit_count() != k

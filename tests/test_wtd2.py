@@ -173,6 +173,16 @@ class TestConstructW2:
         with pytest.raises(td.CapabilityError):
             td.construct_w2(td.W2Recipe(h=h, mvc_vertices=()))
 
+    def test_vertex_limit_is_exact(self):
+        # a p-edge matching has 2**p minimal vertex covers, each a fresh vertex
+        six = td.Graph.from_edges(12, [(2 * i, 2 * i + 1) for i in range(6)])
+        with pytest.raises(td.CapabilityError, match="64-vertex limit"):
+            td.construct_w2(td.W2Recipe(h=six, mvc_vertices=()))
+        five = td.Graph.from_edges(10, [(2 * i, 2 * i + 1) for i in range(5)])
+        with pytest.raises(td.RecipeValidationError) as err:
+            td.construct_w2(td.W2Recipe(h=five, mvc_vertices=()))
+        assert err.value.step == 2
+
 
 class TestMembership:
     def test_p4(self):

@@ -20,6 +20,7 @@ Exit codes: 0 success (and accepted decisions), 1 negative decision,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -123,7 +124,7 @@ def _cmd_w2_check(args) -> int:
 
 
 def _parse_family(text: str) -> tuple[SpernerFamily, list[str]]:
-    sets: list[list[str]] = []
+    sets: dict[frozenset[str], str] = {}
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not (chunk.startswith("{") and chunk.endswith("}")):
@@ -131,9 +132,12 @@ def _parse_family(text: str) -> tuple[SpernerFamily, list[str]]:
         tokens = [tok.strip() for tok in chunk[1:-1].split(",")]
         if any(not tok for tok in tokens):
             raise ParseError(f"malformed set {chunk!r}: empty member name")
-        if len(set(tokens)) != len(tokens):
+        members = frozenset(tokens)
+        if len(members) != len(tokens):
             raise ParseError(f"malformed set {chunk!r}: repeated member")
-        sets.append(tokens)
+        if members in sets:
+            raise ParseError(f"repeated set {chunk!r} (same members as {sets[members]!r})")
+        sets[members] = chunk
     if not sets:
         raise ParseError("family must contain at least one set")
     ground = sorted({tok for s in sets for tok in s})
@@ -224,7 +228,10 @@ def _add_graph_input(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    `main` call (argparse makes a fresh namespace for each parse)."""
     parser = argparse.ArgumentParser(
         prog="totaldom",
         description="total domination analysis for small simple graphs",
@@ -301,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (

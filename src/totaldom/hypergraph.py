@@ -43,12 +43,33 @@ class SpernerFamily:
             if e <= prev:
                 raise ValueError("edges must be strictly ascending bitmasks (no duplicates)")
             prev = e
-        for e in self.edges:
-            for f in self.edges:
-                if e != f and e & f == e:
-                    raise ValueError(
-                        f"not an antichain: {set(mask_members(e))} is contained in {set(mask_members(f))}"
-                    )
+        # holding[v] has bit j set when edges[j] contains v, so the AND of
+        # holding over the members of e marks the edges containing e.  A
+        # proper superset is a larger mask, so edges are indexed from the
+        # largest down and each is tested against the larger ones only:
+        # sum(|e|) bit steps instead of F**2 pairs.  The smallest contained
+        # edge and its lowest superset are reported.
+        holding = [0] * self.ground
+        contained = None
+        for i in range(len(self.edges) - 1, -1, -1):
+            bit = 1 << i
+            within = -1
+            rest = self.edges[i]
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                within &= holding[v]
+                holding[v] |= bit
+                rest ^= low
+            if within:
+                contained = (i, within)
+        if contained is not None:
+            i, within = contained
+            e = self.edges[i]
+            f = self.edges[(within & -within).bit_length() - 1]
+            raise ValueError(
+                f"not an antichain: {set(mask_members(e))} is contained in {set(mask_members(f))}"
+            )
 
     def sets(self) -> tuple[tuple[int, ...], ...]:
         """Edges as ascending id tuples, for display and tests."""

@@ -187,46 +187,57 @@ def _girth_at_most(entry: CatalogEntry, bound: int) -> bool:
     return entry.girth is None or entry.girth <= bound
 
 
-# id -> (description, applies, holds); an assertion is violated by an entry
-# where applies(entry) and not holds(entry)
+# id -> (description, smallest order, applies, holds); an assertion is
+# violated by an entry where applies(entry) and not holds(entry).  The
+# smallest order is the least n at which a violation can exist: one past a
+# bound on n, one past a bound on the girth (a cycle of length g needs g
+# vertices), else 2.  A search with a smaller n_max cannot falsify it.
 ASSERTIONS: dict[str, tuple] = {
     "T12": (
         "planar, uniform size 2, min degree >= 3 forces at most 16 vertices",
+        17,
         lambda e: bool(e.planar) and _wtd2(e) and e.min_degree >= 3,
         lambda e: e.n <= 16,
     ),
     "L12A": (
         "planar, uniform size 2, dominating-edge matching >= 3 forces at most 8 vertices",
+        9,
         lambda e: bool(e.planar) and _wtd2(e) and (e.nu_gde or 0) >= 3,
         lambda e: e.n <= 8,
     ),
     "L12B": (
         "uniform size 2 with min degree >= 3 forces dominating-edge matching >= 2",
+        2,
         lambda e: _wtd2(e) and e.min_degree >= 3,
         lambda e: (e.nu_gde or 0) >= 2,
     ),
     "P7A": (
         "planar, uniform size 2, min degree >= 3 forces matching exactly 2 or at most 8 vertices",
+        9,
         lambda e: bool(e.planar) and _wtd2(e) and e.min_degree >= 3,
         lambda e: e.nu_gde == 2 or e.n <= 8,
     ),
     "T14": (
         "uniform minimal-TDS size with min degree >= 3 forces girth at most 12",
+        13,
         lambda e: bool(e.is_wtd) and e.min_degree >= 3,
         lambda e: _girth_at_most(e, 12),
     ),
     "HR97": (
         "uniform minimal-TDS size with min degree >= 2 forces girth at most 14",
+        15,
         lambda e: bool(e.is_wtd) and e.min_degree >= 2,
         lambda e: _girth_at_most(e, 14),
     ),
     "DIAM3": (
         "with gamma_t 2, packing number 2 is the same as diameter 3",
+        2,
         lambda e: e.gamma_t == 2,
         lambda e: (e.diameter == 3) == (e.rho == 2),
     ),
     "T11EQ": (
         "triangle-free: the linear recognizer agrees with the enumeration route",
+        2,
         lambda e: bool(e.triangle_free),
         lambda e: _t11_agrees(e),
     ),
@@ -354,7 +365,7 @@ def run_search(
 
     assertion_report: dict[str, dict] = {}
     for name in ids:
-        _, applies, holds = ASSERTIONS[name]
+        _, order, applies, holds = ASSERTIONS[name]
         checked = 0
         violations: list[str] = []
         for entry in entries:
@@ -362,7 +373,11 @@ def run_search(
                 checked += 1
                 if not holds(entry):
                     violations.append(entry.canonical_key)
-        assertion_report[name] = {"checked": checked, "violations": violations}
+        assertion_report[name] = {
+            "checked": checked,
+            "violations": violations,
+            "falsifiable": filt.n_max >= order,
+        }
 
     frontier_entry = None
     for entry in entries:

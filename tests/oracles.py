@@ -102,6 +102,16 @@ def brute_minimal_transversals(ground: int, edges) -> list[int]:
     return sorted(minimal)
 
 
+def pairwise_containment(edges) -> tuple[int, int] | None:
+    """The first pair (e, f) of distinct sets with e inside f, scanning e in
+    order and then f in order; None for an antichain."""
+    for e in edges:
+        for f in edges:
+            if e != f and e & f == e:
+                return e, f
+    return None
+
+
 def brute_packing_number(g: Graph) -> int:
     closed = [g.adj[v] | (1 << v) for v in range(g.n)]
     best = 0

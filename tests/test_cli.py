@@ -227,6 +227,12 @@ class TestRealize:
         assert out == ""
         assert "64-vertex limit" in err
 
+    def test_repeated_set(self, capsys):
+        code, out, err = run_cli(capsys, "realize", "--family", "{a,b};{c};{b,a}")
+        assert code == 2
+        assert out == ""
+        assert err == "error: repeated set '{b,a}' (same members as '{a,b}')\n"
+
     @pytest.mark.parametrize(
         "family",
         ["a,b", "{a,b", "{a,,b}", "{a,a}", "{a};{b,c}", "{a,b};{a,b,c}"],
@@ -377,3 +383,24 @@ class TestEntryPoint:
         path.write_text(C6)
         proc = run_module("recognize", str(path), "--k", "2")
         assert proc.returncode == 1
+
+
+class TestRepeatedCalls:
+    def test_shared_parser_keeps_no_state(self, capsys, graph_file):
+        # main parses with one parser per process; a rejected parse and a
+        # --witness call must leave nothing behind for the next call
+        path = graph_file(C6)
+        with pytest.raises(SystemExit) as exc:
+            main(["recognize", path, "--k", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        with_witness = run_cli(capsys, "recognize", path, "--k", "2", "--witness")
+        without = run_cli(capsys, "recognize", path, "--k", "2")
+        assert "witness" in json.loads(with_witness[1])
+        assert "witness" not in json.loads(without[1])
+        for argv, (code, out, err) in [
+            (["recognize", path, "--k", "2", "--witness"], with_witness),
+            (["recognize", path, "--k", "2"], without),
+        ]:
+            fresh = run_module(*argv)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)

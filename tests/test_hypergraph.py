@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import totaldom as td
-from oracles import brute_minimal_transversals, complete_graph, path_graph, star_graph
+from oracles import (
+    brute_minimal_transversals,
+    complete_graph,
+    pairwise_containment,
+    path_graph,
+    star_graph,
+)
 
 
 def family_strategy(max_ground=7, max_edges=5):
@@ -34,6 +40,26 @@ class TestSpernerFamily:
     def test_rejects_superset_pairs(self):
         with pytest.raises(ValueError):
             td.SpernerFamily(3, (0b001, 0b011))
+
+    def test_antichain_check_matches_pairwise_scan(self):
+        rng = random.Random(7)
+        antichains = several = 0
+        for _ in range(3000):
+            ground = rng.randint(1, 10)
+            draws = rng.randint(1, 12)
+            edges = tuple(sorted({rng.randrange(1, 1 << ground) for _ in range(draws)}))
+            pair = pairwise_containment(edges)
+            if pair is None:
+                assert td.SpernerFamily(ground, edges).edges == edges
+                antichains += 1
+                continue
+            with pytest.raises(ValueError) as err:
+                td.SpernerFamily(ground, edges)
+            e, f = ({v for v in range(ground) if s >> v & 1} for s in pair)
+            assert str(err.value) == f"not an antichain: {e} is contained in {f}"
+            contained = [a for a in edges if any(a != b and a & b == a for b in edges)]
+            several += len(contained) > 1
+        assert antichains > 300 and several > 300
 
     def test_rejects_unsorted_or_duplicate(self):
         with pytest.raises(ValueError):

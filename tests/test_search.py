@@ -154,7 +154,7 @@ class TestAssertionIds:
         # disagrees with its diameter must count as a DIAM3 violation
         entry = dataclasses.replace(td.classify(path_graph(4)), rho=1)
         assert (entry.gamma_t, entry.diameter, entry.rho) == (2, 3, 1)
-        _, applies, holds = td.ASSERTIONS["DIAM3"]
+        _, _, applies, holds = td.ASSERTIONS["DIAM3"]
         assert applies(entry) and not holds(entry)
 
 
@@ -175,6 +175,13 @@ class TestRunSearch:
         assert rep["assertions"]["HR97"]["checked"] == sum(
             1 for e in entries if e.is_wtd and e.min_degree >= 2
         )
+
+    def test_falsifiable_at_8(self):
+        # only n_max decides falsifiability; the filter keeps the run small
+        filt = td.SearchFilter(n_max=8, n_min=8, min_degree=3, triangle_free_only=True)
+        _, rep = td.run_search(filt, ["all"])
+        falsifiable = {name for name, data in rep["assertions"].items() if data["falsifiable"]}
+        assert falsifiable == {"L12B", "DIAM3", "T11EQ"}
 
     def test_planar_min_degree_slice(self):
         filt = td.SearchFilter(n_max=7, min_degree=3, planar_only=True)

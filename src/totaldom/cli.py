@@ -27,6 +27,7 @@ import sys
 from .errors import (
     CapabilityError,
     DominationUndefinedError,
+    NotAntichainError,
     ParseError,
     ValidationError,
 )
@@ -142,13 +143,18 @@ def _parse_family(text: str) -> tuple[SpernerFamily, list[str]]:
         raise ParseError("family must contain at least one set")
     ground = sorted({tok for s in sets for tok in s})
     index = {tok: i for i, tok in enumerate(ground)}
-    edges = []
-    for s in sets:
+    chunks: dict[int, str] = {}
+    for s, chunk in sets.items():
         mask = 0
         for tok in s:
             mask |= 1 << index[tok]
-        edges.append(mask)
-    family = SpernerFamily(len(ground), tuple(sorted(edges)))
+        chunks[mask] = chunk
+    try:
+        family = SpernerFamily(len(ground), tuple(sorted(chunks)))
+    except NotAntichainError as exc:
+        raise ParseError(
+            f"not an antichain: {chunks[exc.contained]!r} is contained in {chunks[exc.superset]!r}"
+        ) from None
     return family, ground
 
 

@@ -23,6 +23,18 @@ class RecipeValidationError(ValidationError):
         self.witness = witness
 
 
+class NotAntichainError(ValueError):
+    """A Sperner family was given a set contained in another one.
+
+    ``contained`` and ``superset`` are the two sets as bitmasks.
+    """
+
+    def __init__(self, message: str, contained: int, superset: int):
+        super().__init__(message)
+        self.contained = contained
+        self.superset = superset
+
+
 class DominationUndefinedError(ValueError):
     """Total domination was requested on a graph with an isolated vertex."""
 

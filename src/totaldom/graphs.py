@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import networkx as nx
-
 from .errors import CapabilityError
 
 MAX_VERTICES = 64
@@ -260,9 +258,11 @@ def bipartition(g: Graph) -> tuple[int, int] | None:
 
 
 def is_planar(g: Graph) -> bool:
-    """Exact planarity (left-right test via networkx)."""
+    """Exact planarity (left-right test via networkx, imported on first use)."""
     if g.n <= 4:
         return True
+    import networkx as nx
+
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n))
     nxg.add_edges_from(g.edges())

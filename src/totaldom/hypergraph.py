@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CapabilityError, DominationUndefinedError
+from .errors import CapabilityError, DominationUndefinedError, NotAntichainError
 from .graphs import Graph, iter_bits, mask_members
 
 MAX_GROUND = 64
@@ -67,8 +67,10 @@ class SpernerFamily:
             i, within = contained
             e = self.edges[i]
             f = self.edges[(within & -within).bit_length() - 1]
-            raise ValueError(
-                f"not an antichain: {set(mask_members(e))} is contained in {set(mask_members(f))}"
+            raise NotAntichainError(
+                f"not an antichain: {set(mask_members(e))} is contained in {set(mask_members(f))}",
+                e,
+                f,
             )
 
     def sets(self) -> tuple[tuple[int, ...], ...]:

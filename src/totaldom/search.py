@@ -28,6 +28,7 @@ from .graphs import (
     is_triangle_free,
     max_matching_of_edges,
     iter_bits,
+    vertex_mask,
 )
 from .graphio import GRAPH6, serialize_graph
 from .hypergraph import SpernerFamily
@@ -111,10 +112,18 @@ def profile(g: Graph) -> Profile:
     return Profile(fam, rep, packing_number(g), diameter(g), girth(g), gde)
 
 
-def classify(g: Graph, key: bytes | None = None) -> CatalogEntry:
-    """Compute the full catalog record for one graph."""
+def classify(
+    g: Graph, key: bytes | None = None, planar: bool | None = None
+) -> CatalogEntry:
+    """Compute the full catalog record for one graph.
+
+    key and planar, when given, must be g's canonical form and planarity
+    (enumerate_graphs yields both); they are computed when None.
+    """
     if key is None:
         key = canonical_form(g)
+    if planar is None:
+        planar = is_planar(g)
     prof = profile(g)
     rep, gde = prof.report, prof.dominating_edges
     return CatalogEntry(
@@ -129,54 +138,129 @@ def classify(g: Graph, key: bytes | None = None) -> CatalogEntry:
         diameter=prof.diameter,
         girth=prof.girth,
         nu_gde=None if gde is None else max_matching_of_edges(gde.edges),
-        planar=is_planar(g),
+        planar=planar,
         triangle_free=is_triangle_free(g),
     )
 
 
+def _parts_without(n: int, adj: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """For each vertex v, the connected components of the graph minus v."""
+    full = (1 << n) - 1
+    out = []
+    for v in range(n):
+        rest = full & ~(1 << v)
+        parts = []
+        while rest:
+            seen = frontier = rest & -rest
+            while frontier:
+                reach = 0
+                for u in iter_bits(frontier):
+                    reach |= adj[u]
+                frontier = reach & rest & ~seen
+                seen |= frontier
+            parts.append(seen)
+            rest &= ~seen
+        out.append(tuple(parts))
+    return out
+
+
+def _below(n: int, adj: tuple[int, ...]) -> list[int]:
+    """below[d] is the mask of vertices of degree less than d (d = 0..n+1)."""
+    return [vertex_mask(v for v in range(n) if adj[v].bit_count() < d) for d in range(n + 2)]
+
+
+def _new_vertex_is_least(
+    nb: int, below: list[int], parts: list[tuple[int, ...]]
+) -> bool:
+    """Whether a new vertex joined to nb has least degree among the non-cut
+    vertices of the child, given the parent's _below and _parts_without.
+
+    An old vertex v has child degree deg(v) + [v in nb], so it is below the
+    new vertex's degree d when deg(v) < d - 1, or deg(v) < d and v is not in
+    nb.  It is a non-cut vertex of the child when every component of the
+    parent minus v meets nb.
+    """
+    d = nb.bit_count()
+    lower = (below[d] & ~nb) | (below[d - 1] & nb)
+    while lower:
+        low = lower & -lower
+        if all(part & nb for part in parts[low.bit_length() - 1]):
+            return False
+        lower ^= low
+    return True
+
+
 def enumerate_graphs(filt: SearchFilter):
-    """Yield (canonical key, graph) per isomorphism class, by level then key.
+    """Yield (canonical key, graph, planar) per isomorphism class, by level
+    then key.
 
     Only connected classes are enumerated.  Augmentation: each level-k class
-    spawns level-(k+1) children by attaching a new vertex with every nonempty
-    neighborhood, so every child of a connected parent is connected, and
-    every connected graph is reached (it has a non-cut vertex).  The planar and
-    triangle-free restrictions prune whole subtrees: both properties are
-    inherited by induced subgraphs, so a child can qualify only if its
-    parent does.
+    spawns level-(k+1) children by attaching a new vertex to a nonempty
+    neighborhood, so every child of a connected parent is connected.  A
+    child is kept only if no non-cut vertex of the child has a smaller
+    degree than the new vertex (the degree half of McKay's canonical
+    construction path; the per-level dict still removes duplicates).  This
+    is complete: a connected graph G always has a non-cut vertex; deleting
+    one of least degree among the non-cut vertices leaves a connected
+    parent, and re-adding it passes the rule.  The parent is an induced
+    subgraph of G, so under the planar, triangle-free and min-degree
+    restrictions it is still in its level (min degree only filters what is
+    yielded) and G is still reached.
+
+    planar is inherited: a child is non-planar as soon as one parent that
+    generates it is, since that parent is an induced subgraph.  networkx
+    decides the rest, once per class, for every level that is expanded
+    further or filtered on planarity; on the last level planar is None
+    unless inherited, and classify decides it when asked.  The planar and
+    triangle-free restrictions prune whole subtrees, since a child can
+    qualify only if its parent does.
     """
     level: dict[bytes, tuple[int, ...]] = {canonical_key(1, (0,)): (0,)}
+    planar: dict[bytes, bool | None] = dict.fromkeys(level, True)
     n = 1
     while True:
         if n >= filt.n_min:
             for key in sorted(level):
-                adj = level[key]
-                g = Graph(n, adj)
+                g = Graph(n, level[key])
                 if filt.min_degree is not None and g.min_degree() < filt.min_degree:
                     continue
-                yield key, g
+                yield key, g, planar[key]
         if n == filt.n_max:
             return
         nxt: dict[bytes, tuple[int, ...]] = {}
-        rejected: set[bytes] = set()
-        for adj in level.values():
+        nonplanar: set[bytes] = set()
+        for pkey, adj in level.items():
+            below = _below(n, adj)
+            parts = _parts_without(n, adj)
+            parent_nonplanar = planar[pkey] is False
             for nb in range(1, 1 << n):
                 if filt.triangle_free_only and any(
                     adj[u] & nb for u in iter_bits(nb)
                 ):
                     continue
+                if not _new_vertex_is_least(nb, below, parts):
+                    continue
                 child = tuple(
                     row | ((nb >> i & 1) << n) for i, row in enumerate(adj)
                 ) + (nb,)
                 key = canonical_key(n + 1, child)
-                if key in nxt or key in rejected:
-                    continue
-                if filt.planar_only and not is_planar(Graph(n + 1, child)):
-                    rejected.add(key)
-                    continue
-                nxt[key] = child
-        level = nxt
+                if key not in nxt:
+                    nxt[key] = child
+                if parent_nonplanar:
+                    nonplanar.add(key)
         n += 1
+        decide = filt.planar_only or n < filt.n_max
+        planar = {}
+        for key, child in nxt.items():
+            if key in nonplanar:
+                planar[key] = False
+            elif decide:
+                planar[key] = is_planar(Graph(n, child))
+            else:
+                planar[key] = None
+        if filt.planar_only:
+            nxt = {key: child for key, child in nxt.items() if planar[key]}
+        level = nxt
 
 
 def _wtd2(entry: CatalogEntry) -> bool:
@@ -189,9 +273,11 @@ def _girth_at_most(entry: CatalogEntry, bound: int) -> bool:
 
 # id -> (description, smallest order, applies, holds); an assertion is
 # violated by an entry where applies(entry) and not holds(entry).  The
-# smallest order is the least n at which a violation can exist: one past a
-# bound on n, one past a bound on the girth (a cycle of length g needs g
-# vertices), else 2.  A search with a smaller n_max cannot falsify it.
+# smallest order is a lower bound on the n at which a violation can exist:
+# one past a bound on n, one past a bound on the girth (a cycle of length g
+# needs g vertices), else 2.  T14 uses the Moore bound instead: min degree
+# >= 3 and girth >= 13 need n >= 1 + 3 * (2**6 - 1) = 190.  A search with a
+# smaller n_max cannot falsify it.
 ASSERTIONS: dict[str, tuple] = {
     "T12": (
         "planar, uniform size 2, min degree >= 3 forces at most 16 vertices",
@@ -219,7 +305,7 @@ ASSERTIONS: dict[str, tuple] = {
     ),
     "T14": (
         "uniform minimal-TDS size with min degree >= 3 forces girth at most 12",
-        13,
+        190,
         lambda e: bool(e.is_wtd) and e.min_degree >= 3,
         lambda e: _girth_at_most(e, 12),
     ),
@@ -274,9 +360,11 @@ def resolve_assertion_ids(ids) -> tuple[str, ...]:
     return tuple(chosen)
 
 
-def _classify_payload(payload: tuple[bytes, int, tuple[int, ...]]) -> CatalogEntry:
-    key, n, adj = payload
-    return classify(Graph(n, adj), key=key)
+def _classify_payload(
+    payload: tuple[bytes, int, tuple[int, ...], bool | None]
+) -> CatalogEntry:
+    key, n, adj, planar = payload
+    return classify(Graph(n, adj), key=key, planar=planar)
 
 
 def _load_existing(path: str) -> dict[str, CatalogEntry]:
@@ -329,13 +417,13 @@ def run_search(
     if out_path is not None and os.path.exists(out_path):
         existing = _load_existing(out_path)
 
-    fresh: list[tuple[bytes, int, tuple[int, ...]]] = []
+    fresh: list[tuple[bytes, int, tuple[int, ...], bool | None]] = []
     order: list[str] = []
-    for key, g in enumerate_graphs(filt):
+    for key, g, planar in enumerate_graphs(filt):
         hexkey = key.hex()
         order.append(hexkey)
         if hexkey not in existing:
-            fresh.append((key, g.n, g.adj))
+            fresh.append((key, g.n, g.adj, planar))
 
     # classification results stream to the catalog as they finish, so an
     # interrupted run leaves a usable prefix behind (fresh payloads arrive in

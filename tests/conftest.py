@@ -14,12 +14,18 @@ def figure1() -> td.Graph:
 
 
 @pytest.fixture(scope="session")
-def atlas8():
+def enumerated8():
+    """enumerate_graphs(n_max=8) as a list of (key, Graph, planar)."""
+    return list(td.enumerate_graphs(td.SearchFilter(n_max=8)))
+
+
+@pytest.fixture(scope="session")
+def atlas8(enumerated8):
     """Every connected isomorphism class with 2 <= n <= 8, as (key, Graph).
 
-    Shared by the corpus-sweep tests; building it once costs under a minute.
+    Shared by the corpus-sweep tests; building it once costs a few seconds.
     """
-    return list(td.enumerate_graphs(td.SearchFilter(n_max=8)))
+    return [(k, g) for k, g, _ in enumerated8]
 
 
 @pytest.fixture(scope="session")
@@ -30,4 +36,4 @@ def atlas7(atlas8):
 @pytest.fixture(scope="session")
 def atlas6():
     """Connected classes with 2 <= n <= 6 only; cheap enough to build alone."""
-    return list(td.enumerate_graphs(td.SearchFilter(n_max=6)))
+    return [(k, g) for k, g, _ in td.enumerate_graphs(td.SearchFilter(n_max=6))]

@@ -1,7 +1,7 @@
 """Slow, definition-level reference implementations used to check the package.
 
 Everything here is written straight from the definitions (subset sweeps,
-permutation backtracking, Kuratowski case analysis) with no shared code or
+permutation backtracking, Kuratowski subdivision search) with no shared code or
 shared ideas with the library's algorithms, so agreement is meaningful.
 """
 
@@ -257,84 +257,54 @@ def random_relabel(g: Graph, rng) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# planarity by Kuratowski case analysis (n <= 7 only)
+# planarity by Kuratowski subdivision search (n <= 10)
 
 
 def brute_planar(g: Graph) -> bool:
-    """Planarity for n <= 7: no K5 or K3,3 subdivision can hide there.
+    """Planarity for n <= 10 by Kuratowski's theorem.
 
-    With at most 7 vertices a K5 subdivision has at most 2 subdividing
-    vertices and a K3,3 subdivision at most 1, so a direct case split over
-    branch-vertex choices is exhaustive.
+    g is non-planar exactly when some subgraph is a subdivision of K5 or
+    K3,3: branch vertices whose required pairs are joined by paths that
+    share no inner vertex and run through non-branch vertices.  Every
+    choice of branch vertices is tried, and every system of such paths.
     """
-    if g.n > 7:
-        raise ValueError("this oracle only covers n <= 7")
+    if g.n > 10:
+        raise ValueError("this oracle only covers n <= 10")
     if g.n < 5:
         return True
-    if _has_k5_subdivision(g) or _has_k33_subdivision(g):
-        return False
+    verts = range(g.n)
+    for branch in combinations(verts, 5):
+        if _linked(g, list(combinations(branch, 2)), set(verts) - set(branch)):
+            return False
+    for six in combinations(verts, 6):
+        first, rest = six[0], six[1:]
+        for mates in combinations(rest, 2):
+            side_a = (first, *mates)
+            side_b = [v for v in rest if v not in mates]
+            pairs = [(a, b) for a in side_a for b in side_b]
+            if _linked(g, pairs, set(verts) - set(six)):
+                return False
     return True
 
 
-def _has_k5_subdivision(g: Graph) -> bool:
-    verts = range(g.n)
-    for branch in combinations(verts, 5):
-        bset = set(branch)
-        extras = [v for v in verts if v not in bset]
-        missing = [
-            (u, v)
-            for u, v in combinations(branch, 2)
-            if not (g.adj[u] >> v & 1)
-        ]
-        if not missing:
-            return True
-        if len(missing) > len(extras):
-            continue
-        if len(missing) == 1:
-            (u, v) = missing[0]
-            for x in extras:
-                if (g.adj[x] >> u & 1) and (g.adj[x] >> v & 1):
-                    return True
-            for x, y in permutations(extras, 2):
-                if (
-                    (g.adj[u] >> x & 1)
-                    and (g.adj[x] >> y & 1)
-                    and (g.adj[y] >> v & 1)
-                ):
-                    return True
-        elif len(missing) == 2:
-            (u1, v1), (u2, v2) = missing
-            for x, y in permutations(extras, 2):
-                if (
-                    (g.adj[x] >> u1 & 1)
-                    and (g.adj[x] >> v1 & 1)
-                    and (g.adj[y] >> u2 & 1)
-                    and (g.adj[y] >> v2 & 1)
-                ):
-                    return True
-    return False
+def _linked(g: Graph, pairs, free: set) -> bool:
+    """Whether every pair (u, v) can get its own u-v path with inner vertices
+    from free, no inner vertex used twice; an edge uv is its own path."""
+    missing = [(u, v) for u, v in pairs if not g.adj[u] >> v & 1]
+    if len(missing) > len(free):
+        return False  # each missing pair needs an inner vertex of its own
+    if not missing:
+        return True
+    (u, v), rest = missing[0], missing[1:]
 
+    def walk(x: int, left: set) -> bool:
+        for y in left:
+            if g.adj[x] >> y & 1:
+                after = left - {y}
+                if g.adj[y] >> v & 1 and _linked(g, rest, after):
+                    return True
+                if walk(y, after):
+                    return True
+        return False
 
-def _has_k33_subdivision(g: Graph) -> bool:
-    verts = range(g.n)
-    for six in combinations(verts, 6):
-        extras = [v for v in verts if v not in six]
-        rest = list(six)
-        first = rest[0]
-        for mates in combinations(rest[1:], 2):
-            side_a = {first, *mates}
-            side_b = [v for v in six if v not in side_a]
-            missing = [
-                (a, b)
-                for a in side_a
-                for b in side_b
-                if not (g.adj[a] >> b & 1)
-            ]
-            if not missing:
-                return True
-            if len(missing) == 1 and extras:
-                a, b = missing[0]
-                for x in extras:
-                    if (g.adj[x] >> a & 1) and (g.adj[x] >> b & 1):
-                        return True
-    return False
+    return walk(u, free)

@@ -233,6 +233,12 @@ class TestRealize:
         assert out == ""
         assert err == "error: repeated set '{b,a}' (same members as '{a,b}')\n"
 
+    def test_contained_set_in_user_labels(self, capsys):
+        code, out, err = run_cli(capsys, "realize", "--family", "{x,y};{x}")
+        assert code == 2
+        assert out == ""
+        assert err == "error: not an antichain: '{x}' is contained in '{x,y}'\n"
+
     @pytest.mark.parametrize(
         "family",
         ["a,b", "{a,b", "{a,,b}", "{a,a}", "{a};{b,c}", "{a,b};{a,b,c}"],

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +151,25 @@ class TestMetricsAgainstOracles:
         edges = [e for e in k5 if e != (0, 1) and e != (2, 3)]
         edges += [(0, 5), (1, 5), (2, 6), (3, 6)]
         assert not td.is_planar(td.Graph.from_edges(7, edges))
+
+    def test_networkx_imported_on_first_planarity_test(self):
+        # the child imports the same totaldom as this process, installed or not
+        src = os.path.dirname(os.path.dirname(td.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, totaldom, totaldom.cli\n"
+            "print('networkx' in sys.modules)\n"
+            "totaldom.is_planar(totaldom.Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))\n"
+            "print('networkx' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True"]
 
 
 class TestCanonicalForm:

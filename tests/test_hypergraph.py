@@ -57,6 +57,7 @@ class TestSpernerFamily:
                 td.SpernerFamily(ground, edges)
             e, f = ({v for v in range(ground) if s >> v & 1} for s in pair)
             assert str(err.value) == f"not an antichain: {e} is contained in {f}"
+            assert (err.value.contained, err.value.superset) == pair
             contained = [a for a in edges if any(a != b and a & b == a for b in edges)]
             several += len(contained) > 1
         assert antichains > 300 and several > 300

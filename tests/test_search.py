@@ -5,14 +5,22 @@ import random
 import pytest
 
 import totaldom as td
+from totaldom.search import _below, _new_vertex_is_least, _parts_without
 from oracles import (
+    _connected,
     all_graphs_up_to_iso,
+    brute_minimal_tds,
+    brute_packing_number,
     brute_planar,
     complete_graph,
     cycle_graph,
     path_graph,
     random_relabel,
+    relabel,
 )
+
+# OEIS A001349: connected graphs on n vertices
+A001349 = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
 class TestSearchFilter:
@@ -36,13 +44,55 @@ class TestSearchFilter:
 class TestEnumeration:
     def level_counts(self, filt):
         counts = {}
-        for key, g in td.enumerate_graphs(filt):
+        for key, g, _ in td.enumerate_graphs(filt):
             counts[g.n] = counts.get(g.n, 0) + 1
         return counts
 
     def test_connected_counts(self):
         counts = self.level_counts(td.SearchFilter(n_max=6))
-        assert counts == {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+        assert counts == {n: c for n, c in A001349.items() if n <= 6}
+
+    def test_connected_counts_to_8(self, enumerated8):
+        counts = {}
+        for _, g, _ in enumerated8:
+            counts[g.n] = counts.get(g.n, 0) + 1
+        assert counts == A001349
+
+    @pytest.mark.parametrize(
+        "restriction, n_max, keep",
+        [
+            ("planar_only", 7, lambda g, planar: planar),
+            ("triangle_free_only", 8, lambda g, planar: td.is_triangle_free(g)),
+            ("min_degree", 8, lambda g, planar: g.min_degree() >= 3),
+        ],
+    )
+    def test_restriction_keeps_every_qualifying_class(
+        self, enumerated8, restriction, n_max, keep
+    ):
+        value = 3 if restriction == "min_degree" else True
+        filt = td.SearchFilter(n_max=n_max, **{restriction: value})
+        got = [key for key, _, _ in td.enumerate_graphs(filt)]
+        expect = [key for key, g, planar in enumerated8 if g.n <= n_max and keep(g, planar)]
+        assert got == expect
+
+    def test_planarity_matches_oracle_to_7(self, enumerated8):
+        # below the last level every class carries its planarity, decided
+        # by networkx or inherited from a non-planar parent
+        inherited = 0
+        for key, g, planar in enumerated8:
+            if g.n <= 7:
+                assert planar == brute_planar(g), key.hex()
+            else:
+                assert planar in (None, False), key.hex()
+                inherited += planar is False
+        assert inherited > 0
+
+    def test_last_level_planarity(self):
+        # on the last level planar is only ever an inherited False; classify
+        # decides the rest
+        for key, g, planar in td.enumerate_graphs(td.SearchFilter(n_max=7, n_min=7)):
+            assert planar is None or planar is False
+            assert td.classify(g, key=key, planar=planar).planar == brute_planar(g), key.hex()
 
     def test_min_degree_three_at_four(self):
         got = list(td.enumerate_graphs(td.SearchFilter(n_max=4, min_degree=3)))
@@ -75,13 +125,65 @@ class TestEnumeration:
         seen = set()
         last = None
         last_n = 0
-        for key, g in td.enumerate_graphs(td.SearchFilter(n_max=5)):
+        for key, g, _ in td.enumerate_graphs(td.SearchFilter(n_max=5)):
             assert key not in seen
             seen.add(key)
             if g.n == last_n:
                 assert last < key
             last, last_n = key, g.n
             assert td.canonical_form(g) == key
+
+
+def random_connected_graph(rng, n):
+    while True:
+        p = rng.uniform(0.25, 0.6)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = td.Graph.from_edges(n, edges)
+        if _connected(g):
+            return g
+
+
+class TestCanonicalParent:
+    """The augmentation rule of enumerate_graphs on graphs past the atlas."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        rng = random.Random(91)
+        out = [random_connected_graph(rng, n) for n in (9, 10) for _ in range(8)]
+        # K4 and K4 (or K5) joined through one vertex of degree 2: every
+        # vertex of least degree is a cut vertex
+        for a in (4, 5):
+            edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+            edges += [(u, v) for u in range(5, 5 + a) for v in range(u + 1, 5 + a)]
+            g = td.Graph.from_edges(5 + a, edges + [(0, 4), (4, 5)])
+            out.append(random_relabel(g, rng))
+        return out
+
+    def test_least_degree_non_cut_vertex_is_accepted(self, graphs):
+        for g in graphs:
+            n = g.n
+            non_cut = []
+            for v in range(n):
+                order = [u for u in range(n) if u != v] + [v]
+                h = relabel(g, {old: new for new, old in enumerate(order)})
+                parent = td.Graph(n - 1, tuple(row & ~(1 << (n - 1)) for row in h.adj[:-1]))
+                if _connected(parent):
+                    non_cut.append((v, parent, h.adj[-1]))
+            least = min(g.degree(v) for v, _, _ in non_cut)
+            for v, parent, nb in non_cut:
+                kept = _new_vertex_is_least(
+                    nb, _below(n - 1, parent.adj), _parts_without(n - 1, parent.adj)
+                )
+                assert kept == (g.degree(v) == least), (g.edges(), v)
+
+    def test_classify_matches_oracles(self, graphs):
+        for g in graphs:
+            e = td.classify(g)
+            sizes = {s.bit_count() for s in brute_minimal_tds(g)}
+            assert (e.gamma_t, e.Gamma_t) == (min(sizes), max(sizes)), g.edges()
+            assert e.is_wtd == (len(sizes) == 1)
+            assert e.rho == brute_packing_number(g)
+            assert e.planar == brute_planar(g)
 
 
 class TestClassify:
@@ -124,7 +226,7 @@ class TestClassify:
 
     def test_wtd_regression_counts(self):
         wtd_by_n = {4: 0, 5: 0}
-        for key, g in td.enumerate_graphs(td.SearchFilter(n_max=5, n_min=4)):
+        for key, g, _ in td.enumerate_graphs(td.SearchFilter(n_max=5, n_min=4)):
             e = td.classify(g, key=key)
             if e.is_wtd:
                 wtd_by_n[e.n] += 1

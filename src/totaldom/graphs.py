@@ -68,10 +68,14 @@ class Graph:
                 raise ValueError(f"neighborhood of {v} mentions out-of-range vertices")
             if nb >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v in range(self.n):
-            for u in iter_bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
+        adj = self.adj
+        for v, nb in enumerate(adj):
+            while nb:
+                low = nb & -nb
+                u = low.bit_length() - 1
+                if not adj[u] >> v & 1:
                     raise ValueError(f"adjacency not symmetric between {u} and {v}")
+                nb ^= low
         if self.labels is not None:
             if len(self.labels) != self.n:
                 raise ValueError("label count does not match vertex count")
@@ -108,10 +112,12 @@ class Graph:
 
     def edges(self) -> tuple[Edge, ...]:
         out = []
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1) << (u + 1)
-            for v in iter_bits(rest):
-                out.append((u, v))
+        for u, nb in enumerate(self.adj):
+            rest = nb >> (u + 1) << (u + 1)
+            while rest:
+                low = rest & -rest
+                out.append((u, low.bit_length() - 1))
+                rest ^= low
         return tuple(out)
 
     def degree(self, v: int) -> int:
@@ -173,58 +179,71 @@ def is_triangle_free(g: Graph) -> bool:
     return True
 
 
-def _bfs_dist(g: Graph, source: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = [source]
-    for v in queue:
-        d = dist[v] + 1
-        for u in iter_bits(g.adj[v]):
-            if dist[u] < 0:
-                dist[u] = d
-                queue.append(u)
-    return dist
-
-
 def diameter(g: Graph) -> int | None:
-    """Largest pairwise distance; None when g is disconnected (or empty)."""
+    """Largest pairwise distance; None when g is disconnected (or empty).
+
+    One layered bitmask BFS per source: the eccentricity is the number of
+    nonempty layers after the source.
+    """
     if g.n == 0:
         return None
+    adj = g.adj
+    full = g.full_mask
     best = 0
     for s in range(g.n):
-        dist = _bfs_dist(g, s)
-        worst = max(dist)
-        if -1 in dist:
+        seen = frontier = 1 << s
+        depth = -1
+        while frontier:
+            depth += 1
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
+        if seen != full:
             return None
-        best = max(best, worst)
+        if depth > best:
+            best = depth
     return best
 
 
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle; None when g is acyclic.
 
-    BFS from every vertex; a non-tree edge seen from source s witnesses a
-    closed walk of length dist[u] + dist[w] + 1 through s, and for any s on a
-    shortest cycle the bound is attained, so the minimum over sources is
-    exact.
+    Layered bitmask BFS from every vertex s.  An edge inside layer d closes
+    a walk of length 2d + 1 through s, and a vertex of layer d + 1 with two
+    neighbours in layer d one of length 2d + 2; either walk contains a cycle
+    no longer than itself.  For s on a shortest cycle the first such witness
+    has exactly its length, so the minimum over sources is exact.  A source
+    stops at its first witness, or once 2d + 1 cannot beat the best so far.
     """
+    adj = g.adj
     best: int | None = None
     for s in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[s] = 0
-        queue = [s]
-        for v in queue:
-            d = dist[v] + 1
-            for u in iter_bits(g.adj[v]):
-                if dist[u] < 0:
-                    dist[u] = d
-                    parent[u] = v
-                    queue.append(u)
-                elif u != parent[v] and dist[u] >= dist[v]:
-                    cycle = dist[u] + dist[v] + 1
-                    if best is None or cycle < best:
-                        best = cycle
+        seen = frontier = 1 << s
+        d = 0
+        while frontier and (best is None or 2 * d + 1 < best):
+            inside = reach = twice = 0
+            x = frontier
+            while x:
+                low = x & -x
+                nb = adj[low.bit_length() - 1]
+                inside |= nb & frontier
+                fresh = nb & ~seen
+                twice |= reach & fresh
+                reach |= fresh
+                x ^= low
+            if inside:
+                best = 2 * d + 1
+                break
+            if twice:
+                best = 2 * d + 2
+                break
+            seen |= reach
+            frontier = reach
+            d += 1
     return best
 
 
@@ -258,15 +277,41 @@ def bipartition(g: Graph) -> tuple[int, int] | None:
 
 
 def is_planar(g: Graph) -> bool:
-    """Exact planarity (left-right test via networkx, imported on first use)."""
-    if g.n <= 4:
-        return True
+    """Exact planarity.
+
+    Vertices of degree at most 1 are deleted and each vertex of degree 2 is
+    replaced by an edge between its two neighbours (or just deleted when
+    they are already adjacent), until every vertex left has degree at least
+    3; both steps preserve planarity.  At most five vertices are then
+    non-planar only as K5.  networkx (imported on first use) runs the
+    left-right test on whatever larger graph remains.
+    """
+    n = g.n
+    adj = list(g.adj)
+    stack = [v for v in range(n) if adj[v].bit_count() <= 2]
+    while stack:
+        v = stack.pop()
+        nb = adj[v]
+        if nb.bit_count() > 2:
+            continue
+        adj[v] = 0
+        x = nb
+        while x:
+            low = x & -x
+            u = low.bit_length() - 1
+            adj[u] ^= 1 << v
+            if nb != low:
+                adj[u] |= nb ^ low  # the other neighbour, when there are two
+            if adj[u].bit_count() <= 2:
+                stack.append(u)
+            x ^= low
+    degrees = [a.bit_count() for a in adj if a]
+    if len(degrees) <= 5:
+        return sum(degrees) < 20
     import networkx as nx
 
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from(g.edges())
-    ok, _ = nx.check_planarity(nxg, counterexample=False)
+    edges = [(u, w) for u in range(n) for w in range(u + 1, n) if adj[u] >> w & 1]
+    ok, _ = nx.check_planarity(nx.Graph(edges), counterexample=False)
     return ok
 
 
@@ -324,33 +369,67 @@ def max_matching_of_edges(edges: Iterable[Edge]) -> int:
 # Canonical forms
 
 
-def _refined_colors(n: int, adj: Sequence[int]) -> tuple[int, ...]:
-    """Equitable-style color refinement; colors are isomorphism-invariant."""
-    colors = [adj[v].bit_count() for v in range(n)]
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in iter_bits(adj[v]))))
-            for v in range(n)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if new == colors:
-            return tuple(colors)
-        colors = new
+def _refined_cells(n: int, adj: Sequence[int]) -> list[int]:
+    """Equitable-style refinement: an ordered partition into vertex masks.
 
+    Cells start as the degree classes in ascending degree.  Each round
+    splits every cell by a signature packed into one int, n - |N(v) & cell|
+    over the current cells in order; the pieces replace the cell in
+    ascending signature order.  Rounds repeat until no cell splits.  The
+    partition and its order are isomorphism-invariant.
 
-def _min_code(n: int, adj: Sequence[int], colors: Sequence[int]) -> list[int]:
-    """Lexicographically least adjacency code over color-respecting orders.
-
-    Positions are filled class by class (ascending refined color, an
-    isomorphism invariant, so the restriction preserves canonicity).  Twin
-    vertices -- interchangeable by a transposition automorphism -- are
-    branched only once per node.
+    Vertices of one cell have one degree, so ascending signatures order them
+    as their sorted tuples of neighbour cell indices would: the first
+    differing cell decides, and more neighbours there sort first.  Cell
+    indices therefore equal the ranks a tuple-based refinement gives, and
+    canonical keys keep their bytes.
     """
-    class_seq = sorted(colors)
-    by_color: dict[int, list[int]] = {}
-    for v in range(n):
-        by_color.setdefault(colors[v], []).append(v)
+    by_degree: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        d = a.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    width = n.bit_length()
+    while True:
+        finer = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:
+                finer.append(cell)
+                continue
+            sigs = []
+            while cell:
+                low = cell & -cell
+                a = adj[low.bit_length() - 1]
+                sig = 0
+                for other in cells:
+                    sig = sig << width | n - (a & other).bit_count()
+                sigs.append((sig, low))
+                cell ^= low
+            sigs.sort()
+            prev = -1
+            for sig, low in sigs:
+                if sig == prev:
+                    finer[-1] |= low
+                else:
+                    finer.append(low)
+                    prev = sig
+        if len(finer) == len(cells):
+            return cells
+        cells = finer
+
+
+def _min_code(n: int, adj: Sequence[int], cells: Sequence[int]) -> list[int]:
+    """Lexicographically least adjacency code over cell-respecting orders.
+
+    Positions are filled cell by cell (the refined order, an isomorphism
+    invariant, so the restriction preserves canonicity).  Twin vertices --
+    interchangeable by a transposition automorphism -- are branched only
+    once per node.
+    """
+    slots: list[tuple[int, ...]] = []
+    for cell in cells:
+        members = mask_members(cell)
+        slots += [members] * len(members)
 
     placed: list[int] = []
     placed_mask = 0
@@ -364,7 +443,7 @@ def _min_code(n: int, adj: Sequence[int], colors: Sequence[int]) -> list[int]:
                 best = rows.copy()
             return
         tried: list[int] = []
-        for v in by_color[class_seq[i]]:
+        for v in slots[i]:
             if placed_mask >> v & 1:
                 continue
             vb = 1 << v
@@ -403,8 +482,7 @@ def canonical_key(n: int, adj: Sequence[int], bound: int = CANONICAL_BOUND) -> b
         )
     if n <= 1:
         return bytes([n])
-    colors = _refined_colors(n, adj)
-    rows = _min_code(n, adj, colors)
+    rows = _min_code(n, adj, _refined_cells(n, adj))
     acc = 0
     for i in range(1, n):
         acc = (acc << i) | rows[i]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, DominationUndefinedError, NotAntichainError
-from .graphs import Graph, iter_bits, mask_members
+from .graphs import Graph, mask_members
 
 MAX_GROUND = 64
 
@@ -151,8 +151,11 @@ def _mmcs(
     cand0 = 0
     for i, e in enumerate(edges):
         cand0 |= e
-        for v in iter_bits(e):
-            containing[v] |= 1 << i
+        bit = 1 << i
+        while e:
+            low = e & -e
+            containing[low.bit_length() - 1] |= bit
+            e ^= low
     out: list[int] = []
 
     def rec(chosen: int, cand: int, crit: tuple[tuple[int, int], ...], uncov: int) -> None:
@@ -178,8 +181,10 @@ def _mmcs(
                 pick = i
         branch = edges[pick] & cand
         cand &= ~branch
-        for v in iter_bits(branch):
-            cont = containing[v]
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            cont = containing[bit.bit_length() - 1]
             ok = True
             new_crit = []
             for vb, cm in crit:
@@ -189,10 +194,9 @@ def _mmcs(
                     break
                 new_crit.append((vb, cm))
             if ok:
-                vb = 1 << v
-                new_crit.append((vb, uncov & cont))
-                rec(chosen | vb, cand, tuple(new_crit), uncov & ~cont)
-            cand |= 1 << v
+                new_crit.append((bit, uncov & cont))
+                rec(chosen | bit, cand, tuple(new_crit), uncov & ~cont)
+            cand |= bit
         return
 
     rec(0, cand0, (), (1 << m) - 1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from .errors import CapabilityError, DominationUndefinedError
 from .graphs import (
@@ -82,6 +82,9 @@ class CatalogEntry:
     nu_gde: int | None
     planar: bool
     triangle_free: bool
+
+
+_FIELDS = tuple(f.name for f in fields(CatalogEntry))
 
 
 @dataclass(frozen=True)
@@ -154,8 +157,10 @@ def _parts_without(n: int, adj: tuple[int, ...]) -> list[tuple[int, ...]]:
             seen = frontier = rest & -rest
             while frontier:
                 reach = 0
-                for u in iter_bits(frontier):
-                    reach |= adj[u]
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= adj[low.bit_length() - 1]
+                    frontier ^= low
                 frontier = reach & rest & ~seen
                 seen |= frontier
             parts.append(seen)
@@ -208,7 +213,7 @@ def enumerate_graphs(filt: SearchFilter):
     yielded) and G is still reached.
 
     planar is inherited: a child is non-planar as soon as one parent that
-    generates it is, since that parent is an induced subgraph.  networkx
+    generates it is, since that parent is an induced subgraph.  is_planar
     decides the rest, once per class, for every level that is expanded
     further or filtered on planarity; on the last level planar is None
     unless inherited, and classify decides it when asked.  The planar and
@@ -360,11 +365,9 @@ def resolve_assertion_ids(ids) -> tuple[str, ...]:
     return tuple(chosen)
 
 
-def _classify_payload(
-    payload: tuple[bytes, int, tuple[int, ...], bool | None]
-) -> CatalogEntry:
-    key, n, adj, planar = payload
-    return classify(Graph(n, adj), key=key, planar=planar)
+def _classify_payload(payload: tuple[bytes, Graph, bool | None]) -> CatalogEntry:
+    key, g, planar = payload
+    return classify(g, key, planar)
 
 
 def _load_existing(path: str) -> dict[str, CatalogEntry]:
@@ -373,7 +376,6 @@ def _load_existing(path: str) -> dict[str, CatalogEntry]:
     would join it) and its class classified again.  Other bad lines raise.
     """
     entries: dict[str, CatalogEntry] = {}
-    fields = {f for f in CatalogEntry.__dataclass_fields__}
     with open(path, "rb") as fh:
         data = fh.read()
     lines = data.split(b"\n")
@@ -384,7 +386,7 @@ def _load_existing(path: str) -> dict[str, CatalogEntry]:
             continue
         try:
             record = json.loads(line)
-            entry = CatalogEntry(**{k: record[k] for k in fields})
+            entry = CatalogEntry(**{k: record[k] for k in _FIELDS})
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}:{lineno}: unreadable catalog line ({exc})") from exc
         entries[entry.canonical_key] = entry
@@ -417,13 +419,13 @@ def run_search(
     if out_path is not None and os.path.exists(out_path):
         existing = _load_existing(out_path)
 
-    fresh: list[tuple[bytes, int, tuple[int, ...], bool | None]] = []
+    fresh: list[tuple[bytes, Graph, bool | None]] = []
     order: list[str] = []
     for key, g, planar in enumerate_graphs(filt):
         hexkey = key.hex()
         order.append(hexkey)
         if hexkey not in existing:
-            fresh.append((key, g.n, g.adj, planar))
+            fresh.append((key, g, planar))
 
     # classification results stream to the catalog as they finish, so an
     # interrupted run leaves a usable prefix behind (fresh payloads arrive in
@@ -439,7 +441,7 @@ def run_search(
         for entry in computed_iter:
             existing[entry.canonical_key] = entry
             if sink is not None:
-                record = asdict(entry)
+                record = {name: getattr(entry, name) for name in _FIELDS}
                 rep_graph = graph_from_canonical(bytes.fromhex(entry.canonical_key))
                 record["graph6"] = serialize_graph(rep_graph, GRAPH6).strip()
                 sink.write(json.dumps(record, sort_keys=True) + "\n")

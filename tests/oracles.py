@@ -273,10 +273,13 @@ def brute_planar(g: Graph) -> bool:
     if g.n < 5:
         return True
     verts = range(g.n)
-    for branch in combinations(verts, 5):
+    # a branch vertex keeps its degree in the subdivision: 4 in K5, 3 in K3,3
+    deg4 = [v for v in verts if g.adj[v].bit_count() >= 4]
+    deg3 = [v for v in verts if g.adj[v].bit_count() >= 3]
+    for branch in combinations(deg4, 5):
         if _linked(g, list(combinations(branch, 2)), set(verts) - set(branch)):
             return False
-    for six in combinations(verts, 6):
+    for six in combinations(deg3, 6):
         first, rest = six[0], six[1:]
         for mates in combinations(rest, 2):
             side_a = (first, *mates)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -152,24 +153,101 @@ class TestMetricsAgainstOracles:
         edges += [(0, 5), (1, 5), (2, 6), (3, 6)]
         assert not td.is_planar(td.Graph.from_edges(7, edges))
 
+    def test_planarity_matches_oracle_on_atlas8(self, atlas8):
+        for key, g in atlas8:
+            assert td.is_planar(g) == brute_planar(g), key.hex()
+
+    def test_planarity_matches_oracle_on_random_9_and_10(self):
+        rng = random.Random(910)
+        seen = set()
+        for _ in range(300):
+            g = random_graph(rng, rng.choice((9, 10)), 0.1 + 0.5 * rng.random())
+            planar = brute_planar(g)
+            assert td.is_planar(g) == planar
+            seen.add(planar)
+        assert seen == {False, True}
+
+    def test_planarity_named_cases(self):
+        k5, k33 = complete_graph(5), complete_bipartite(3, 3)
+        assert not td.is_planar(k5)
+        assert td.is_planar(td.Graph.from_edges(5, k5.edges()[1:]))  # K5 - e
+        # every edge subdivided, then a pendant path and a pendant star hung
+        # on branch and subdivision vertices: still non-planar
+        for base in (k5, k33):
+            assert not td.is_planar(subdivided_with_trees(base))
+        assert td.is_planar(subdivided_with_trees(td.Graph.from_edges(5, k5.edges()[1:])))
+        # a degree-2 vertex on the already adjacent 2 and 3 of K5 - {0,1}:
+        # suppressing it only deletes it, and the rest stays planar
+        edges = [e for e in k5.edges() if e != (0, 1)]
+        assert td.is_planar(td.Graph.from_edges(6, edges + [(2, 5), (3, 5)]))
+        # on 0 and 1 instead it restores the missing edge: a subdivided K5
+        assert not td.is_planar(td.Graph.from_edges(6, edges + [(0, 5), (1, 5)]))
+        # K5 plus a degree-2 vertex on an existing edge
+        assert not td.is_planar(td.Graph.from_edges(6, k5.edges() + ((0, 5), (1, 5))))
+
     def test_networkx_imported_on_first_planarity_test(self):
-        # the child imports the same totaldom as this process, installed or not
-        src = os.path.dirname(os.path.dirname(td.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = (
-            "import sys, totaldom, totaldom.cli\n"
-            "print('networkx' in sys.modules)\n"
-            "totaldom.is_planar(totaldom.Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))\n"
-            "print('networkx' in sys.modules)\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["False", "True"]
+        # K3,3 has no vertex of degree below 3, so networkx decides it
+        k33 = complete_bipartite(3, 3)
+        assert networkx_loaded_by_planarity_test(k33) == ["False", "True"]
+
+    def test_tree_leaves_networkx_unloaded(self):
+        tree = td.Graph.from_edges(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (5, 6)])
+        assert networkx_loaded_by_planarity_test(tree) == ["False", "False"]
+
+    def test_girth_and_diameter_on_forests_and_disconnected_graphs(self):
+        rng = random.Random(77)
+        for _ in range(300):
+            n = rng.randint(0, 12)
+            shape = rng.randrange(3)
+            if shape == 0:  # a forest: each vertex joins an earlier one or none
+                edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
+                g = td.Graph.from_edges(n, edges)
+            elif shape == 1:  # two random parts side by side
+                a = random_graph(rng, n // 2, rng.random())
+                b = random_graph(rng, n - n // 2, rng.random())
+                shift = n // 2
+                g = td.Graph.from_edges(
+                    n, a.edges() + tuple((u + shift, v + shift) for u, v in b.edges())
+                )
+            else:  # sparse, where long cycles and long paths live
+                g = random_graph(rng, n, 0.4 * rng.random())
+            assert td.diameter(g) == brute_diameter(g)
+            assert td.girth(g) == brute_girth(g)
+
+
+def subdivided_with_trees(base: td.Graph) -> td.Graph:
+    """base with every edge subdivided, a pendant path of length 2 on vertex
+    0 and a pendant star with two leaves on the first subdivision vertex."""
+    edges = []
+    n = base.n
+    for u, v in base.edges():
+        edges += [(u, n), (n, v)]
+        n += 1
+    mid = base.n
+    edges += [(0, n), (n, n + 1), (mid, n + 2), (n + 2, n + 3), (n + 2, n + 4)]
+    return td.Graph.from_edges(n + 5, edges)
+
+
+def networkx_loaded_by_planarity_test(g: td.Graph) -> list[str]:
+    """In a fresh interpreter: whether networkx is loaded after importing
+    totaldom and its CLI, then after one is_planar call on g."""
+    # the child imports the same totaldom as this process, installed or not
+    src = os.path.dirname(os.path.dirname(td.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, totaldom, totaldom.cli\n"
+        "print('networkx' in sys.modules)\n"
+        f"totaldom.is_planar(totaldom.Graph.from_edges({g.n}, {list(g.edges())}))\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
 
 
 class TestCanonicalForm:
@@ -193,6 +271,20 @@ class TestCanonicalForm:
             rep = td.graph_from_canonical(td.canonical_form(g))
             assert are_isomorphic(g, rep)
             assert td.canonical_form(rep) == td.canonical_form(g)
+
+    def test_key_bytes_frozen(self, atlas7):
+        # catalogs on disk are keyed by these bytes: a change to any of them
+        # needs a catalog version bump
+        keys = sorted(key for key, _ in atlas7)
+        assert len(keys) == 995
+        digest = hashlib.sha256(b"".join(keys)).hexdigest()
+        assert digest == "4fdef5f6794d8a02bff18249da7145d2fe7410be2991e319ea8687f83264a104"
+        assert td.canonical_form(petersen_graph()).hex() == "0a00d4c49a4c80"
+        assert td.canonical_form(complete_bipartite(3, 3)).hex() == "061fb8"
+        two_triangles = td.Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert td.canonical_form(two_triangles).hex() == "062e22"
+        with_isolated = td.Graph.from_edges(7, [(0, 1), (1, 2), (4, 5)])
+        assert td.canonical_form(with_isolated).hex() == "07040018"
 
     def test_bound_enforced(self):
         g = path_graph(td.CANONICAL_BOUND + 1)

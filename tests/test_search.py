@@ -77,7 +77,7 @@ class TestEnumeration:
 
     def test_planarity_matches_oracle_to_7(self, enumerated8):
         # below the last level every class carries its planarity, decided
-        # by networkx or inherited from a non-planar parent
+        # by is_planar or inherited from a non-planar parent
         inherited = 0
         for key, g, planar in enumerated8:
             if g.n <= 7:

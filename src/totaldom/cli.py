@@ -24,13 +24,7 @@ import functools
 import json
 import sys
 
-from .errors import (
-    CapabilityError,
-    DominationUndefinedError,
-    NotAntichainError,
-    ParseError,
-    ValidationError,
-)
+from .errors import CapabilityError, NotAntichainError, ParseError
 from .graphs import Graph, mask_members
 from .graphio import EDGE_LIST, FORMATS, parse_graph, serialize_graph
 from .hypergraph import SpernerFamily, require_total_domination
@@ -79,49 +73,38 @@ def _analyze_payload(g: Graph) -> dict:
     return payload
 
 
-def _cmd_analyze(args) -> int:
-    print(json.dumps(_analyze_payload(_load_graph(args)), indent=2))
-    return 0
+# each _cmd_* returns (exit code, JSON payload); main prints the payload
+def _cmd_analyze(args) -> tuple[int, dict]:
+    return 0, _analyze_payload(_load_graph(args))
 
 
-def _cmd_recognize(args) -> int:
+def _cmd_recognize(args) -> tuple[int, dict]:
     g = _load_graph(args)
     result = recognize_wtd_k(g, args.k)
     if result.accepted:
-        payload = {"wtd_k": True, "k": args.k, "witness": _names(g, result.witness)}
-        print(json.dumps(payload, indent=2))
-        return 0
+        return 0, {"wtd_k": True, "k": args.k, "witness": _names(g, result.witness)}
     payload = {"wtd_k": False, "k": args.k}
     if args.witness:
         payload["witness"] = _names(g, result.witness)
         payload["reason"] = result.reason
-    print(json.dumps(payload, indent=2))
-    return 1
+    return 1, payload
 
 
-def _cmd_construct_w2(args) -> int:
+def _cmd_construct_w2(args) -> tuple[int, dict]:
     recipe = parse_recipe(_read_text(args.recipe))
     g = construct_w2(recipe)
-    payload = {
-        "graph": serialize_graph(g, EDGE_LIST),
-        "self_check": _analyze_payload(g),
-    }
-    print(json.dumps(payload, indent=2))
-    return 0
+    return 0, {"graph": serialize_graph(g, EDGE_LIST), "self_check": _analyze_payload(g)}
 
 
-def _cmd_w2_check(args) -> int:
+def _cmd_w2_check(args) -> tuple[int, dict]:
     g = _load_graph(args)
     result = w2_membership(g)
     if result.member:
-        payload = {"member": True, "recipe": serialize_recipe(result.recipe)}
-        print(json.dumps(payload, indent=2))
-        return 0
+        return 0, {"member": True, "recipe": serialize_recipe(result.recipe)}
     payload = {"member": False}
     if args.witness:
         payload["reason"] = result.reason
-    print(json.dumps(payload, indent=2))
-    return 1
+    return 1, payload
 
 
 def _parse_family(text: str) -> tuple[SpernerFamily, list[str]]:
@@ -133,6 +116,12 @@ def _parse_family(text: str) -> tuple[SpernerFamily, list[str]]:
         tokens = [tok.strip() for tok in chunk[1:-1].split(",")]
         if any(not tok for tok in tokens):
             raise ParseError(f"malformed set {chunk!r}: empty member name")
+        # the graph's `# labels:` line separates names by whitespace
+        spaced = next((tok for tok in tokens if len(tok.split()) > 1), None)
+        if spaced is not None:
+            raise ParseError(
+                f"malformed set {chunk!r}: member name {spaced!r} contains whitespace"
+            )
         members = frozenset(tokens)
         if len(members) != len(tokens):
             raise ParseError(f"malformed set {chunk!r}: repeated member")
@@ -158,17 +147,15 @@ def _parse_family(text: str) -> tuple[SpernerFamily, list[str]]:
     return family, ground
 
 
-def _cmd_realize(args) -> int:
+def _cmd_realize(args) -> tuple[int, dict]:
     family, ground = _parse_family(args.family)
     realized = realize_mtds(family, core_edges=args.core_edges, labels=tuple(ground))
     g = realized.graph
-    payload = {
+    return 0, {
         "graph": serialize_graph(g, EDGE_LIST),
         "ground": [g.label(v) for v in realized.ground_vertices],
         "self_check": _analyze_payload(g),
     }
-    print(json.dumps(payload, indent=2))
-    return 0
 
 
 def _parse_edge_selection(text: str) -> MatchingSelection:
@@ -186,7 +173,7 @@ def _parse_edge_selection(text: str) -> MatchingSelection:
     return MatchingSelection(tuple(edges))
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> tuple[int, dict]:
     g = _load_graph(args)
     selection = _parse_edge_selection(args.edges)
     result = reduce_by_matching(g, selection)
@@ -203,11 +190,10 @@ def _cmd_reduce(args) -> int:
     }
     if status == "ok":
         payload["self_check"] = _analyze_payload(result.graph)
-    print(json.dumps(payload, indent=2))
-    return 0
+    return 0, payload
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple[int, dict]:
     filt = SearchFilter(
         n_max=args.n_max,
         n_min=args.n_min,
@@ -215,13 +201,12 @@ def _cmd_search(args) -> int:
         planar_only=args.planar,
         triangle_free_only=args.triangle_free,
     )
-    ids = [tok for tok in args.assertions.split(",")]
+    ids = args.assertions.split(",")
     _, search_report = run_search(filt, ids, out_path=args.out, jobs=args.jobs)
-    print(json.dumps(search_report, indent=2))
     violated = any(
         block["violations"] for block in search_report["assertions"].values()
     )
-    return 3 if violated else 0
+    return (3 if violated else 0), search_report
 
 
 def _add_graph_input(sub: argparse.ArgumentParser) -> None:
@@ -316,15 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (
-        ParseError,
-        ValidationError,
-        DominationUndefinedError,
-        CapabilityError,
-        ValueError,
-        OSError,
-    ) as exc:
+        code, payload = args.fn(args)
+        print(json.dumps(payload, indent=2))
+        return code
+    # ParseError, ValidationError, NotAntichainError and
+    # DominationUndefinedError are all ValueErrors
+    except (ValueError, CapabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -93,13 +93,12 @@ class DominatingEdgeSubgraph:
 
     A dominating edge is an edge whose two endpoints form a TDS; the
     subgraph they span is not necessarily induced.  Such an edge is a
-    minimal TDS of size 2, so ``defined`` (some edge dominates) holds exactly
-    when gamma_t(g) = 2; otherwise both tuples are empty.
+    minimal TDS of size 2, so some edge dominates exactly when
+    gamma_t(g) = 2; otherwise both tuples are empty.
     """
 
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
-    defined: bool
 
     @property
     def vertex_mask(self) -> int:
@@ -115,7 +114,7 @@ def dominating_edge_subgraph(g: Graph) -> DominatingEdgeSubgraph:
         if all(g.adj[w] & pair for w in range(g.n)):
             dom_edges.append((u, v))
             spanned |= pair
-    return DominatingEdgeSubgraph(mask_members(spanned), tuple(dom_edges), bool(dom_edges))
+    return DominatingEdgeSubgraph(mask_members(spanned), tuple(dom_edges))
 
 
 def packing_number(g: Graph) -> int:
@@ -154,26 +153,17 @@ def packing_number(g: Graph) -> int:
     return best_packing(g.full_mask)
 
 
-def minimal_vertex_covers(
-    g: Graph | Iterable[Edge], n: int | None = None, max_count: int | None = None
-) -> SpernerFamily:
-    """All inclusion-minimal vertex covers, as transversals of the edge family.
+def minimal_vertex_covers(g: Graph, max_count: int | None = None) -> SpernerFamily:
+    """All inclusion-minimal vertex covers of g, as transversals of its edges.
 
-    Accepts a Graph or a bare edge collection (then ``n`` defaults to one
-    past the largest endpoint).  An empty edge set is rejected: every set
-    would be a cover and the minimal one is degenerate.  With ``max_count``,
-    raise CapabilityError once more than that many covers turn up.
+    A graph without edges is rejected: every set would be a cover and the
+    minimal one is degenerate.  With ``max_count``, raise CapabilityError
+    once more than that many covers turn up.
     """
-    if isinstance(g, Graph):
-        edges = g.edges()
-        ground = g.n if n is None else n
-    else:
-        edges = tuple(g)
-        ground = n if n is not None else (max((max(e) for e in edges), default=-1) + 1)
+    edges = g.edges()
     if not edges:
         raise ValueError("minimal vertex covers of an empty edge set are not defined")
-    masks = [(1 << u) | (1 << v) for u, v in edges]
-    family = SpernerFamily(ground, tuple(sorted(set(masks))))
+    family = SpernerFamily(g.n, tuple(sorted((1 << u) | (1 << v) for u, v in edges)))
     return enumerate_minimal_transversals(family, max_count)
 
 

@@ -475,11 +475,9 @@ def _min_code(n: int, adj: Sequence[int], cells: Sequence[int]) -> list[int]:
     return best
 
 
-def canonical_key(n: int, adj: Sequence[int], bound: int = CANONICAL_BOUND) -> bytes:
-    if n > bound:
-        raise CapabilityError(
-            f"canonical form limited to {bound} vertices, got {n}"
-        )
+def canonical_key(n: int, adj: Sequence[int]) -> bytes:
+    if n > CANONICAL_BOUND:
+        raise CapabilityError(f"canonical form limited to {CANONICAL_BOUND} vertices, got {n}")
     if n <= 1:
         return bytes([n])
     rows = _min_code(n, adj, _refined_cells(n, adj))
@@ -492,9 +490,9 @@ def canonical_key(n: int, adj: Sequence[int], bound: int = CANONICAL_BOUND) -> b
     return bytes([n]) + acc.to_bytes((total + pad) // 8, "big")
 
 
-def canonical_form(g: Graph, bound: int = CANONICAL_BOUND) -> bytes:
-    """Byte string equal for two graphs iff they are isomorphic (n <= bound)."""
-    return canonical_key(g.n, g.adj, bound)
+def canonical_form(g: Graph) -> bytes:
+    """Byte string equal for two graphs iff they are isomorphic (n <= CANONICAL_BOUND)."""
+    return canonical_key(g.n, g.adj)
 
 
 def graph_from_canonical(key: bytes) -> Graph:

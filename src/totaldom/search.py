@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from .errors import CapabilityError, DominationUndefinedError
@@ -430,7 +429,12 @@ def run_search(
     # classification results stream to the catalog as they finish, so an
     # interrupted run leaves a usable prefix behind (fresh payloads arrive in
     # ascending canonical-key order, keeping the file sorted per run)
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and len(fresh) > 1 else None
+    pool = None
+    if jobs > 1 and len(fresh) > 1:
+        # imported here: serial runs and the per-graph commands never pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=jobs)
     computed_iter = (
         pool.map(_classify_payload, fresh, chunksize=32)
         if pool is not None

@@ -83,8 +83,9 @@ def construct_w2(recipe: W2Recipe) -> Graph:
                 f"no fresh vertex assigned to minimal vertex cover {set(mask_members(cover))}",
                 (cover,),
             )
+    cover_set = set(covers.edges)
     for cover in assigned:
-        if cover not in set(covers.edges):
+        if cover not in cover_set:
             raise RecipeValidationError(
                 2,
                 f"{set(mask_members(cover))} is not a minimal vertex cover of h",
@@ -163,9 +164,8 @@ def w2_membership(g: Graph) -> W2Membership:
 
     On acceptance, emit a recipe that rebuilds g up to isomorphism: h is the
     dominating-edge subgraph, each minimal vertex cover S of h is realized by
-    an existing vertex whose whole neighborhood is S (preferring the optimal
-    packing pair's members for the two sides), and everything left over lands
-    in steps 3 and 4.
+    the lowest-id vertex outside h whose whole neighborhood is S, and
+    everything left over lands in steps 3 and 4.
     """
     if not recognize_wtd_k(g, 2).accepted:
         return W2Membership(False, None, "not every minimal total dominating set has size 2")
@@ -178,42 +178,23 @@ def w2_membership(g: Graph) -> W2Membership:
     h = Graph.from_edges(len(h_ids), tuple((pos[u], pos[v]) for u, v in gde.edges))
     h_mask = gde.vertex_mask
 
-    # optimal packing pair: disjoint closed neighborhoods, smallest total size
-    best_pair: tuple[int, int] | None = None
-    best_cost = None
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            if g.closed_neighborhood(x) & g.closed_neighborhood(y):
-                continue
-            cost = g.closed_neighborhood(x).bit_count() + g.closed_neighborhood(y).bit_count()
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_pair = (x, y)
-    assert best_pair is not None
-    preferred = {g.adj[x]: x for x in best_pair}
-
+    # the lowest-id vertex outside h per open neighborhood: a core vertex may
+    # share a cover's neighborhood, but the recipe needs an outside realizer,
+    # which always exists here
+    realizer: dict[int, int] = {}
+    for v in iter_bits(g.full_mask & ~h_mask):
+        realizer.setdefault(g.adj[v], v)
     covers = minimal_vertex_covers(h)
     mvc_pairs = []
-    used = set()
+    used = 0
     for i, cover in enumerate(covers.edges):
         cover_global = vertex_mask(h_ids[v] for v in iter_bits(cover))
-        if cover_global in preferred:
-            v_s = preferred[cover_global]
-        else:
-            # a core vertex may share the neighborhood; the recipe needs an
-            # outside realizer, which always exists here
-            candidates = [
-                v
-                for v in range(g.n)
-                if g.adj[v] == cover_global and (h_mask >> v & 1) == 0
-            ]
-            if not candidates:
-                raise AssertionError(
-                    f"no vertex realizes minimal vertex cover {set(mask_members(cover_global))}"
-                )
-            v_s = candidates[0]
-        assert v_s not in used and (h_mask >> v_s & 1) == 0
-        used.add(v_s)
+        v_s = realizer.get(cover_global)
+        if v_s is None:
+            raise AssertionError(
+                f"no vertex realizes minimal vertex cover {set(mask_members(cover_global))}"
+            )
+        used |= 1 << v_s
         mvc_pairs.append((cover, h.n + i))
 
     step3 = []
@@ -221,7 +202,7 @@ def w2_membership(g: Graph) -> W2Membership:
         if (h_mask >> u & 1) and (h_mask >> v & 1) and not h.has_edge(pos[u], pos[v]):
             step3.append((pos[u], pos[v]))
 
-    rest_mask = g.full_mask & ~h_mask & ~vertex_mask(used)
+    rest_mask = g.full_mask & ~h_mask & ~used
     h_prime = None
     step4: list[tuple[int, int]] = []
     if rest_mask:

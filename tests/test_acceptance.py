@@ -109,7 +109,7 @@ def test_criterion_03_neighborhood_properties(atlas7, atlas8):
         if not td.recognize_wtd_k(g, 2).accepted:
             continue
         gde = td.dominating_edge_subgraph(g)
-        covers = td.minimal_vertex_covers(gde.edges, n=g.n)
+        covers = td.minimal_vertex_covers(td.Graph.from_edges(g.n, gde.edges))
         for cover in covers.edges:
             checked_covers += 1
             if all(g.adj[v] != cover for v in range(g.n)):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -6,7 +7,6 @@ import sys
 import pytest
 
 import totaldom as td
-from totaldom import search
 from totaldom.cli import _analyze_payload, main
 
 FIGURE1 = "n 5\n# labels: x y z t w\n0 1\n0 3\n1 2\n1 3\n2 4\n3 4\n"
@@ -239,6 +239,13 @@ class TestRealize:
         assert out == ""
         assert err == "error: not an antichain: '{x}' is contained in '{x,y}'\n"
 
+    def test_whitespace_in_member_name(self, capsys):
+        # a spaced name could not be read back from the graph's labels line
+        code, out, err = run_cli(capsys, "realize", "--family", "{a b,c};{c,d}")
+        assert code == 2
+        assert out == ""
+        assert err == "error: malformed set '{a b,c}': member name 'a b' contains whitespace\n"
+
     @pytest.mark.parametrize(
         "family",
         ["a,b", "{a,b", "{a,,b}", "{a,a}", "{a};{b,c}", "{a,b};{a,b,c}"],
@@ -358,22 +365,36 @@ class TestSearch:
             raise AssertionError("a worker pool was started on a one-CPU machine")
 
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         code, out, _ = run_cli(capsys, "search", "--n-max", "4", "--jobs", "2")
         assert code == 0
         assert json.loads(out)["classified"] == 9
 
+    def test_serial_search_imports_no_process_pool(self):
+        proc = run_python(
+            "-c",
+            "import sys, totaldom\n"
+            "totaldom.run_search(totaldom.SearchFilter(n_max=4), ['all'])\n"
+            "print('concurrent.futures.process' in sys.modules)\n",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
-def run_module(*argv):
+
+def run_python(*argv):
     # the child imports the same totaldom as this process, installed or not
     src = os.path.dirname(os.path.dirname(td.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "totaldom", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def run_module(*argv):
+    return run_python("-m", "totaldom", *argv)
 
 
 class TestEntryPoint:

@@ -154,7 +154,6 @@ class TestRecognizeWtdK:
 class TestDominatingEdgeSubgraph:
     def test_figure_graph(self, figure1):
         gde = td.dominating_edge_subgraph(figure1)
-        assert gde.defined
         assert gde.edges == ((1, 2), (1, 3), (3, 4))
         assert gde.vertices == (1, 2, 3, 4)
         assert gde.vertex_mask == 0b11110
@@ -169,7 +168,6 @@ class TestDominatingEdgeSubgraph:
 
     def test_undefined_when_gamma_t_above_2(self):
         gde = td.dominating_edge_subgraph(path_graph(5))
-        assert not gde.defined
         assert gde.vertices == () and gde.edges == ()
 
     def test_vertices_are_edge_endpoints(self):
@@ -178,7 +176,7 @@ class TestDominatingEdgeSubgraph:
         for _ in range(150):
             g = random_isolate_free_graph(rng, rng.randint(2, 6))
             gde = td.dominating_edge_subgraph(g)
-            if not gde.defined:
+            if not gde.edges:
                 continue
             seen_defined += 1
             incident = sorted({v for e in gde.edges for v in e})
@@ -228,17 +226,12 @@ class TestMinimalVertexCovers:
         assert td.minimal_vertex_covers(path_graph(3)).edges == (0b010, 0b101)
 
     def test_two_disjoint_edges(self):
-        fam = td.minimal_vertex_covers([(0, 1), (2, 3)])
+        fam = td.minimal_vertex_covers(td.Graph.from_edges(4, [(0, 1), (2, 3)]))
         assert fam.edges == (0b0101, 0b0110, 0b1001, 0b1010)
-
-    def test_edge_iterable_with_ground_override(self):
-        fam = td.minimal_vertex_covers([(0, 1)], n=4)
-        assert fam.ground == 4
-        assert fam.edges == (0b01, 0b10)
 
     def test_empty_edge_set_rejected(self):
         with pytest.raises(ValueError):
-            td.minimal_vertex_covers([])
+            td.minimal_vertex_covers(td.Graph(0, ()))
         with pytest.raises(ValueError):
             td.minimal_vertex_covers(td.Graph(3, (0, 0, 0)))
 

@@ -290,7 +290,6 @@ class TestCanonicalForm:
         g = path_graph(td.CANONICAL_BOUND + 1)
         with pytest.raises(td.CapabilityError):
             td.canonical_form(g)
-        assert td.canonical_form(g, bound=g.n)  # explicit bound lifts the cap
 
     @given(st.integers(min_value=1, max_value=7), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)

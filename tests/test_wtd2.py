@@ -8,6 +8,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     path_graph,
+    random_relabel,
 )
 
 
@@ -229,6 +230,74 @@ class TestMembership:
                 rebuilt = td.construct_w2(r.recipe)
                 assert td.canonical_form(rebuilt) == td.canonical_form(g)
         assert members == 28
+
+
+def _random_w2_recipe(rng: random.Random) -> tuple[td.W2Recipe, td.Graph]:
+    """A recipe-built graph with n <= 11: random bipartite h, random step-3
+    edges (repaired until step 3 holds) and up to two h' vertices, each
+    joined to a random minimal vertex cover of h."""
+    while True:
+        a, b = rng.randint(1, 3), rng.randint(1, 3)
+        h_edges = {(x, a + rng.randrange(b)) for x in range(a)}
+        h_edges |= {(rng.randrange(a), a + y) for y in range(b)}
+        h_edges |= {(x, a + y) for x in range(a) for y in range(b) if rng.random() < 0.3}
+        h = td.Graph.from_edges(a + b, sorted(h_edges))
+        covers = td.minimal_vertex_covers(h).edges
+        hp_n = rng.randint(0, 2)
+        if h.n + len(covers) + hp_n <= 11:
+            break
+    step3 = {
+        (u, v)
+        for u in range(h.n)
+        for v in range(u + 1, h.n)
+        if not h.has_edge(u, v) and rng.random() < 0.3
+    }
+    step4 = {(w, u) for w in range(hp_n) for u in td.iter_bits(rng.choice(covers))}
+    while True:
+        recipe = td.W2Recipe(
+            h=h,
+            mvc_vertices=tuple((c, h.n + i) for i, c in enumerate(covers)),
+            step3_edges=tuple(sorted(step3)),
+            h_prime=td.Graph(hp_n, (0,) * hp_n) if hp_n else None,
+            step4_edges=tuple(sorted(step4)),
+        )
+        try:
+            return recipe, td.construct_w2(recipe)
+        except td.RecipeValidationError as exc:
+            assert exc.step == 3
+            w, u, _ = exc.witness
+            step3.add((min(w, u), max(w, u)))
+
+
+class TestRealizerChoice:
+    def test_lowest_outside_twin_realizes_each_cover(self):
+        rng = random.Random(4471)
+        for _ in range(200):
+            recipe, built = _random_w2_recipe(rng)
+            # a twin of a cover vertex sees a vertex cover of h: a valid h' vertex
+            cover, _ = rng.choice(recipe.mvc_vertices)
+            twin = tuple((u, built.n) for u in td.iter_bits(cover))
+            g = random_relabel(td.Graph.from_edges(built.n + 1, built.edges() + twin), rng)
+
+            r = td.w2_membership(g)
+            assert r.member
+            h_ids = td.dominating_edge_subgraph(g).vertices
+            h_mask = td.vertex_mask(h_ids)
+            used = 0
+            for c, _ in r.recipe.mvc_vertices:
+                nbhd = td.vertex_mask(h_ids[v] for v in td.iter_bits(c))
+                used |= 1 << min(
+                    v for v in range(g.n) if g.adj[v] == nbhd and not h_mask >> v & 1
+                )
+            # everything else, in ascending id order, is h'
+            h_prime, rest_ids = td.induced_subgraph(g, g.full_mask & ~h_mask & ~used)
+            assert r.recipe.h_prime == h_prime
+            pos = {old: new for new, old in enumerate(h_ids)}
+            step4 = [
+                (i, pos[u]) for i, w in enumerate(rest_ids) for u in td.iter_bits(g.adj[w] & h_mask)
+            ]
+            assert r.recipe.step4_edges == tuple(sorted(step4))
+            assert td.canonical_form(td.construct_w2(r.recipe)) == td.canonical_form(g)
 
 
 class TestTriangleFreeRecognizer:

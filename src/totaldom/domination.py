@@ -53,9 +53,6 @@ class TotalDominationReport:
     gamma_t: int
     Gamma_t: int
     is_wtd: bool
-    witness_min: int  # least-bitmask minimum-size minimal TDS
-    witness_max: int  # least-bitmask maximum-size minimal TDS
-    mtds_count: int
 
 
 def report(g: Graph, family: SpernerFamily | None = None) -> TotalDominationReport:
@@ -64,16 +61,7 @@ def report(g: Graph, family: SpernerFamily | None = None) -> TotalDominationRepo
     sizes = [e.bit_count() for e in fam.edges]
     gamma = min(sizes)
     big_gamma = max(sizes)
-    witness_min = min(e for e in fam.edges if e.bit_count() == gamma)
-    witness_max = min(e for e in fam.edges if e.bit_count() == big_gamma)
-    return TotalDominationReport(
-        gamma_t=gamma,
-        Gamma_t=big_gamma,
-        is_wtd=gamma == big_gamma,
-        witness_min=witness_min,
-        witness_max=witness_max,
-        mtds_count=len(fam.edges),
-    )
+    return TotalDominationReport(gamma_t=gamma, Gamma_t=big_gamma, is_wtd=gamma == big_gamma)
 
 
 def recognize_wtd_k(g: Graph, k: int) -> SizeKDecision:

@@ -6,15 +6,15 @@ Two formats are supported:
   line as ``<u> <v>`` with 0 <= u < v < n.  ``#`` lines are comments and are
   ignored for structure; a ``# labels: a b c`` comment optionally attaches
   display names.  UTF-8, LF.
-* ``graph6``: the standard printable ASCII encoding, one graph per line,
-  with the optional ``>>graph6<<`` header tolerated.  Counts 63..64 use the
-  '~'-prefixed long size form.
+* ``graph6``: the standard printable ASCII encoding, one graph per input
+  (blank lines aside), with the optional ``>>graph6<<`` header tolerated.
+  Counts 63..64 use the '~'-prefixed long size form.
 """
 
 from __future__ import annotations
 
 from .errors import ParseError
-from .graphs import MAX_VERTICES, Graph
+from .graphs import MAX_VERTICES, Graph, graph_from_triangle, key_triangle
 
 EDGE_LIST = "edge-list"
 GRAPH6 = "graph6"
@@ -102,64 +102,74 @@ def _serialize_edge_list(g: Graph) -> str:
 
 
 def _parse_graph6(text: str) -> Graph:
-    line = ""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line:
-            break
+    lines = [
+        (lineno, raw.strip())
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if raw.strip()
+    ]
+    if not lines:
+        raise ParseError("line 1: no graph6 data found")
+    lineno, line = lines[0]
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
     if not line:
-        raise ParseError("line 1: no graph6 data found")
+        raise ParseError(f"line {lineno}: no graph6 data found")
     data = [ord(c) - 63 for c in line]
     if any(x < 0 or x > 63 for x in data):
-        raise ParseError("line 1: graph6 characters must lie in ASCII 63..126")
+        raise ParseError(f"line {lineno}: graph6 characters must lie in ASCII 63..126")
     if data[0] == 63:  # '~': long size form
         if len(data) < 4:
-            raise ParseError("line 1: truncated graph6 size")
+            raise ParseError(f"line {lineno}: truncated graph6 size")
         n = (data[1] << 12) | (data[2] << 6) | data[3]
         idx = 4
     else:
         n = data[0]
         idx = 1
     if n > MAX_VERTICES:
-        raise ParseError(f"line 1: vertex count {n} outside 0..{MAX_VERTICES}")
+        raise ParseError(f"line {lineno}: vertex count {n} outside 0..{MAX_VERTICES}")
     need_bits = n * (n - 1) // 2
     need_chars = (need_bits + 5) // 6
     if len(data) - idx != need_chars:
         raise ParseError(
-            f"line 1: expected {need_chars} payload characters for n={n}, got {len(data) - idx}"
+            f"line {lineno}: expected {need_chars} payload characters for n={n}, "
+            f"got {len(data) - idx}"
+        )
+    if len(lines) > 1:
+        raise ParseError(
+            f"line {lines[1][0]}: a second graph; graph6 input holds one graph per input"
         )
     bits = 0
     for x in data[idx:]:
         bits = (bits << 6) | x
-    bits >>= (6 * need_chars) - need_bits  # drop padding
-    edges = []
-    pos = need_bits
-    for v in range(1, n):
-        for u in range(v):
-            pos -= 1
-            if bits >> pos & 1:
-                edges.append((u, v))
-    return Graph.from_edges(n, edges)
+    return graph_from_triangle(n, bits >> (6 * need_chars - need_bits))  # drop padding
 
 
 def _serialize_graph6(g: Graph) -> str:
-    n = g.n
+    bits = 0
+    for v in range(1, g.n):
+        for u in range(v):
+            bits = (bits << 1) | (g.adj[u] >> v & 1)
+    return _graph6(g.n, bits)
+
+
+def graph6_from_key(key: bytes) -> str:
+    """graph6 of the graph a canonical key encodes, without building it.
+
+    The key's bytes after the order hold the graph6 triangle padded to 8
+    bits instead of 6, so the string is those bits regrouped.
+    """
+    return _graph6(*key_triangle(key))
+
+
+def _graph6(n: int, bits: int) -> str:
+    """graph6 text of order n and the unpadded upper triangle ``bits``."""
     if n <= 62:
         head = chr(n + 63)
     else:
         head = "~" + chr((n >> 12 & 63) + 63) + chr((n >> 6 & 63) + 63) + chr((n & 63) + 63)
-    bits = 0
-    count = 0
-    for v in range(1, n):
-        for u in range(v):
-            bits = (bits << 1) | (g.adj[u] >> v & 1)
-            count += 1
-    pad = (-count) % 6
+    total = n * (n - 1) // 2
+    pad = (-total) % 6
     bits <<= pad
-    count += pad
-    payload = "".join(
-        chr(((bits >> shift) & 63) + 63) for shift in range(count - 6, -1, -6)
+    return head + "".join(
+        chr((bits >> shift & 63) + 63) for shift in range(total + pad - 6, -1, -6)
     )
-    return head + payload

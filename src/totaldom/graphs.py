@@ -495,20 +495,33 @@ def canonical_form(g: Graph) -> bytes:
     return canonical_key(g.n, g.adj)
 
 
+def graph_from_triangle(n: int, bits: int) -> Graph:
+    """Graph whose upper triangle is ``bits``, unpadded.
+
+    The pairs run (0,1), (0,2), (1,2), (0,3), ... column by column, the
+    first pair most significant: the layout canonical keys and graph6 share.
+    """
+    adj = [0] * n
+    pos = n * (n - 1) // 2
+    for v in range(1, n):
+        pos -= v
+        row = bits >> pos & ((1 << v) - 1)  # pair (u, v) at significance v-1-u
+        while row:
+            low = row & -row
+            u = v - low.bit_length()
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            row ^= low
+    return Graph(n, tuple(adj))
+
+
+def key_triangle(key: bytes) -> tuple[int, int]:
+    """The order and unpadded upper triangle a canonical key stores."""
+    n = key[0]
+    total = n * (n - 1) // 2
+    return n, int.from_bytes(key[1:], "big") >> ((-total) % 8)
+
+
 def graph_from_canonical(key: bytes) -> Graph:
     """Rebuild the canonical representative encoded by ``canonical_form``."""
-    n = key[0]
-    if n <= 1:
-        return Graph(n, (0,) * n)
-    total = n * (n - 1) // 2
-    acc = int.from_bytes(key[1:], "big") >> ((-total) % 8)
-    adj = [0] * n
-    for i in range(n - 1, 0, -1):
-        row = acc & ((1 << i) - 1)
-        acc >>= i
-        # bit for placed position j sits at significance i-1-j
-        for j in range(i):
-            if row >> (i - 1 - j) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+    return graph_from_triangle(*key_triangle(key))

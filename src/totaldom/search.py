@@ -29,10 +29,12 @@ from .graphs import (
     iter_bits,
     vertex_mask,
 )
-from .graphio import GRAPH6, serialize_graph
+from .graphio import graph6_from_key
 from .hypergraph import SpernerFamily
 from .domination import DominatingEdgeSubgraph, TotalDominationReport
 from .domination import dominating_edge_subgraph, mtds, packing_number, report
+# unused here; bound because perfbench/layers.json traces search.<name> sites
+from .graphio import serialize_graph  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -446,8 +448,7 @@ def run_search(
             existing[entry.canonical_key] = entry
             if sink is not None:
                 record = {name: getattr(entry, name) for name in _FIELDS}
-                rep_graph = graph_from_canonical(bytes.fromhex(entry.canonical_key))
-                record["graph6"] = serialize_graph(rep_graph, GRAPH6).strip()
+                record["graph6"] = graph6_from_key(bytes.fromhex(entry.canonical_key))
                 sink.write(json.dumps(record, sort_keys=True) + "\n")
                 sink.flush()
     finally:

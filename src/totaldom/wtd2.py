@@ -21,6 +21,7 @@ from .graphs import (
     Graph,
     bipartition,
     induced_subgraph,
+    is_connected,
     iter_bits,
     mask_members,
     vertex_mask,
@@ -234,67 +235,23 @@ def recognize_triangle_free_wtd2(g: Graph) -> bool:
     qualifies iff it is complete bipartite, or X_u and Y_u are nonempty and
     some a in X \\ X_u has N(a) = Y_u while some b in Y \\ Y_u has N(b) = X_u.
     """
-    accepted, _ = _triangle_free_wtd2_with_ops(g)
-    return accepted
-
-
-def _triangle_free_wtd2_with_ops(g: Graph) -> tuple[bool, int]:
-    """Recognizer plus a unit-operation count (for scaling measurements)."""
-    ops = 0
-    if g.n < 2:
-        return False, 1
-
-    color = [-1] * g.n
-    color[0] = 0
-    x_mask = 1  # partition masks fill in as the traversal colors vertices
-    y_mask = 0
-    queue = [0]
-    seen = 1
-    while queue:
-        v = queue.pop()
-        ops += 1
-        side = color[v]
-        for u in iter_bits(g.adj[v]):
-            ops += 1
-            if color[u] < 0:
-                color[u] = side ^ 1
-                seen |= 1 << u
-                if side:
-                    x_mask |= 1 << u
-                else:
-                    y_mask |= 1 << u
-                queue.append(u)
-            elif color[u] == side:
-                return False, ops  # odd cycle: not triangle-free bipartite
-    if seen != g.full_mask:
-        return False, ops  # disconnected
-
-    x_size = x_mask.bit_count()
-    y_size = y_mask.bit_count()
-
-    xu = 0
-    yu = 0
-    for v in range(g.n):
-        ops += 1
-        deg = g.adj[v].bit_count()
-        if color[v] == 0 and deg == y_size:
-            xu |= 1 << v
-        elif color[v] == 1 and deg == x_size:
-            yu |= 1 << v
-
-    if xu == x_mask and yu == y_mask:
-        return True, ops  # complete bipartite
-    if xu == 0 or yu == 0:
-        return False, ops
-    found_a = False
-    found_b = False
-    for v in range(g.n):
-        ops += 1
-        if color[v] == 0 and (xu >> v & 1) == 0 and g.adj[v] == yu:
-            found_a = True
-        elif color[v] == 1 and (yu >> v & 1) == 0 and g.adj[v] == xu:
-            found_b = True
-    return found_a and found_b, ops
+    if g.n < 2 or not is_connected(g):
+        return False
+    parts = bipartition(g)
+    if parts is None:
+        return False
+    x, y = parts
+    adj = g.adj
+    xu = vertex_mask(v for v in iter_bits(x) if adj[v] == y)
+    yu = vertex_mask(v for v in iter_bits(y) if adj[v] == x)
+    if xu == x and yu == y:
+        return True  # complete bipartite
+    return (
+        xu != 0
+        and yu != 0
+        and any(adj[a] == yu for a in iter_bits(x & ~xu))
+        and any(adj[b] == xu for b in iter_bits(y & ~yu))
+    )
 
 
 # ---------------------------------------------------------------------------

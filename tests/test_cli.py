@@ -110,6 +110,15 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload["n"] == 4 and payload["m"] == 6
 
+    def test_graph6_second_graph_exits_2(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO("C~\ngarbage!!\n"))
+        code, out, err = run_cli(capsys, "analyze", "--format", "graph6", "-")
+        assert code == 2
+        assert out == ""
+        assert "line 2: " in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "analyze", str(tmp_path / "nope.txt"))
         assert code == 2

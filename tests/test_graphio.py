@@ -112,6 +112,19 @@ class TestGraph6:
         with pytest.raises(td.ParseError):
             td.parse_graph("C~~~", td.GRAPH6)  # trailing junk
 
+    def test_one_graph_per_input(self):
+        assert td.parse_graph("\n\nC~\n\n", td.GRAPH6) == complete_graph(4)
+        with pytest.raises(td.ParseError, match="^line 2: "):
+            td.parse_graph("C~\ngarbage!!\n", td.GRAPH6)
+        with pytest.raises(td.ParseError, match="^line 3: "):
+            td.parse_graph("C~\n\nC~\n", td.GRAPH6)
+
+    def test_errors_name_the_data_line(self):
+        with pytest.raises(td.ParseError, match="^line 3: expected 1 payload"):
+            td.parse_graph("\n\nC~~~\n", td.GRAPH6)
+        with pytest.raises(td.ParseError, match="^line 2: graph6 characters"):
+            td.parse_graph("\nC!\n", td.GRAPH6)
+
     @given(st.integers(min_value=0, max_value=10), st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)
     def test_round_trip_property(self, n, rng):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -317,8 +318,9 @@ class TestRunSearch:
             record = json.loads(line)
             assert field_names <= set(record)
             assert isinstance(record["graph6"], str)
-            rep_graph = td.parse_graph(record["graph6"], td.GRAPH6)
-            assert td.canonical_form(rep_graph).hex() == record["canonical_key"]
+            # the same labelled graph as the key, as perfbench's check_catalog demands
+            key = bytes.fromhex(record["canonical_key"])
+            assert td.parse_graph(record["graph6"], td.GRAPH6) == td.graph_from_canonical(key)
             keys_in_file.append((record["n"], record["canonical_key"]))
         assert keys_in_file == sorted(keys_in_file)
 
@@ -326,6 +328,16 @@ class TestRunSearch:
         again, _ = td.run_search(filt, ["DIAM3"], out_path=str(out))
         assert again == entries
         assert out.read_text().splitlines() == lines
+
+    def test_catalog_bytes_frozen(self, tmp_path):
+        # every byte of the n <= 6 catalog: fields, graph6 strings and order
+        out = tmp_path / "catalog.jsonl"
+        td.run_search(td.SearchFilter(n_max=6), ["DIAM3"], out_path=str(out))
+        data = out.read_bytes()
+        assert data.count(b"\n") == 142
+        assert hashlib.sha256(data).hexdigest() == (
+            "8482fd8539dcbca332fb57fc27fe5c18602911852264921e655ff01aa9b60b8b"
+        )
 
     def test_catalog_restart_completes_prefix(self, tmp_path):
         out = tmp_path / "catalog.jsonl"

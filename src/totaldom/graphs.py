@@ -3,6 +3,9 @@
 Vertices are the integers 0..n-1 and every vertex set is a plain Python int
 used as a bitmask, so neighborhood algebra (union, intersection, containment)
 is single-word arithmetic for the n <= 64 graphs this library targets.
+Planarity runs on the same masks: after a series reduction, each
+biconnected block is tested on its own, first against Euler's bound and
+then by path addition, with no dependency beyond the standard library.
 """
 
 from __future__ import annotations
@@ -277,14 +280,16 @@ def bipartition(g: Graph) -> tuple[int, int] | None:
 
 
 def is_planar(g: Graph) -> bool:
-    """Exact planarity.
+    """Exact planarity, on bitmasks.
 
     Vertices of degree at most 1 are deleted and each vertex of degree 2 is
     replaced by an edge between its two neighbours (or just deleted when
     they are already adjacent), until every vertex left has degree at least
     3; both steps preserve planarity.  At most five vertices are then
-    non-planar only as K5.  networkx (imported on first use) runs the
-    left-right test on whatever larger graph remains.
+    non-planar only as K5.  A larger graph is planar exactly when each of
+    its biconnected blocks is, so each block is tested on its own: one of
+    at most four vertices is planar, one with more than 3n - 6 edges is not
+    (Euler's bound), and path addition (_embeds) decides the rest.
     """
     n = g.n
     adj = list(g.adj)
@@ -308,11 +313,184 @@ def is_planar(g: Graph) -> bool:
     degrees = [a.bit_count() for a in adj if a]
     if len(degrees) <= 5:
         return sum(degrees) < 20
-    import networkx as nx
+    for block in _blocks(adj):
+        order = block.bit_count()
+        if order <= 4:
+            continue
+        twice_size = 0
+        x = block
+        while x:
+            low = x & -x
+            twice_size += (adj[low.bit_length() - 1] & block).bit_count()
+            x ^= low
+        if twice_size > 6 * order - 12 or not _embeds(adj, block):
+            return False
+    return True
 
-    edges = [(u, w) for u in range(n) for w in range(u + 1, n) if adj[u] >> w & 1]
-    ok, _ = nx.check_planarity(nx.Graph(edges), counterexample=False)
-    return ok
+
+def _blocks(adj: Sequence[int]) -> list[int]:
+    """Vertex masks of the biconnected blocks of adj (lowpoint DFS).
+
+    Two blocks share at most one vertex, so the edges of a block are
+    exactly those of the subgraph its mask induces.
+    """
+    disc = [-1] * len(adj)
+    low = [0] * len(adj)
+    stack: list[int] = []
+    blocks: list[int] = []
+    clock = 0
+
+    def visit(v: int, parent: int) -> None:
+        nonlocal clock
+        disc[v] = low[v] = clock
+        clock += 1
+        stack.append(v)
+        x = adj[v]
+        while x:
+            bit = x & -x
+            w = bit.bit_length() - 1
+            x ^= bit
+            if disc[w] < 0:
+                visit(w, v)
+                low[v] = min(low[v], low[w])
+                if low[w] >= disc[v]:  # v separates w's subtree: a block
+                    mask = 1 << v
+                    u = -1
+                    while u != w:
+                        u = stack.pop()
+                        mask |= 1 << u
+                    blocks.append(mask)
+            elif w != parent:
+                low[v] = min(low[v], disc[w])
+
+    for v, a in enumerate(adj):
+        if a and disc[v] < 0:
+            visit(v, -1)
+    return blocks
+
+
+def _embeds(adj: Sequence[int], block: int) -> bool:
+    """Whether the biconnected block (a vertex mask of adj) is planar.
+
+    Path addition of Demoucron, Malgrange and Pertuiset (Gibbons,
+    Algorithmic Graph Theory, 7.4).  A plane subgraph H grows from a cycle;
+    each face is kept as its boundary cycle, a vertex list, plus its vertex
+    mask.  The fragments of H are its chords (edges of the block outside H
+    between vertices of H) and the components of the block minus H with
+    the edges joining them to H; a fragment's attachments are its vertices
+    in H.  A face is admissible for a fragment when its mask holds every
+    attachment.  Each round: a fragment with no admissible face means
+    non-planar; else a path of a fragment with exactly one admissible face,
+    or of any fragment when there is none such, joins two attachments
+    across an admissible face and splits it in two.  H is then the whole
+    block.
+    """
+    s = (block & -block).bit_length() - 1
+    first = adj[s] & block
+    t = (first & -first).bit_length() - 1
+    cycle = _path(adj, t, block & ~(1 << s), 1 << s)  # closed by the edge s-t
+    placed = vertex_mask(cycle)
+    faces = [(cycle, placed), (cycle, placed)]
+    embedded = [0] * len(adj)  # adjacency of H
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        embedded[u] |= 1 << v
+        embedded[v] |= 1 << u
+    while True:
+        fragments = []  # (attachments, component mask or 0 for a chord)
+        x = placed
+        while x:
+            bit = x & -x
+            u = bit.bit_length() - 1
+            x ^= bit
+            chords = adj[u] & placed & ~embedded[u] & ~(2 * bit - 1)
+            while chords:
+                low = chords & -chords
+                fragments.append((bit | low, 0))
+                chords ^= low
+        rest = block & ~placed
+        while rest:
+            part = frontier = rest & -rest
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & rest & ~part
+                part |= frontier
+            attachments = 0
+            y = part
+            while y:
+                low = y & -y
+                attachments |= adj[low.bit_length() - 1]
+                y ^= low
+            fragments.append((attachments & placed, part))
+            rest &= ~part
+        if not fragments:
+            return True
+        choice = None
+        for attachments, part in fragments:
+            fits = [i for i, (_, mask) in enumerate(faces) if not attachments & ~mask]
+            if not fits:
+                return False
+            if len(fits) == 1 or choice is None:
+                choice = fits[0], attachments, part
+                if len(fits) == 1:
+                    break
+        face, attachments, part = choice
+        u = (attachments & -attachments).bit_length() - 1
+        if part:
+            path = _path(adj, u, part, attachments & ~(1 << u))
+        else:
+            path = [u, attachments.bit_length() - 1]  # a chord: its two ends
+        v = path[-1]
+        inner = path[1:-1]
+        boundary = faces[face][0]
+        i, j = boundary.index(u), boundary.index(v)
+        if i < j:
+            one, other = boundary[i : j + 1], boundary[j:] + boundary[: i + 1]
+        else:
+            one, other = boundary[i:] + boundary[: j + 1], boundary[j : i + 1]
+        one += inner[::-1]  # u .. v along the face, then back along the path
+        other += inner  # v .. u along the face, then on to v along the path
+        faces[face] = one, vertex_mask(one)
+        faces.append((other, vertex_mask(other)))
+        placed |= vertex_mask(inner)
+        for a, b in zip(path, path[1:]):
+            embedded[a] |= 1 << b
+            embedded[b] |= 1 << a
+
+
+def _path(adj: Sequence[int], u: int, inside: int, targets: int) -> list[int]:
+    """A shortest path u, w1, .., wk, v with k >= 1, every w in the mask
+    inside and v in targets (a mask disjoint from inside).
+
+    Layered BFS from u through inside; the path is read back one layer at
+    a time.  u may lie in inside (the first cycle's does) and counts as
+    visited, so no w repeats it.
+    """
+    layers = [adj[u] & inside]
+    seen = layers[0] | 1 << u
+    while layers[-1]:
+        x = layers[-1]
+        reach = 0
+        while x:
+            low = x & -x
+            w = low.bit_length() - 1
+            hit = adj[w] & targets
+            if hit:
+                path = [(hit & -hit).bit_length() - 1, w]
+                for layer in reversed(layers[:-1]):
+                    back = adj[w] & layer
+                    w = (back & -back).bit_length() - 1
+                    path.append(w)
+                path.append(u)
+                return path[::-1]
+            reach |= adj[w]
+            x ^= low
+        layers.append(reach & inside & ~seen)
+        seen |= layers[-1]
+    raise AssertionError("no path through the given mask")
 
 
 def delete_closed_neighborhood(g: Graph, a: int) -> tuple[Graph, tuple[int, ...]]:

@@ -420,27 +420,32 @@ def run_search(
     if out_path is not None and os.path.exists(out_path):
         existing = _load_existing(out_path)
 
-    fresh: list[tuple[bytes, Graph, bool | None]] = []
     order: list[str] = []
-    for key, g, planar in enumerate_graphs(filt):
-        hexkey = key.hex()
-        order.append(hexkey)
-        if hexkey not in existing:
-            fresh.append((key, g, planar))
+
+    def fresh():
+        for key, g, planar in enumerate_graphs(filt):
+            hexkey = key.hex()
+            order.append(hexkey)
+            if hexkey not in existing:
+                yield key, g, planar
 
     # classification results stream to the catalog as they finish, so an
     # interrupted run leaves a usable prefix behind (fresh payloads arrive in
-    # ascending canonical-key order, keeping the file sorted per run)
+    # ascending canonical-key order, keeping the file sorted per run).  A
+    # serial run classifies each class as it is enumerated; a pool takes a list.
+    payloads = fresh()
     pool = None
-    if jobs > 1 and len(fresh) > 1:
-        # imported here: serial runs and the per-graph commands never pay for it
-        from concurrent.futures import ProcessPoolExecutor
+    if jobs > 1:
+        payloads = list(payloads)
+        if len(payloads) > 1:
+            # imported here: serial runs and the per-graph commands never pay for it
+            from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=jobs)
+            pool = ProcessPoolExecutor(max_workers=jobs)
     computed_iter = (
-        pool.map(_classify_payload, fresh, chunksize=32)
+        pool.map(_classify_payload, payloads, chunksize=32)
         if pool is not None
-        else map(_classify_payload, fresh)
+        else map(_classify_payload, payloads)
     )
     sink = open(out_path, "a", encoding="utf-8") if out_path is not None else None
     try:

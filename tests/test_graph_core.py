@@ -1,9 +1,11 @@
 import hashlib
+import json
 import os
 import random
 import subprocess
 import sys
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -185,10 +187,74 @@ class TestMetricsAgainstOracles:
         # K5 plus a degree-2 vertex on an existing edge
         assert not td.is_planar(td.Graph.from_edges(6, k5.edges() + ((0, 5), (1, 5))))
 
-    def test_networkx_imported_on_first_planarity_test(self):
-        # K3,3 has no vertex of degree below 3, so networkx decides it
-        k33 = complete_bipartite(3, 3)
-        assert networkx_loaded_by_planarity_test(k33) == ["False", "True"]
+    def test_planarity_of_blocks_and_large_graphs(self):
+        k4, k5, k33 = complete_graph(4), complete_graph(5), complete_bipartite(3, 3)
+        # K3,3 plus an edge inside one side: the first cycle is a triangle
+        # through the added edge
+        assert not td.is_planar(td.Graph.from_edges(6, k33.edges() + ((0, 1),)))
+        # here the first edge (0-2, then 0-1) lies on no triangle, so the
+        # search for the first cycle reaches its start vertex again; a cycle
+        # that repeats it answers both graphs wrongly
+        planar = [(0, 2), (0, 4), (0, 6), (1, 2), (1, 5), (1, 7), (2, 3), (2, 5), (2, 7)]
+        planar += [(3, 4), (3, 7), (4, 6), (5, 6)]
+        assert td.is_planar(td.Graph.from_edges(8, planar))
+        nonplanar = [(0, 1), (0, 6), (0, 7), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4)]
+        nonplanar += [(2, 5), (2, 7), (3, 6), (4, 6), (5, 7)]
+        assert not td.is_planar(td.Graph.from_edges(8, nonplanar))
+        assert td.is_planar(union(k4, k4, 3))  # two K4s sharing a cut vertex
+        assert not td.is_planar(union(k4, k33, 3))
+        assert not td.is_planar(union(k4, k5, 4, [(3, 4)]))  # joined by a bridge
+        assert td.is_planar(octahedron_graph())
+        ico = icosahedron_graph()
+        assert ico.n == 12 and ico.m == 3 * ico.n - 6 and td.is_planar(ico)
+        pete = petersen_graph()
+        assert pete.m < 3 * pete.n - 6 and not td.is_planar(pete)
+        stacked = stacked_triangulation(64, random.Random(64))
+        assert stacked.m == 3 * 64 - 6 and td.is_planar(stacked)
+        u, v = next((u, v) for u in range(64) for v in range(u) if not stacked.has_edge(u, v))
+        assert not td.is_planar(td.Graph.from_edges(64, stacked.edges() + ((u, v),)))
+        # the planar part comes first, so the non-planar block is found after it
+        assert not td.is_planar(union(ico, pete, 12))
+
+    def test_planarity_matches_networkx_past_the_oracle(self):
+        rng = random.Random(1164)
+        seen = {"gnm": set(), "cubic": set()}
+        for _ in range(400):
+            n = rng.randint(11, 64)
+            m = rng.randint(n, 3 * n - 6)
+            pairs = [(u, v) for v in range(n) for u in range(v)]
+            edges = rng.sample(pairs, m)
+            seen["gnm"].add(matches_networkx(td.Graph.from_edges(n, edges)))
+        for _ in range(100):
+            n = 2 * rng.randint(4, 32)
+            cubic = nx.random_regular_graph(3, n, seed=rng.randrange(2**32))
+            seen["cubic"].add(matches_networkx(td.Graph.from_edges(n, cubic.edges())))
+        assert seen == {"gnm": {False, True}, "cubic": {False, True}}
+
+    def test_search_runs_with_networkx_blocked(self):
+        # planarity and the search need only the standard library
+        code = (
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "from totaldom import Graph, is_planar\n"
+            "from totaldom.cli import main\n"
+            f"assert not is_planar(Graph.from_edges(6, {list(complete_bipartite(3, 3).edges())}))\n"
+            f"assert not is_planar(Graph.from_edges(10, {list(petersen_graph().edges())}))\n"
+            f"assert is_planar(Graph.from_edges(12, {list(icosahedron_graph().edges())}))\n"
+            "assert main(['search', '--n-max', '6']) == 0\n"
+            "assert sys.modules['networkx'] is None\n"
+        )
+        # the child imports the same totaldom as this process, installed or not
+        src = os.path.dirname(os.path.dirname(td.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["classified"] == 142
 
     def test_tree_leaves_networkx_unloaded(self):
         tree = td.Graph.from_edges(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (5, 6)])
@@ -248,6 +314,51 @@ def networkx_loaded_by_planarity_test(g: td.Graph) -> list[str]:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
+
+
+def union(a: td.Graph, b: td.Graph, shift: int, extra=()) -> td.Graph:
+    """a plus b with b's vertices shifted by ``shift`` (a.n - 1 shares one
+    vertex, a.n keeps them apart), plus the ``extra`` edges."""
+    edges = a.edges() + tuple((u + shift, v + shift) for u, v in b.edges())
+    return td.Graph.from_edges(shift + b.n, edges + tuple(extra))
+
+
+def octahedron_graph() -> td.Graph:
+    return td.Graph.from_edges(
+        6, [(u, v) for v in range(6) for u in range(v) if (u, v) not in ((0, 1), (2, 3), (4, 5))]
+    )
+
+
+def icosahedron_graph() -> td.Graph:
+    """Apex 0, upper ring 1..5, lower ring 6..10, apex 11."""
+    edges = []
+    for i in range(5):
+        up, down = 1 + i, 6 + i
+        edges += [(0, up), (up, 1 + (i + 1) % 5), (down, 6 + (i + 1) % 5), (down, 11)]
+        edges += [(up, down), (up, 6 + (i + 1) % 5)]
+    return td.Graph.from_edges(12, edges)
+
+
+def stacked_triangulation(n: int, rng: random.Random) -> td.Graph:
+    """Maximal planar: each new vertex goes into a random face and is
+    joined to its three corners."""
+    edges = [(0, 1), (0, 2), (1, 2)]
+    faces = [(0, 1, 2)] * 2
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    return td.Graph.from_edges(n, edges)
+
+
+def matches_networkx(g: td.Graph) -> bool:
+    """is_planar(g), asserted equal to networkx's answer."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    planar = td.is_planar(g)
+    assert planar == nx.check_planarity(h)[0], g.edges()
+    return planar
 
 
 class TestCanonicalForm:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, ValidationError
-from .graphs import MAX_VERTICES, Edge, Graph, iter_bits, mask_members, vertex_mask
+from .graphs import MAX_VERTICES, Edge, Graph, iter_bits, mask_members, neighbors, vertex_mask
 # unused here; bound because perfbench/layers.json traces domination.diameter
 from .graphs import diameter  # noqa: F401
 from .hypergraph import (
@@ -33,7 +33,7 @@ def is_tds(g: Graph, s: int) -> bool:
     require_total_domination(g)
     if s & ~g.full_mask:
         raise ValueError("vertex set mentions out-of-range vertices")
-    return all(g.adj[v] & s for v in range(g.n))
+    return neighbors(g.adj, s) == g.full_mask
 
 
 def is_minimal_tds(g: Graph, s: int) -> bool:
@@ -98,10 +98,9 @@ def dominating_edge_subgraph(g: Graph) -> DominatingEdgeSubgraph:
     spanned = 0
     dom_edges = []
     for u, v in g.edges():
-        pair = (1 << u) | (1 << v)
-        if all(g.adj[w] & pair for w in range(g.n)):
+        if g.adj[u] | g.adj[v] == g.full_mask:
             dom_edges.append((u, v))
-            spanned |= pair
+            spanned |= (1 << u) | (1 << v)
     return DominatingEdgeSubgraph(mask_members(spanned), tuple(dom_edges))
 
 
@@ -112,14 +111,10 @@ def packing_number(g: Graph) -> int:
     closed-neighborhood-intersection graph, and never read off the diameter,
     so the search's DIAM3 assertion compares two independent quantities.
     """
-    closed = [g.closed_neighborhood(v) for v in range(g.n)]
-    conflict = []
+    conflict = []  # N[u] meets N[v] exactly when u is within distance 2 of v
     for v in range(g.n):
-        mask = 0
-        for u in range(g.n):
-            if u != v and closed[v] & closed[u]:
-                mask |= 1 << u
-        conflict.append(mask)
+        closed = g.closed_neighborhood(v)
+        conflict.append((closed | neighbors(g.adj, closed)) & ~(1 << v))
     memo: dict[int, int] = {}
 
     def best_packing(avail: int) -> int:

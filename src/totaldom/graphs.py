@@ -3,6 +3,9 @@
 Vertices are the integers 0..n-1 and every vertex set is a plain Python int
 used as a bitmask, so neighborhood algebra (union, intersection, containment)
 is single-word arithmetic for the n <= 64 graphs this library targets.
+Two primitives carry every traversal that needs no per-vertex state:
+neighbors(adj, mask) is the union of the neighborhoods of a mask, and
+component(adj, start, within) grows the vertices reachable from a mask.
 Planarity runs on the same masks: after a series reduction, each
 biconnected block is tested on its own, first against Euler's bound and
 then by path addition, with no dependency beyond the standard library.
@@ -45,6 +48,26 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def neighbors(adj: Sequence[int], mask: int) -> int:
+    """Union of adj[v] over the vertices v of mask."""
+    reach = 0
+    while mask:
+        low = mask & -mask
+        reach |= adj[low.bit_length() - 1]
+        mask ^= low
+    return reach
+
+
+def component(adj: Sequence[int], start: int, within: int) -> int:
+    """The vertices reachable from the mask start through the mask within
+    (start itself included)."""
+    seen = frontier = start
+    while frontier:
+        frontier = neighbors(adj, frontier) & within & ~seen
+        seen |= frontier
+    return seen
 
 
 @dataclass(frozen=True)
@@ -162,17 +185,7 @@ def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == g.full_mask
+    return g.n <= 1 or component(g.adj, 1, g.full_mask) == g.full_mask
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -198,12 +211,7 @@ def diameter(g: Graph) -> int | None:
         depth = -1
         while frontier:
             depth += 1
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & ~seen
+            frontier = neighbors(adj, frontier) & ~seen
             seen |= frontier
         if seen != full:
             return None
@@ -253,30 +261,28 @@ def girth(g: Graph) -> int | None:
 def bipartition(g: Graph) -> tuple[int, int] | None:
     """Two-coloring (X, Y) as bitmasks, or None when an odd cycle exists.
 
-    Deterministic: components are scanned in ascending root order and each
-    root lands on the X side.
+    BFS layers by mask from each component's lowest vertex: even layers go
+    to X and odd ones to Y.  An edge inside a layer closes an odd cycle.
     """
-    color = [-1] * g.n
-    x_mask = 0
-    y_mask = 0
-    for root in range(g.n):
-        if color[root] >= 0:
-            continue
-        color[root] = 0
-        queue = [root]
-        for v in queue:
-            for u in iter_bits(g.adj[v]):
-                if color[u] < 0:
-                    color[u] = color[v] ^ 1
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
-    for v in range(g.n):
-        if color[v] == 0:
-            x_mask |= 1 << v
-        else:
-            y_mask |= 1 << v
-    return x_mask, y_mask
+    adj = g.adj
+    x = y = 0
+    rest = g.full_mask
+    while rest:
+        seen = layer = rest & -rest
+        odd = False
+        while layer:
+            reach = neighbors(adj, layer)
+            if reach & layer:
+                return None
+            if odd:
+                y |= layer
+            else:
+                x |= layer
+            odd = not odd
+            layer = reach & ~seen
+            seen |= layer
+        rest &= ~seen
+    return x, y
 
 
 def is_planar(g: Graph) -> bool:
@@ -409,22 +415,8 @@ def _embeds(adj: Sequence[int], block: int) -> bool:
                 chords ^= low
         rest = block & ~placed
         while rest:
-            part = frontier = rest & -rest
-            while frontier:
-                reach = 0
-                while frontier:
-                    low = frontier & -frontier
-                    reach |= adj[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = reach & rest & ~part
-                part |= frontier
-            attachments = 0
-            y = part
-            while y:
-                low = y & -y
-                attachments |= adj[low.bit_length() - 1]
-                y ^= low
-            fragments.append((attachments & placed, part))
+            part = component(adj, rest & -rest, rest)
+            fragments.append((neighbors(adj, part) & placed, part))
             rest &= ~part
         if not fragments:
             return True
@@ -502,10 +494,7 @@ def delete_closed_neighborhood(g: Graph, a: int) -> tuple[Graph, tuple[int, ...]
         raise ValueError("vertex set a must be nonempty")
     if a & ~g.full_mask:
         raise ValueError("vertex set a mentions out-of-range vertices")
-    closed = a
-    for v in iter_bits(a):
-        closed |= g.adj[v]
-    return induced_subgraph(g, g.full_mask & ~closed)
+    return induced_subgraph(g, g.full_mask & ~(a | neighbors(g.adj, a)))
 
 
 def matching_number(g: Graph) -> int:

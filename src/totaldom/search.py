@@ -20,13 +20,14 @@ from .graphs import (
     Graph,
     canonical_form,
     canonical_key,
+    component,
     diameter,
     girth,
     graph_from_canonical,
     is_planar,
     is_triangle_free,
     max_matching_of_edges,
-    iter_bits,
+    neighbors,
     vertex_mask,
 )
 from .graphio import graph6_from_key
@@ -155,17 +156,8 @@ def _parts_without(n: int, adj: tuple[int, ...]) -> list[tuple[int, ...]]:
         rest = full & ~(1 << v)
         parts = []
         while rest:
-            seen = frontier = rest & -rest
-            while frontier:
-                reach = 0
-                while frontier:
-                    low = frontier & -frontier
-                    reach |= adj[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = reach & rest & ~seen
-                seen |= frontier
-            parts.append(seen)
-            rest &= ~seen
+            parts.append(component(adj, rest & -rest, rest))
+            rest &= ~parts[-1]
         out.append(tuple(parts))
     return out
 
@@ -240,9 +232,7 @@ def enumerate_graphs(filt: SearchFilter):
             parts = _parts_without(n, adj)
             parent_nonplanar = planar[pkey] is False
             for nb in range(1, 1 << n):
-                if filt.triangle_free_only and any(
-                    adj[u] & nb for u in iter_bits(nb)
-                ):
+                if filt.triangle_free_only and neighbors(adj, nb) & nb:
                     continue
                 if not _new_vertex_is_least(nb, below, parts):
                     continue
@@ -431,24 +421,25 @@ def run_search(
 
     # classification results stream to the catalog as they finish, so an
     # interrupted run leaves a usable prefix behind (fresh payloads arrive in
-    # ascending canonical-key order, keeping the file sorted per run).  A
-    # serial run classifies each class as it is enumerated; a pool takes a list.
-    payloads = fresh()
-    pool = None
-    if jobs > 1:
-        payloads = list(payloads)
-        if len(payloads) > 1:
-            # imported here: serial runs and the per-graph commands never pay for it
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(max_workers=jobs)
-    computed_iter = (
-        pool.map(_classify_payload, payloads, chunksize=32)
-        if pool is not None
-        else map(_classify_payload, payloads)
-    )
+    # ascending canonical-key order, keeping the file sorted per run).  The
+    # catalog opens before enumeration, so an unwritable path fails at once.
+    # A serial run classifies each class as it is enumerated; a pool takes a list.
     sink = open(out_path, "a", encoding="utf-8") if out_path is not None else None
+    pool = None
     try:
+        payloads = fresh()
+        if jobs > 1:
+            payloads = list(payloads)
+            if len(payloads) > 1:
+                # imported here: serial runs and the per-graph commands never pay for it
+                from concurrent.futures import ProcessPoolExecutor
+
+                pool = ProcessPoolExecutor(max_workers=jobs)
+        computed_iter = (
+            pool.map(_classify_payload, payloads, chunksize=32)
+            if pool is not None
+            else map(_classify_payload, payloads)
+        )
         for entry in computed_iter:
             existing[entry.canonical_key] = entry
             if sink is not None:

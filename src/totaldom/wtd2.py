@@ -24,6 +24,7 @@ from .graphs import (
     is_connected,
     iter_bits,
     mask_members,
+    neighbors,
     vertex_mask,
 )
 from .graphio import _parse_edge_list, _serialize_edge_list
@@ -117,14 +118,12 @@ def construct_w2(recipe: W2Recipe) -> Graph:
             raise RecipeValidationError(3, f"step3 edge ({u}, {v}) leaves V(h)")
         connect(u, v)
     for u, v in h.edges():
-        pair = (1 << u) | (1 << v)
-        for w in range(h.n):
-            if w != u and w != v and adj[w] & pair == 0:
-                raise RecipeValidationError(
-                    3,
-                    f"vertex {w} is adjacent to neither endpoint of h-edge ({u}, {v})",
-                    (w, u, v),
-                )
+        missing = h.full_mask & ~(adj[u] | adj[v])  # never u or v: they are adjacent
+        if missing:
+            w = (missing & -missing).bit_length() - 1
+            raise RecipeValidationError(
+                3, f"vertex {w} is adjacent to neither endpoint of h-edge ({u}, {v})", (w, u, v)
+            )
 
     for cover, fresh in sorted(assigned.items()):
         for v in iter_bits(cover):
@@ -141,14 +140,12 @@ def construct_w2(recipe: W2Recipe) -> Graph:
                 )
             connect(base + w, u)
         for u, v in h.edges():
-            pair = (1 << u) | (1 << v)
-            for w in range(hp_n):
-                if adj[base + w] & pair == 0:
-                    raise RecipeValidationError(
-                        4,
-                        f"h' vertex {w} is adjacent to neither endpoint of h-edge ({u}, {v})",
-                        (w, u, v),
-                    )
+            missing = (hp.full_mask << base) & ~(adj[u] | adj[v])
+            if missing:
+                w = (missing & -missing).bit_length() - 1 - base
+                raise RecipeValidationError(
+                    4, f"h' vertex {w} is adjacent to neither endpoint of h-edge ({u}, {v})", (w, u, v)
+                )
 
     return Graph(n, tuple(adj))
 
@@ -207,14 +204,11 @@ def w2_membership(g: Graph) -> W2Membership:
     h_prime = None
     step4: list[tuple[int, int]] = []
     if rest_mask:
+        if neighbors(g.adj, rest_mask) & used:
+            raise AssertionError("leftover vertex adjacent to a cover vertex")
         h_prime, rest_ids = induced_subgraph(g, rest_mask)
-        rest_pos = {old: new for new, old in enumerate(rest_ids)}
-        for old in rest_ids:
-            for u in iter_bits(g.adj[old]):
-                if h_mask >> u & 1:
-                    step4.append((rest_pos[old], pos[u]))
-                elif (rest_mask >> u & 1) == 0:
-                    raise AssertionError("leftover vertex adjacent to a cover vertex")
+        for i, old in enumerate(rest_ids):
+            step4 += [(i, pos[u]) for u in iter_bits(g.adj[old] & h_mask)]
 
     recipe = W2Recipe(
         h=h,

@@ -379,6 +379,19 @@ class TestSearch:
         assert code == 0
         assert json.loads(out)["classified"] == 9
 
+    def test_unwritable_out_fails_before_parallel_enumeration(self, capsys, monkeypatch, tmp_path):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumeration started before the catalog was opened")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(td.search, "enumerate_graphs", no_enumeration)
+        out_path = tmp_path / "missing" / "cat.jsonl"
+        code, out, err = run_cli(
+            capsys, "search", "--n-max", "8", "--jobs", "2", "--out", str(out_path)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
     def test_serial_search_imports_no_process_pool(self):
         proc = run_python(
             "-c",

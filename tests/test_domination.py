@@ -160,6 +160,8 @@ class TestDominatingEdgeSubgraph:
         for _ in range(150):
             g = random_isolate_free_graph(rng, rng.randint(2, 6))
             gde = td.dominating_edge_subgraph(g)
+            tds = set(brute_total_dominating_sets(g))
+            assert set(gde.edges) == {(u, v) for u, v in g.edges() if (1 << u) | (1 << v) in tds}
             if not gde.edges:
                 continue
             seen_defined += 1

@@ -100,6 +100,41 @@ class TestConnectivityAndStructure:
             assert (x >> u & 1) != (x >> v & 1)
         assert td.bipartition(cycle_graph(5)) is None
 
+    def test_bipartition_and_connectivity_on_every_graph_to_7(self, atlas7):
+        # every class with n <= 7, disconnected ones included: the oracle's
+        # sweep for n <= 6 (it takes minutes at 7), and at n = 7 the connected
+        # classes plus each union of a connected class with any graph on the
+        # remaining vertices
+        sweep = {n: all_graphs_up_to_iso(n) for n in range(7)}
+        connected = {1: [td.Graph(1, (0,))]}
+        for _, g in atlas7:
+            connected.setdefault(g.n, []).append(g)
+        seven = connected[7] + [
+            union(a, b, k) for k in range(1, 7) for a in connected[k] for b in sweep[7 - k]
+        ]
+        assert len({td.canonical_form(g) for g in seven}) == 1044  # OEIS A000088
+        rng = random.Random(2024)
+        graphs = [g for n in range(7) for g in sweep[n]] + seven
+        graphs += [random_relabel(g, rng) for g in graphs]
+        bipartite = 0
+        for g in graphs:
+            nxg = nx.Graph(g.edges())
+            nxg.add_nodes_from(range(g.n))
+            parts = list(nx.connected_components(nxg))
+            assert td.is_connected(g) == (len(parts) <= 1)
+            roots = td.vertex_mask(min(part) for part in parts)
+            sides = [
+                (x, g.full_mask & ~x)
+                for x in range(1 << g.n)
+                if x & roots == roots
+                and all((x >> u & 1) != (x >> v & 1) for u, v in g.edges())
+            ]
+            assert len(sides) <= 1  # lowest vertex of each component in X
+            assert bool(sides) == nx.is_bipartite(nxg)  # None iff an odd cycle
+            assert td.bipartition(g) == (sides[0] if sides else None)
+            bipartite += bool(sides)
+        assert 0 < bipartite < len(graphs)
+
     def test_induced_subgraph_keeps_labels(self):
         g = td.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)], labels=("a", "b", "c", "d"))
         sub, old = td.induced_subgraph(g, 0b1101)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -267,6 +268,51 @@ def _random_w2_recipe(rng: random.Random) -> tuple[td.W2Recipe, td.Graph]:
             assert exc.step == 3
             w, u, _ = exc.witness
             step3.add((min(w, u), max(w, u)))
+
+
+def first_uncovered(recipe: td.W2Recipe, step: int):
+    """(w, u, v) for the first h-edge uv, in h.edges() order, that some
+    vertex w (ascending) checked at this step sees neither end of; None if
+    there is none.  Step 3 checks the h vertices against h plus the step-3
+    edges, step 4 the h' vertices against their step-4 edges."""
+    h = recipe.h
+    if step == 3:
+        seen = td.Graph.from_edges(h.n, h.edges() + recipe.step3_edges).adj
+    else:
+        seen = [0] * recipe.h_prime.n
+        for w, u in recipe.step4_edges:
+            seen[w] |= 1 << u
+    for u, v in h.edges():
+        for w, nb in enumerate(seen):
+            if step == 4 or w not in (u, v):
+                if not nb >> u & 1 and not nb >> v & 1:
+                    return w, u, v
+    return None
+
+
+class TestRecipeWitnesses:
+    def test_removed_edges_name_the_first_uncovered_vertex(self):
+        rng = random.Random(3141)
+        failures = {3: 0, 4: 0}
+        for _ in range(300):
+            recipe, _ = _random_w2_recipe(rng)
+            for step, field in ((3, "step3_edges"), (4, "step4_edges")):
+                edges = getattr(recipe, field)
+                if not edges:
+                    continue
+                # one edge uncovers one vertex; two can uncover two on one h-edge
+                drop = rng.sample(edges, min(len(edges), rng.randint(1, 2)))
+                kept = tuple(e for e in edges if e not in drop)
+                bad = dataclasses.replace(recipe, **{field: kept})
+                expected = first_uncovered(bad, step)
+                try:
+                    td.construct_w2(bad)
+                except td.RecipeValidationError as exc:
+                    assert (exc.step, exc.witness) == (step, expected)
+                    failures[step] += 1
+                else:
+                    assert expected is None
+        assert min(failures.values()) > 20
 
 
 class TestRealizerChoice:

@@ -14,7 +14,7 @@ graph6 format.  Vertex names in JSON output are the input labels when the
 edge list carried a `# labels:` line, else integer ids.
 
 Exit codes: 0 success (and accepted decisions), 1 negative decision,
-2 bad input, 3 internal error or assertion violations found by search.
+2 bad input, 3 assertion violations found by search, 4 internal error.
 """
 
 from __future__ import annotations
@@ -309,9 +309,9 @@ def main(argv=None) -> int:
     except (ValueError, CapabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a bug: exit 4, never the violation code 3
         print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+        return 4
 
 
 def run() -> None:

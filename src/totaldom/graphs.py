@@ -9,6 +9,9 @@ component(adj, start, within) grows the vertices reachable from a mask.
 Planarity runs on the same masks: after a series reduction, each
 biconnected block is tested on its own, first against Euler's bound and
 then by path addition, with no dependency beyond the standard library.
+The search behind canonical keys also yields generators of the
+automorphism group (automorphism_generators), which the exhaustive search
+uses to try one neighbourhood per orbit of a parent.
 """
 
 from __future__ import annotations
@@ -585,40 +588,74 @@ def _refined_cells(n: int, adj: Sequence[int]) -> list[int]:
         cells = finer
 
 
-def _min_code(n: int, adj: Sequence[int], cells: Sequence[int]) -> list[int]:
-    """Lexicographically least adjacency code over cell-respecting orders.
+def _min_code(
+    n: int, adj: Sequence[int], cells: Sequence[int]
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Lexicographically least adjacency code over cell-respecting orders,
+    and generators of the automorphism group.
 
     Positions are filled cell by cell (the refined order, an isomorphism
     invariant, so the restriction preserves canonicity).  Twin vertices --
-    interchangeable by a transposition automorphism -- are branched only
-    once per node.
+    N(u) - v = N(v) - u, interchangeable by a transposition automorphism --
+    are branched only once per node: twinhood is an equivalence, so each
+    node keeps a mask of the twin classes it has tried.
+
+    A generator is a tuple p with p[v] the image of v.  They are one
+    transposition per vertex and the least vertex of its twin class, plus
+    one permutation per leaf whose code equals the best, mapping the first
+    leaf that reached the best code onto it (the list restarts whenever the
+    best strictly improves).  The automorphisms are exactly the maps from
+    that first best leaf to the best leaves.  No best leaf is pruned by the
+    code comparison, and a best leaf skipped as a twin branch is the image
+    of one in the tried sibling's subtree under that twin transposition,
+    so every best leaf is a visited one moved by twin transpositions, and
+    the generators generate the whole group.
     """
     slots: list[tuple[int, ...]] = []
     for cell in cells:
         members = mask_members(cell)
         slots += [members] * len(members)
 
+    # twin class representative: the least vertex with the same open
+    # neighbourhood (false twins) or the same closed one (true twins); an
+    # open and a closed neighbourhood are never equal, so one dict serves
+    twin = [0] * n
+    first: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        u = first.setdefault(a, v)
+        twin[v] = u if u != v else first.setdefault(a | 1 << v, v)
+    gens: list[tuple[int, ...]] = []
+    for v, u in enumerate(twin):
+        if u != v:
+            perm = list(range(n))
+            perm[u], perm[v] = v, u
+            gens.append(tuple(perm))
+    twin_gens = len(gens)
+
     placed: list[int] = []
     placed_mask = 0
     rows = [0] * n
     best: list[int] | None = None
+    best_order: list[int] = []
 
     def dfs(i: int, tight: bool) -> None:
-        nonlocal best, placed_mask
+        nonlocal best, best_order, placed_mask
         if i == n:
             if best is None or rows < best:
                 best = rows.copy()
+                best_order = placed.copy()
+                del gens[twin_gens:]
+            elif rows == best:
+                perm = [0] * n
+                for u, v in zip(best_order, placed):
+                    perm[u] = v
+                gens.append(tuple(perm))
             return
-        tried: list[int] = []
+        tried = 0
         for v in slots[i]:
-            if placed_mask >> v & 1:
-                continue
-            vb = 1 << v
-            if any(
-                (adj[u] ^ adj[v]) & ~((1 << u) | vb) == 0 for u in tried
-            ):
-                continue  # twin of an already-tried sibling
-            tried.append(v)
+            if placed_mask >> v & 1 or tried >> twin[v] & 1:
+                continue  # placed, or a twin of an already-tried sibling
+            tried |= 1 << twin[v]
             row = 0
             av = adj[v]
             for u in placed:
@@ -631,15 +668,26 @@ def _min_code(n: int, adj: Sequence[int], cells: Sequence[int]) -> list[int]:
                 child_tight = False
             rows[i] = row
             placed.append(v)
-            placed_mask |= vb
+            placed_mask |= 1 << v
             dfs(i + 1, child_tight if best is not None else tight)
             placed.pop()
-            placed_mask ^= vb
+            placed_mask ^= 1 << v
         rows[i] = 0
 
     dfs(0, True)
     assert best is not None
-    return best
+    return best, gens
+
+
+def automorphism_generators(n: int, adj: Sequence[int]) -> list[tuple[int, ...]]:
+    """Generators of Aut(G) as image tuples (p[v] is the image of v), from
+    the same search that computes the canonical key; empty when the group
+    is trivial."""
+    if n > CANONICAL_BOUND:
+        raise CapabilityError(f"canonical form limited to {CANONICAL_BOUND} vertices, got {n}")
+    if n <= 1:
+        return []
+    return _min_code(n, adj, _refined_cells(n, adj))[1]
 
 
 def canonical_key(n: int, adj: Sequence[int]) -> bytes:
@@ -647,7 +695,7 @@ def canonical_key(n: int, adj: Sequence[int]) -> bytes:
         raise CapabilityError(f"canonical form limited to {CANONICAL_BOUND} vertices, got {n}")
     if n <= 1:
         return bytes([n])
-    rows = _min_code(n, adj, _refined_cells(n, adj))
+    rows = _min_code(n, adj, _refined_cells(n, adj))[0]
     acc = 0
     for i in range(1, n):
         acc = (acc << i) | rows[i]

@@ -18,6 +18,7 @@ from .errors import CapabilityError, DominationUndefinedError
 from .graphs import (
     CANONICAL_BOUND,
     Graph,
+    automorphism_generators,
     canonical_form,
     canonical_key,
     component,
@@ -188,6 +189,34 @@ def _new_vertex_is_least(
     return True
 
 
+def _orbit_labels(n: int, gens: list[tuple[int, ...]]) -> list[int] | None:
+    """The least member of each vertex mask's orbit under the group gens
+    generate, indexed by mask; None when gens is empty (the trivial group).
+    """
+    if not gens:
+        return None
+    images = []
+    for perm in gens:
+        image = [0]  # image of each mask, built one vertex at a time
+        for v in range(n):
+            bit = 1 << perm[v]
+            image += [x | bit for x in image]
+        images.append(image)
+    label = [-1] * (1 << n)
+    for mask in range(1 << n):
+        if label[mask] < 0:  # the least member of an unlabelled orbit
+            label[mask] = mask
+            stack = [mask]
+            while stack:
+                x = stack.pop()
+                for image in images:
+                    y = image[x]
+                    if label[y] < 0:
+                        label[y] = mask
+                        stack.append(y)
+    return label
+
+
 def enumerate_graphs(filt: SearchFilter):
     """Yield (canonical key, graph, planar) per isomorphism class, by level
     then key.
@@ -204,6 +233,16 @@ def enumerate_graphs(filt: SearchFilter):
     subgraph of G, so under the planar, triangle-free and min-degree
     restrictions it is still in its level (min degree only filters what is
     yielded) and G is still reached.
+
+    A parent tries one neighbourhood per orbit of its automorphism group
+    (the orbit half of McKay's method), the least mask of each.  An
+    automorphism s maps the child of nb isomorphically onto the child of
+    s(nb), and the rule above and the triangle test hold for both or for
+    neither, so every skipped child is isomorphic to one that is tried.
+    The first mask that reaches a key is still the least of its orbit, and
+    every parent that reached a key still does, so the per-level dict keeps
+    the same representatives, planar inherits the same answers, and the
+    yield is the same as trying every mask.
 
     planar is inherited: a child is non-planar as soon as one parent that
     generates it is, since that parent is an induced subgraph.  is_planar
@@ -228,10 +267,13 @@ def enumerate_graphs(filt: SearchFilter):
         nxt: dict[bytes, tuple[int, ...]] = {}
         nonplanar: set[bytes] = set()
         for pkey, adj in level.items():
+            orbit = _orbit_labels(n, automorphism_generators(n, adj))
             below = _below(n, adj)
             parts = _parts_without(n, adj)
             parent_nonplanar = planar[pkey] is False
             for nb in range(1, 1 << n):
+                if orbit is not None and orbit[nb] != nb:
+                    continue  # an isomorphic child comes from the orbit's least mask
                 if filt.triangle_free_only and neighbors(adj, nb) & nb:
                     continue
                 if not _new_vertex_is_least(nb, below, parts):

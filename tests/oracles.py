@@ -209,6 +209,30 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     return extend(0)
 
 
+def brute_automorphisms(g: Graph):
+    """Yield every automorphism of g as a tuple p (p[v] is the image of v),
+    by backtracking over vertex images with adjacency checks."""
+    n = g.n
+    image = [-1] * n
+    used = [False] * n
+
+    def extend(i: int):
+        if i == n:
+            yield tuple(image)
+            return
+        for c in range(n):
+            if used[c]:
+                continue
+            if all((g.adj[i] >> j & 1) == (g.adj[c] >> image[j] & 1) for j in range(i)):
+                image[i] = c
+                used[c] = True
+                yield from extend(i + 1)
+                used[c] = False
+        image[i] = -1
+
+    yield from extend(0)
+
+
 def all_graphs_up_to_iso(n: int, connected_only: bool = False) -> list[Graph]:
     """Every isomorphism class on n vertices by 2^(n choose 2) sweep.
 

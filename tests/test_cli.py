@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import totaldom as td
+from totaldom import cli
 from totaldom.cli import _analyze_payload, main
 
 FIGURE1 = "n 5\n# labels: x y z t w\n0 1\n0 3\n1 2\n1 3\n2 4\n3 4\n"
@@ -304,6 +305,23 @@ class TestSearch:
         payload = json.loads(out)
         assert payload["classified"] == 9
         assert payload["assertions"]["DIAM3"]["violations"] == []
+
+    def test_violation_exits_3(self, capsys, monkeypatch):
+        never = ("always violated", 2, lambda e: True, lambda e: False)
+        monkeypatch.setitem(td.search.ASSERTIONS, "NEVER", never)
+        code, out, err = run_cli(capsys, "search", "--n-max", "3", "--assert", "NEVER")
+        assert code == 3 and err == ""
+        assert len(json.loads(out)["assertions"]["NEVER"]["violations"]) == 3
+
+    def test_internal_error_exits_4(self, capsys, monkeypatch):
+        # a crash must not read as a counterexample (exit 3)
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_search", crash)
+        code, out, err = run_cli(capsys, "search", "--n-max", "3")
+        assert code == 4 and out == ""
+        assert err == "internal error: boom\n"
 
     def test_unknown_assertion(self, capsys):
         code, _, err = run_cli(capsys, "search", "--n-max", "4", "--assert", "T99")

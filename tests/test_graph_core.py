@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import totaldom as td
+from totaldom.graphs import automorphism_generators
 from oracles import (
     all_graphs_up_to_iso,
     are_isomorphic,
+    brute_automorphisms,
     brute_diameter,
     brute_girth,
     brute_packing_number,
@@ -442,6 +444,58 @@ class TestCanonicalForm:
     def test_relabel_property(self, n, pyrandom):
         g = random_graph(pyrandom, n, 0.5)
         assert td.canonical_form(random_relabel(g, pyrandom)) == td.canonical_form(g)
+
+
+def is_automorphism(g: td.Graph, perm) -> bool:
+    if sorted(perm) != list(range(g.n)):
+        return False
+    return all(
+        g.adj[perm[v]] == td.vertex_mask(perm[u] for u in td.mask_members(g.adj[v]))
+        for v in range(g.n)
+    )
+
+
+def group_order(n: int, gens) -> int:
+    """Order of the permutation group gens generate, by closure."""
+    identity = tuple(range(n))
+    seen = {identity}
+    stack = [identity]
+    while stack:
+        p = stack.pop()
+        for q in gens:
+            r = tuple(q[x] for x in p)
+            if r not in seen:
+                seen.add(r)
+                stack.append(r)
+    return len(seen)
+
+
+class TestAutomorphismGenerators:
+    def test_generators_are_automorphisms(self):
+        rng = random.Random(12)
+        named = [petersen_graph(), complete_bipartite(3, 4), cycle_graph(9), star_graph(6)]
+        for g in named + [random_graph(rng, rng.randint(2, 12), rng.random()) for _ in range(200)]:
+            for perm in automorphism_generators(g.n, g.adj):
+                assert is_automorphism(g, perm), (g.edges(), perm)
+
+    def test_group_order_matches_brute_force_to_7(self, atlas7):
+        # every graph with 2 <= n <= 7: each connected class and its
+        # complement (a disconnected graph has a connected complement).
+        # Equal orders make the generated group all of Aut(G), so the vertex
+        # orbits agree too.
+        graphs = {}
+        for _, g in atlas7:
+            complement = tuple(g.full_mask & ~a & ~(1 << v) for v, a in enumerate(g.adj))
+            for h in (g, td.Graph(g.n, complement)):
+                graphs.setdefault(td.canonical_form(h), h)
+        assert len(graphs) == 2 + 4 + 11 + 34 + 156 + 1044
+        for h in graphs.values():
+            gens = automorphism_generators(h.n, h.adj)
+            assert all(is_automorphism(h, p) for p in gens)
+            order = sum(1 for _ in brute_automorphisms(h))
+            assert group_order(h.n, gens) == order, h.edges()
+            assert (gens == []) == (order == 1)  # no identity generators
+        assert automorphism_generators(1, (0,)) == []
 
 
 def test_star_and_complete_builders_sane():

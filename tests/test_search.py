@@ -95,6 +95,24 @@ class TestEnumeration:
             assert planar is None or planar is False
             assert td.classify(g, key=key, planar=planar).planar == brute_planar(g), key.hex()
 
+    def test_one_key_per_orbit_of_neighbourhoods(self, monkeypatch):
+        # a parent's neighbourhoods are tried once per automorphism orbit:
+        # 1,362 keys to n = 7 (2,797 with every neighbourhood), and the same
+        # 995 classes whose key bytes test_key_bytes_frozen pins
+        calls = []
+        real = td.search.canonical_key
+
+        def counted(n, adj):
+            calls.append(n)
+            return real(n, adj)
+
+        monkeypatch.setattr(td.search, "canonical_key", counted)
+        keys = sorted(key for key, _, _ in td.enumerate_graphs(td.SearchFilter(n_max=7)))
+        assert len(keys) == 995
+        digest = hashlib.sha256(b"".join(keys)).hexdigest()
+        assert digest == "4fdef5f6794d8a02bff18249da7145d2fe7410be2991e319ea8687f83264a104"
+        assert len(calls) == 1362
+
     def test_min_degree_three_at_four(self):
         got = list(td.enumerate_graphs(td.SearchFilter(n_max=4, min_degree=3)))
         assert len(got) == 1

@@ -13,6 +13,12 @@ Graphs are read from a file path or '-' for stdin, in edge-list (default) or
 graph6 format.  Vertex names in JSON output are the input labels when the
 edge list carried a `# labels:` line, else integer ids.
 
+Every command prints one JSON document: exactly the bytes of
+json.dumps(payload, indent=2), written by this module's own writer
+(_dumps).  The stdlib falls back to its pure-Python encoder for any indent;
+_dumps lays out only the containers in Python and hands each flat list of
+names or ids to the C string encoder or int.__repr__ in one join.
+
 Exit codes: 0 success (and accepted decisions), 1 negative decision,
 2 bad input, 3 assertion violations found by search, 4 internal error.
 """
@@ -23,6 +29,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import CapabilityError, NotAntichainError, ParseError
 from .graphs import Graph, mask_members
@@ -49,7 +56,8 @@ def _load_graph(args) -> Graph:
 
 
 def _names(g: Graph, mask: int) -> list:
-    return [g.label(v) for v in mask_members(mask)]
+    members, labels = mask_members(mask), g.labels
+    return list(members) if labels is None else [labels[v] for v in members]
 
 
 def _analyze_payload(g: Graph) -> dict:
@@ -298,11 +306,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# encoders of the flat lists that make up most of the output: every
+# minimal TDS, every dominating-edge pair (bool is not int here)
+_FLAT = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _dumps(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2) for str-keyed dicts, lists, tuples and JSON
+    scalars; pad is the newline and indent of obj's own nesting level."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        kinds = set(map(type, obj))
+        enc = _FLAT.get(kinds.pop()) if len(kinds) == 1 else None
+        if enc is not None:
+            items = map(enc, obj)
+        else:
+            items = [_dumps(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + _dumps(value, inner)
+            for key, value in obj.items()
+        ]) + pad + "}"
+    return json.dumps(obj)  # None, bool, float
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, payload = args.fn(args)
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
         return code
     # ParseError, ValidationError, NotAntichainError and
     # DominationUndefinedError are all ValueErrors

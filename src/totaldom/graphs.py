@@ -25,8 +25,11 @@ MAX_VERTICES = 64
 
 # Ceiling for canonical_form (and therefore for atlas-style enumeration).
 # Refinement plus pruned backtracking stays fast well past 12 on typical
-# graphs; the bound exists so pathological symmetric inputs fail loudly
-# instead of burning CPU.
+# graphs, and vertex-transitive ones at 12 (C12, the icosahedron, the
+# hexagonal prism) take under a second, because the search prunes
+# against every new best code; the bound exists so larger symmetric inputs,
+# where the number of best leaves grows with the automorphism group, fail
+# loudly instead of burning CPU.
 CANONICAL_BOUND = 12
 
 VertexSet = int  # bitmask over vertex ids
@@ -43,7 +46,12 @@ def vertex_mask(vertices: Iterable[int]) -> int:
 
 def mask_members(mask: int) -> tuple[int, ...]:
     """Ascending vertex ids of a bitmask."""
-    return tuple(iter_bits(mask))
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(members)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -600,6 +608,14 @@ def _min_code(
     are branched only once per node: twinhood is an equivalence, so each
     node keeps a mask of the twin classes it has tried.
 
+    A node is tight while its prefix equals the best code's prefix; only a
+    tight node compares its children's rows and cuts those above the best.
+    A loose node (prefix already below the best) always reaches a leaf,
+    which becomes the new best and shares the node's prefix, so the node is
+    tight again after each child returns.  Only prefixes strictly above the
+    current best are ever cut, so every leaf equal to the final best is
+    still visited, in the same order.
+
     A generator is a tuple p with p[v] the image of v.  They are one
     transposition per vertex and the least vertex of its twin class, plus
     one permutation per leaf whose code equals the best, mapping the first
@@ -672,6 +688,9 @@ def _min_code(
             dfs(i + 1, child_tight if best is not None else tight)
             placed.pop()
             placed_mask ^= 1 << v
+            # the best now has this node's prefix: a tight child kept it, a
+            # loose one reached a leaf that became the new best
+            tight = True
         rows[i] = 0
 
     dfs(0, True)

@@ -5,10 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import totaldom as td
 from totaldom import cli
-from totaldom.cli import _analyze_payload, main
+from totaldom.cli import _analyze_payload, _dumps, main
 
 FIGURE1 = "n 5\n# labels: x y z t w\n0 1\n0 3\n1 2\n1 3\n2 4\n3 4\n"
 P5 = "n 5\n0 1\n1 2\n2 3\n3 4\n"
@@ -56,7 +57,47 @@ def graph_file(tmp_path):
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    if captured.out:
+        # every command's stdout is exactly the stdlib's indent-2 layout
+        assert captured.out == json.dumps(json.loads(captured.out), indent=2) + "\n"
     return code, captured.out, captured.err
+
+
+FIGURE1_ANALYZE = (
+    '{\n  "n": 5,\n  "m": 6,\n  "gamma_t": 2,\n  "Gamma_t": 2,\n  "is_wtd": true,\n'
+    '  "mtds": [\n    [\n      "y",\n      "z"\n    ],\n    [\n      "y",\n      "t"\n    ],\n'
+    '    [\n      "t",\n      "w"\n    ]\n  ],\n  "rho": 1,\n  "diameter": 2,\n  "girth": 3,\n'
+    '  "g_de_edges": [\n    [\n      "y",\n      "z"\n    ],\n    [\n      "y",\n      "t"\n    ],\n'
+    '    [\n      "t",\n      "w"\n    ]\n  ]\n}\n'
+)
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=10**40)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | st.text(),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+class TestWriter:
+    @given(json_values)
+    @example({"": [], "a": {}})
+    @example([[], [{}], [True, 1], [1, 1.0], [None], ("é", "\x00"), [-3, 10**40]])
+    @settings(max_examples=300, deadline=None)
+    def test_equals_stdlib_indent2(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    def test_figure1_analyze_bytes_frozen(self, capsys, graph_file):
+        code, out, _ = run_cli(capsys, "analyze", graph_file(FIGURE1))
+        assert code == 0
+        assert out == FIGURE1_ANALYZE
 
 
 class TestAnalyze:

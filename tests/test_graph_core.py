@@ -434,6 +434,26 @@ class TestCanonicalForm:
         with_isolated = td.Graph.from_edges(7, [(0, 1), (1, 2), (4, 5)])
         assert td.canonical_form(with_isolated).hex() == "07040018"
 
+    def test_key_bytes_frozen_past_8(self):
+        # orders 9..12, where no catalog test reaches: 400 seeded random
+        # graphs, sparse to dense, then three vertex-transitive graphs that
+        # exercise the pruned search hardest
+        rng = random.Random(912)
+        graphs = [
+            random_graph(rng, 9 + i % 4, (0.2, 0.35, 0.5, 0.65, 0.8)[i % 5])
+            for i in range(400)
+        ]
+        keys = [td.canonical_form(g) for g in graphs + symmetric_twelves()]
+        digest = hashlib.sha256(b"".join(keys)).hexdigest()
+        assert digest == "69f9ce8382fdb3ebc8c26cc2e856b9c6234ba4cb5a25ffa3d968756cd5c6a847"
+
+    def test_symmetric_twelves_relabel(self):
+        rng = random.Random(4)
+        for g in symmetric_twelves():
+            key = td.canonical_form(g)
+            for _ in range(3):
+                assert td.canonical_form(random_relabel(g, rng)) == key
+
     def test_bound_enforced(self):
         g = path_graph(td.CANONICAL_BOUND + 1)
         with pytest.raises(td.CapabilityError):
@@ -444,6 +464,12 @@ class TestCanonicalForm:
     def test_relabel_property(self, n, pyrandom):
         g = random_graph(pyrandom, n, 0.5)
         assert td.canonical_form(random_relabel(g, pyrandom)) == td.canonical_form(g)
+
+
+def symmetric_twelves() -> list[td.Graph]:
+    """C12, the icosahedron and the hexagonal prism C6 x K2."""
+    solids = [nx.icosahedral_graph(), nx.circular_ladder_graph(6)]
+    return [cycle_graph(12)] + [td.Graph.from_edges(12, list(h.edges())) for h in solids]
 
 
 def is_automorphism(g: td.Graph, perm) -> bool:
@@ -473,7 +499,7 @@ def group_order(n: int, gens) -> int:
 class TestAutomorphismGenerators:
     def test_generators_are_automorphisms(self):
         rng = random.Random(12)
-        named = [petersen_graph(), complete_bipartite(3, 4), cycle_graph(9), star_graph(6)]
+        named = [petersen_graph(), complete_bipartite(3, 4), cycle_graph(12), star_graph(6)]
         for g in named + [random_graph(rng, rng.randint(2, 12), rng.random()) for _ in range(200)]:
             for perm in automorphism_generators(g.n, g.adj):
                 assert is_automorphism(g, perm), (g.edges(), perm)

@@ -95,12 +95,18 @@ class DominatingEdgeSubgraph:
 
 def dominating_edge_subgraph(g: Graph) -> DominatingEdgeSubgraph:
     require_total_domination(g)
+    adj, full = g.adj, g.full_mask
     spanned = 0
     dom_edges = []
-    for u, v in g.edges():
-        if g.adj[u] | g.adj[v] == g.full_mask:
-            dom_edges.append((u, v))
-            spanned |= (1 << u) | (1 << v)
+    for u in range(g.n):
+        row = adj[u]
+        upper = row >> (u + 1) << (u + 1)
+        while upper:
+            low = upper & -upper
+            if row | adj[low.bit_length() - 1] == full:
+                dom_edges.append((u, low.bit_length() - 1))
+                spanned |= (1 << u) | low
+            upper ^= low
     return DominatingEdgeSubgraph(mask_members(spanned), tuple(dom_edges))
 
 
@@ -110,30 +116,39 @@ def packing_number(g: Graph) -> int:
     Computed exactly, as a maximum independent set of the
     closed-neighborhood-intersection graph, and never read off the diameter,
     so the search's DIAM3 assertion compares two independent quantities.
+    Branch and bound on the least available vertex: one with no conflict
+    left is taken outright, otherwise it is taken and then skipped, and a
+    branch is cut once its size plus every available vertex cannot beat the
+    best packing found.
     """
+    adj = g.adj
     conflict = []  # N[u] meets N[v] exactly when u is within distance 2 of v
     for v in range(g.n):
-        closed = g.closed_neighborhood(v)
-        conflict.append((closed | neighbors(g.adj, closed)) & ~(1 << v))
-    memo: dict[int, int] = {}
+        near = rest = adj[v]
+        while rest:
+            low = rest & -rest
+            near |= adj[low.bit_length() - 1]
+            rest ^= low
+        conflict.append(near & ~(1 << v))
+    best = 0
 
-    def best_packing(avail: int) -> int:
-        if avail == 0:
-            return 0
-        cached = memo.get(avail)
-        if cached is not None:
-            return cached
-        low = avail & -avail
-        v = low.bit_length() - 1
-        rest = avail ^ low
-        result = max(
-            best_packing(rest),  # skip v
-            1 + best_packing(rest & ~conflict[v]),  # take v
-        )
-        memo[avail] = result
-        return result
+    def grow(size: int, avail: int) -> None:
+        nonlocal best
+        while avail:
+            if size + avail.bit_count() <= best:
+                return
+            low = avail & -avail
+            avail ^= low
+            clash = conflict[low.bit_length() - 1] & avail
+            size += 1
+            if clash:
+                grow(size, avail & ~clash)  # take it, then go on without it
+                size -= 1
+        if size > best:
+            best = size
 
-    return best_packing(g.full_mask)
+    grow(0, g.full_mask)
+    return best
 
 
 def minimal_vertex_covers(g: Graph, max_count: int | None = None) -> SpernerFamily:

@@ -200,9 +200,14 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_triangle_free(g: Graph) -> bool:
-    for u, v in g.edges():
-        if g.adj[u] & g.adj[v]:
-            return False
+    adj = g.adj
+    for u, row in enumerate(adj):
+        upper = row >> (u + 1) << (u + 1)
+        while upper:
+            low = upper & -upper
+            if row & adj[low.bit_length() - 1]:
+                return False
+            upper ^= low
     return True
 
 
@@ -514,6 +519,14 @@ def matching_number(g: Graph) -> int:
 
 
 def max_matching_of_edges(edges: Iterable[Edge]) -> int:
+    """Size of a maximum matching of an edge list.
+
+    The least available vertex is skipped when no available vertex is its
+    neighbour, and otherwise matched: some maximum matching covers a vertex
+    with a neighbour (if none does, its neighbour's partner can be swapped
+    for it).  Its partners are tried until the matching covers all but at
+    most one available vertex.
+    """
     edges = tuple(edges)
     if not edges:
         return 0
@@ -526,18 +539,29 @@ def max_matching_of_edges(edges: Iterable[Edge]) -> int:
     memo: dict[int, int] = {}
 
     def rec(avail: int) -> int:
-        if avail == 0:
+        while avail:
+            low = avail & -avail
+            avail ^= low
+            partners = adj[low.bit_length() - 1] & avail
+            if partners:
+                break
+        else:
             return 0
-        cached = memo.get(avail)
+        key = avail | low
+        cached = memo.get(key)
         if cached is not None:
             return cached
-        low = avail & -avail
-        v = low.bit_length() - 1
-        rest = avail ^ low
-        best = rec(rest)  # v left unmatched
-        for u in iter_bits(adj[v] & rest):
-            best = max(best, 1 + rec(rest ^ (1 << u)))
-        memo[avail] = best
+        enough = (avail.bit_count() + 1) // 2
+        best = 0
+        while partners:
+            bit = partners & -partners
+            size = 1 + rec(avail ^ bit)
+            if size > best:
+                best = size
+                if best == enough:
+                    break
+            partners ^= bit
+        memo[key] = best
         return best
 
     return rec((1 << len(verts)) - 1)

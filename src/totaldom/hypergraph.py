@@ -79,29 +79,34 @@ class SpernerFamily:
 
 
 def minimize_family(ground: int, raw: Iterable[int]) -> SpernerFamily:
-    """Inclusion-minimal members of a nonempty collection of nonempty sets."""
-    sets = list(raw)
-    if not sets:
+    """Inclusion-minimal members of a nonempty collection of nonempty sets.
+
+    A proper subset is a smaller mask, so one pass over the distinct masks in
+    ascending order compares each only with the smaller ones already kept.
+    """
+    uniq = sorted(set(raw))
+    if not uniq:
         raise ValueError("cannot minimize an empty collection")
-    if any(e == 0 for e in sets):
+    if 0 in uniq:
         raise ValueError("an empty hyperedge admits no transversal")
-    uniq = sorted(set(sets), key=lambda e: (e.bit_count(), e))
     kept: list[int] = []
     for e in uniq:
-        if not any(k & e == k for k in kept):
+        for k in kept:
+            if k & e == k:
+                break
+        else:
             kept.append(e)
-    return SpernerFamily(ground, tuple(sorted(kept)))
+    return SpernerFamily(ground, tuple(kept))
 
 
 def require_total_domination(g: Graph) -> None:
     """Raise DominationUndefinedError unless g has vertices and none is isolated."""
     if g.n == 0:
         raise DominationUndefinedError("total domination undefined: graph has no vertices")
-    for v in range(g.n):
-        if g.adj[v] == 0:
-            raise DominationUndefinedError(
-                f"total domination undefined: vertex {g.label(v)} is isolated"
-            )
+    if 0 in g.adj:
+        raise DominationUndefinedError(
+            f"total domination undefined: vertex {g.label(g.adj.index(0))} is isolated"
+        )
 
 
 def neighborhood_hypergraph(g: Graph) -> SpernerFamily:

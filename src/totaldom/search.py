@@ -169,23 +169,50 @@ def _below(n: int, adj: tuple[int, ...]) -> list[int]:
 
 
 def _new_vertex_is_least(
-    nb: int, below: list[int], parts: list[tuple[int, ...]]
+    nb: int, adj: tuple[int, ...], below: list[int], parts: list[tuple[int, ...]]
 ) -> bool:
-    """Whether a new vertex joined to nb has least degree among the non-cut
-    vertices of the child, given the parent's _below and _parts_without.
+    """Whether a new vertex joined to nb is least among the non-cut vertices
+    of the child by (degree, -sum of neighbour degrees), given the parent's
+    adjacency, _below and _parts_without.
 
     An old vertex v has child degree deg(v) + [v in nb], so it is below the
     new vertex's degree d when deg(v) < d - 1, or deg(v) < d and v is not in
-    nb.  It is a non-cut vertex of the child when every component of the
-    parent minus v meets nb.
+    nb, and ties with it when its child degree is exactly d.  It is a
+    non-cut vertex of the child when every component of the parent minus v
+    meets nb.  Neighbour-degree sums are computed only for tied non-cut
+    vertices: the new vertex's is d plus the parent degrees over nb, and v's
+    adds one per neighbour in nb, and d if v itself is in nb.
     """
     d = nb.bit_count()
     lower = (below[d] & ~nb) | (below[d - 1] & nb)
+    tie = ((below[d + 1] & ~nb) | (below[d] & nb)) & ~lower
     while lower:
         low = lower & -lower
         if all(part & nb for part in parts[low.bit_length() - 1]):
             return False
         lower ^= low
+    own = -1
+    while tie:
+        low = tie & -tie
+        tie ^= low
+        v = low.bit_length() - 1
+        if not all(part & nb for part in parts[v]):
+            continue
+        if own < 0:
+            own = d
+            rest = nb
+            while rest:
+                bit = rest & -rest
+                own += adj[bit.bit_length() - 1].bit_count()
+                rest ^= bit
+        theirs = (adj[v] & nb).bit_count() + (d if low & nb else 0)
+        rest = adj[v]
+        while rest:
+            bit = rest & -rest
+            theirs += adj[bit.bit_length() - 1].bit_count()
+            rest ^= bit
+        if theirs > own:
+            return False
     return True
 
 
@@ -224,11 +251,13 @@ def enumerate_graphs(filt: SearchFilter):
     Only connected classes are enumerated.  Augmentation: each level-k class
     spawns level-(k+1) children by attaching a new vertex to a nonempty
     neighborhood, so every child of a connected parent is connected.  A
-    child is kept only if no non-cut vertex of the child has a smaller
-    degree than the new vertex (the degree half of McKay's canonical
-    construction path; the per-level dict still removes duplicates).  This
-    is complete: a connected graph G always has a non-cut vertex; deleting
-    one of least degree among the non-cut vertices leaves a connected
+    child is kept only if the new vertex is least among the non-cut
+    vertices of the child by degree, and among those of least degree has
+    the largest sum of neighbour degrees (the cheap-invariant half of
+    McKay's canonical construction path; the per-level dict still removes
+    duplicates).  This is complete: a connected graph G always has a
+    non-cut vertex; deleting one that is least by (degree, -sum of
+    neighbour degrees) among the non-cut vertices leaves a connected
     parent, and re-adding it passes the rule.  The parent is an induced
     subgraph of G, so under the planar, triangle-free and min-degree
     restrictions it is still in its level (min degree only filters what is
@@ -239,10 +268,10 @@ def enumerate_graphs(filt: SearchFilter):
     automorphism s maps the child of nb isomorphically onto the child of
     s(nb), and the rule above and the triangle test hold for both or for
     neither, so every skipped child is isomorphic to one that is tried.
-    The first mask that reaches a key is still the least of its orbit, and
-    every parent that reached a key still does, so the per-level dict keeps
-    the same representatives, planar inherits the same answers, and the
-    yield is the same as trying every mask.
+    The per-level dict keeps the first labelled child that reaches each
+    key; which child that is depends on the rule, so the yielded graphs
+    may be other labellings of the same classes, while the keys and their
+    order do not change.
 
     planar is inherited: a child is non-planar as soon as one parent that
     generates it is, since that parent is an induced subgraph.  is_planar
@@ -276,7 +305,7 @@ def enumerate_graphs(filt: SearchFilter):
                     continue  # an isomorphic child comes from the orbit's least mask
                 if filt.triangle_free_only and neighbors(adj, nb) & nb:
                     continue
-                if not _new_vertex_is_least(nb, below, parts):
+                if not _new_vertex_is_least(nb, adj, below, parts):
                     continue
                 child = tuple(
                     row | ((nb >> i & 1) << n) for i, row in enumerate(adj)
@@ -498,7 +527,7 @@ def run_search(
 
     assertion_report: dict[str, dict] = {}
     for name in ids:
-        _, order, applies, holds = ASSERTIONS[name]
+        _, smallest, applies, holds = ASSERTIONS[name]
         checked = 0
         violations: list[str] = []
         for entry in entries:
@@ -509,7 +538,7 @@ def run_search(
         assertion_report[name] = {
             "checked": checked,
             "violations": violations,
-            "falsifiable": filt.n_max >= order,
+            "falsifiable": filt.n_max >= smallest,
         }
 
     frontier_entry = None

@@ -127,6 +127,21 @@ def brute_packing_number(g: Graph) -> int:
     return best
 
 
+def brute_matching_number(g: Graph) -> int:
+    """Size of a maximum matching, by growing every matching edge by edge."""
+    edges = g.edges()
+
+    def grow(start: int, used: int) -> int:
+        best = 0
+        for i in range(start, len(edges)):
+            u, v = edges[i]
+            if not (used >> u & 1 or used >> v & 1):
+                best = max(best, 1 + grow(i + 1, used | (1 << u) | (1 << v)))
+        return best
+
+    return grow(0, 0)
+
+
 def brute_diameter(g: Graph) -> int | None:
     """Floyd-Warshall all-pairs longest shortest path."""
     if g.n == 0:

@@ -190,6 +190,19 @@ class TestPackingNumber:
             g = random_isolate_free_graph(rng, rng.randint(2, 6))
             assert td.packing_number(g) == brute_packing_number(g)
 
+    def test_matches_brute_past_the_atlas(self):
+        # the branch and bound prunes more at larger n
+        rng = random.Random(911)
+        seen = set()
+        for _ in range(60):
+            n, p = rng.randint(9, 11), rng.uniform(0.1, 0.5)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            g = td.Graph.from_edges(n, edges)
+            rho = brute_packing_number(g)
+            assert td.packing_number(g) == rho, g.edges()
+            seen.add(rho)
+        assert len(seen) >= 4
+
     def test_isolated_vertices_allowed(self):
         # closed neighborhoods of isolated vertices are pairwise disjoint
         assert td.packing_number(td.Graph(1, (0,))) == 1

@@ -17,6 +17,7 @@ from oracles import (
     brute_automorphisms,
     brute_diameter,
     brute_girth,
+    brute_matching_number,
     brute_packing_number,
     brute_planar,
     complete_bipartite,
@@ -158,6 +159,16 @@ class TestConnectivityAndStructure:
         assert td.matching_number(complete_bipartite(3, 3)) == 3
         assert td.matching_number(petersen_graph()) == 5
         assert td.matching_number(td.Graph(3, (0, 0, 0))) == 0
+
+    def test_matching_number_matches_oracle_on_atlas7(self, atlas7):
+        for key, g in atlas7:
+            assert td.matching_number(g) == brute_matching_number(g), key.hex()
+
+    def test_matching_number_matches_oracle_on_random_graphs(self):
+        rng = random.Random(4141)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 10), rng.random())
+            assert td.matching_number(g) == brute_matching_number(g), g.edges()
 
 
 class TestMetricsAgainstOracles:

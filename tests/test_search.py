@@ -10,6 +10,7 @@ from totaldom.search import _below, _new_vertex_is_least, _parts_without
 from oracles import (
     _connected,
     all_graphs_up_to_iso,
+    brute_matching_number,
     brute_minimal_tds,
     brute_packing_number,
     brute_planar,
@@ -22,6 +23,10 @@ from oracles import (
 
 # OEIS A001349: connected graphs on n vertices
 A001349 = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+# OEIS A003094: connected planar graphs on n vertices
+A003094 = {2: 1, 3: 2, 4: 6, 5: 20, 6: 99, 7: 646, 8: 5974}
+# OEIS A024607: connected triangle-free graphs on n vertices
+A024607 = {2: 1, 3: 1, 4: 3, 5: 6, 6: 19, 7: 59, 8: 267, 9: 1380}
 
 
 class TestSearchFilter:
@@ -96,9 +101,11 @@ class TestEnumeration:
             assert td.classify(g, key=key, planar=planar).planar == brute_planar(g), key.hex()
 
     def test_one_key_per_orbit_of_neighbourhoods(self, monkeypatch):
-        # a parent's neighbourhoods are tried once per automorphism orbit:
-        # 1,362 keys to n = 7 (2,797 with every neighbourhood), and the same
-        # 995 classes whose key bytes test_key_bytes_frozen pins
+        # a parent's neighbourhoods are tried once per automorphism orbit,
+        # and only children whose new vertex is least by (degree, -sum of
+        # neighbour degrees): 1,049 keys to n = 7 (1,362 by degree alone,
+        # 2,797 with every neighbourhood), and the same 995 classes whose
+        # key bytes test_key_bytes_frozen pins
         calls = []
         real = td.search.canonical_key
 
@@ -111,7 +118,7 @@ class TestEnumeration:
         assert len(keys) == 995
         digest = hashlib.sha256(b"".join(keys)).hexdigest()
         assert digest == "4fdef5f6794d8a02bff18249da7145d2fe7410be2991e319ea8687f83264a104"
-        assert len(calls) == 1362
+        assert len(calls) == 1049
 
     def test_min_degree_three_at_four(self):
         got = list(td.enumerate_graphs(td.SearchFilter(n_max=4, min_degree=3)))
@@ -139,6 +146,17 @@ class TestEnumeration:
                 if brute_planar(g)
             )
         assert got == expect
+
+    @pytest.mark.parametrize(
+        "restriction, counts",
+        [("planar_only", A003094), ("triangle_free_only", A024607)],
+        ids=["planar_only", "triangle_free_only"],
+    )
+    def test_restricted_counts(self, restriction, counts):
+        # past the atlas the restrictions prune whole subtrees, so the
+        # parent rule must still reach every class through qualifying parents
+        filt = td.SearchFilter(n_max=max(counts), **{restriction: True})
+        assert self.level_counts(filt) == counts
 
     def test_keys_sorted_and_unique(self):
         seen = set()
@@ -178,8 +196,11 @@ class TestCanonicalParent:
             out.append(random_relabel(g, rng))
         return out
 
-    def test_least_degree_non_cut_vertex_is_accepted(self, graphs):
-        for g in graphs:
+    def test_least_degree_non_cut_vertex_is_accepted(self, graphs, atlas7):
+        # order 7 adds ties between a deleted vertex and its own neighbours,
+        # which the random graphs past the atlas seldom have
+        tie_broken = 0
+        for g in graphs + [g for _, g in atlas7 if g.n == 7]:
             n = g.n
             non_cut = []
             for v in range(n):
@@ -188,21 +209,44 @@ class TestCanonicalParent:
                 parent = td.Graph(n - 1, tuple(row & ~(1 << (n - 1)) for row in h.adj[:-1]))
                 if _connected(parent):
                     non_cut.append((v, parent, h.adj[-1]))
-            least = min(g.degree(v) for v, _, _ in non_cut)
+
+            def rank(v):
+                return (g.degree(v), -sum(g.degree(u) for u in td.mask_members(g.adj[v])))
+
+            least = min(rank(v) for v, _, _ in non_cut)
+            # least degree, but a smaller neighbour-degree sum than another
+            tie_broken += sum(
+                g.degree(v) == least[0] and rank(v) != least for v, _, _ in non_cut
+            )
             for v, parent, nb in non_cut:
                 kept = _new_vertex_is_least(
-                    nb, _below(n - 1, parent.adj), _parts_without(n - 1, parent.adj)
+                    nb,
+                    parent.adj,
+                    _below(n - 1, parent.adj),
+                    _parts_without(n - 1, parent.adj),
                 )
-                assert kept == (g.degree(v) == least), (g.edges(), v)
+                assert kept == (rank(v) == least), (g.edges(), v)
+        assert tie_broken > 0
 
     def test_classify_matches_oracles(self, graphs):
+        checked = 0
         for g in graphs:
             e = td.classify(g)
-            sizes = {s.bit_count() for s in brute_minimal_tds(g)}
+            minimal = set(brute_minimal_tds(g))
+            sizes = {s.bit_count() for s in minimal}
             assert (e.gamma_t, e.Gamma_t) == (min(sizes), max(sizes)), g.edges()
             assert e.is_wtd == (len(sizes) == 1)
             assert e.rho == brute_packing_number(g)
             assert e.planar == brute_planar(g)
+            # edges whose two endpoints form a (necessarily minimal) TDS
+            dominating = [(u, v) for u, v in g.edges() if (1 << u) | (1 << v) in minimal]
+            if e.gamma_t == 2:
+                gde = td.Graph.from_edges(g.n, dominating)
+                assert e.nu_gde == brute_matching_number(gde), g.edges()
+                checked += 1
+            else:
+                assert e.nu_gde is None and not dominating
+        assert checked > 0
 
 
 class TestClassify:

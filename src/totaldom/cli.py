@@ -136,8 +136,6 @@ def _parse_family(text: str) -> tuple[SpernerFamily, list[str]]:
         if members in sets:
             raise ParseError(f"repeated set {chunk!r} (same members as {sets[members]!r})")
         sets[members] = chunk
-    if not sets:
-        raise ParseError("family must contain at least one set")
     ground = sorted({tok for s in sets for tok in s})
     index = {tok: i for i, tok in enumerate(ground)}
     chunks: dict[int, str] = {}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, ValidationError
-from .graphs import MAX_VERTICES, Edge, Graph, iter_bits, mask_members, neighbors, vertex_mask
+from .graphs import MAX_VERTICES, Edge, Graph, mask_members, neighbors, vertex_mask
 # unused here; bound because perfbench/layers.json traces domination.diameter
 from .graphs import diameter  # noqa: F401
 from .hypergraph import (
@@ -40,7 +40,7 @@ def is_minimal_tds(g: Graph, s: int) -> bool:
     """True when s totally dominates but no single-vertex removal does."""
     if not is_tds(g, s):
         return False
-    return not any(is_tds(g, s ^ (1 << v)) for v in iter_bits(s))
+    return not any(is_tds(g, s ^ (1 << v)) for v in mask_members(s))
 
 
 def mtds(g: Graph) -> SpernerFamily:

@@ -17,7 +17,7 @@ uses to try one neighbourhood per orbit of a parent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapabilityError
 
@@ -52,13 +52,6 @@ def mask_members(mask: int) -> tuple[int, ...]:
         members.append(low.bit_length() - 1)
         mask ^= low
     return tuple(members)
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def neighbors(adj: Sequence[int], mask: int) -> int:
@@ -186,7 +179,7 @@ def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
     adj = []
     for old in old_ids:
         nb = 0
-        for u in iter_bits(g.adj[old] & keep):
+        for u in mask_members(g.adj[old] & keep):
             nb |= 1 << pos[u]
         adj.append(nb)
     labels = None
@@ -317,10 +310,8 @@ def is_planar(g: Graph) -> bool:
     adj = list(g.adj)
     stack = [v for v in range(n) if adj[v].bit_count() <= 2]
     while stack:
-        v = stack.pop()
+        v = stack.pop()  # still of degree <= 2: no step raises a degree
         nb = adj[v]
-        if nb.bit_count() > 2:
-            continue
         adj[v] = 0
         x = nb
         while x:

@@ -171,6 +171,8 @@ def _mmcs(
             return
         if len(crit) == max_size:
             return
+        # an uncovered edge with no candidate left is picked (width 0), and
+        # its empty branch ends the call
         pick = -1
         pick_width = MAX_GROUND + 1
         rest = uncov
@@ -179,8 +181,6 @@ def _mmcs(
             i = low.bit_length() - 1
             rest ^= low
             width = (edges[i] & cand).bit_count()
-            if width == 0:
-                return  # some uncovered edge can no longer be hit
             if width < pick_width:
                 pick_width = width
                 pick = i

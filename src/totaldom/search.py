@@ -269,37 +269,40 @@ def enumerate_graphs(filt: SearchFilter):
     s(nb), and the rule above and the triangle test hold for both or for
     neither, so every skipped child is isomorphic to one that is tried.
     The per-level dict keeps the first labelled child that reaches each
-    key; which child that is depends on the rule, so the yielded graphs
-    may be other labellings of the same classes, while the keys and their
-    order do not change.
+    key; which child that is depends on the rule and on the parent order,
+    so the yielded graphs may be other labellings of the same classes,
+    while the keys and their order do not change.
 
-    planar is inherited: a child is non-planar as soon as one parent that
-    generates it is, since that parent is an induced subgraph.  is_planar
-    decides the rest, once per class, for every level that is expanded
-    further or filtered on planarity; on the last level planar is None
-    unless inherited, and classify decides it when asked.  The planar and
-    triangle-free restrictions prune whole subtrees, since a child can
-    qualify only if its parent does.
+    Each level is one dict, key -> (adjacency, planar), holding the
+    record of each class from the moment its key is first reached, and is
+    walked once in key order: each class is yielded, then expanded.  planar
+    is inherited: a child's record is set False as soon as one parent that
+    generates it is non-planar, since that parent is an induced subgraph.
+    A planar still None is decided by is_planar, once per class, when its
+    level is expanded further or filtered on planarity; on the last level
+    planar is None unless inherited, and classify decides it when asked.
+    The planar and triangle-free restrictions prune whole subtrees, since a
+    child can qualify only if its parent does.
     """
-    level: dict[bytes, tuple[int, ...]] = {canonical_key(1, (0,)): (0,)}
-    planar: dict[bytes, bool | None] = dict.fromkeys(level, True)
-    n = 1
-    while True:
-        if n >= filt.n_min:
-            for key in sorted(level):
-                g = Graph(n, level[key])
-                if filt.min_degree is not None and g.min_degree() < filt.min_degree:
-                    continue
-                yield key, g, planar[key]
-        if n == filt.n_max:
-            return
-        nxt: dict[bytes, tuple[int, ...]] = {}
-        nonplanar: set[bytes] = set()
-        for pkey, adj in level.items():
+    level: dict[bytes, tuple] = {canonical_key(1, (0,)): ((0,), True)}
+    for n in range(1, filt.n_max + 1):
+        deepen = n < filt.n_max
+        nxt: dict[bytes, tuple] = {}
+        for key in sorted(level):
+            adj, planar = level[key]
+            if planar is None and (deepen or filt.planar_only):
+                planar = is_planar(Graph(n, adj))
+            if filt.planar_only and not planar:
+                continue
+            if n >= filt.n_min:
+                g = Graph(n, adj)
+                if filt.min_degree is None or g.min_degree() >= filt.min_degree:
+                    yield key, g, planar
+            if not deepen:
+                continue
             orbit = _orbit_labels(n, automorphism_generators(n, adj))
             below = _below(n, adj)
             parts = _parts_without(n, adj)
-            parent_nonplanar = planar[pkey] is False
             for nb in range(1, 1 << n):
                 if orbit is not None and orbit[nb] != nb:
                     continue  # an isomorphic child comes from the orbit's least mask
@@ -310,23 +313,11 @@ def enumerate_graphs(filt: SearchFilter):
                 child = tuple(
                     row | ((nb >> i & 1) << n) for i, row in enumerate(adj)
                 ) + (nb,)
-                key = canonical_key(n + 1, child)
-                if key not in nxt:
-                    nxt[key] = child
-                if parent_nonplanar:
-                    nonplanar.add(key)
-        n += 1
-        decide = filt.planar_only or n < filt.n_max
-        planar = {}
-        for key, child in nxt.items():
-            if key in nonplanar:
-                planar[key] = False
-            elif decide:
-                planar[key] = is_planar(Graph(n, child))
-            else:
-                planar[key] = None
-        if filt.planar_only:
-            nxt = {key: child for key, child in nxt.items() if planar[key]}
+                child_key = canonical_key(n + 1, child)
+                if child_key not in nxt:
+                    nxt[child_key] = (child, None if planar else False)
+                elif not planar:
+                    nxt[child_key] = (nxt[child_key][0], False)
         level = nxt
 
 
@@ -494,24 +485,22 @@ def run_search(
     # interrupted run leaves a usable prefix behind (fresh payloads arrive in
     # ascending canonical-key order, keeping the file sorted per run).  The
     # catalog opens before enumeration, so an unwritable path fails at once.
-    # A serial run classifies each class as it is enumerated; a pool takes a list.
+    # A serial run classifies each class as it is enumerated.  A pool's
+    # workers start with its first chunk of fresh classes, but Executor.map
+    # submits the whole enumeration before it yields a result; with no fresh
+    # class nothing is submitted and no worker starts.
     sink = open(out_path, "a", encoding="utf-8") if out_path is not None else None
     pool = None
     try:
-        payloads = fresh()
         if jobs > 1:
-            payloads = list(payloads)
-            if len(payloads) > 1:
-                # imported here: serial runs and the per-graph commands never pay for it
-                from concurrent.futures import ProcessPoolExecutor
+            # imported here: serial runs and the per-graph commands never pay for it
+            from concurrent.futures import ProcessPoolExecutor
 
-                pool = ProcessPoolExecutor(max_workers=jobs)
-        computed_iter = (
-            pool.map(_classify_payload, payloads, chunksize=32)
-            if pool is not None
-            else map(_classify_payload, payloads)
-        )
-        for entry in computed_iter:
+            pool = ProcessPoolExecutor(max_workers=jobs)
+            computed = pool.map(_classify_payload, fresh(), chunksize=32)
+        else:
+            computed = map(_classify_payload, fresh())
+        for entry in computed:
             existing[entry.canonical_key] = entry
             if sink is not None:
                 record = {name: getattr(entry, name) for name in _FIELDS}

@@ -22,7 +22,6 @@ from .graphs import (
     bipartition,
     induced_subgraph,
     is_connected,
-    iter_bits,
     mask_members,
     neighbors,
     vertex_mask,
@@ -126,7 +125,7 @@ def construct_w2(recipe: W2Recipe) -> Graph:
             )
 
     for cover, fresh in sorted(assigned.items()):
-        for v in iter_bits(cover):
+        for v in mask_members(cover):
             connect(fresh, v)
 
     if hp is not None:
@@ -180,13 +179,13 @@ def w2_membership(g: Graph) -> W2Membership:
     # share a cover's neighborhood, but the recipe needs an outside realizer,
     # which always exists here
     realizer: dict[int, int] = {}
-    for v in iter_bits(g.full_mask & ~h_mask):
+    for v in mask_members(g.full_mask & ~h_mask):
         realizer.setdefault(g.adj[v], v)
     covers = minimal_vertex_covers(h)
     mvc_pairs = []
     used = 0
     for i, cover in enumerate(covers.edges):
-        cover_global = vertex_mask(h_ids[v] for v in iter_bits(cover))
+        cover_global = vertex_mask(h_ids[v] for v in mask_members(cover))
         v_s = realizer.get(cover_global)
         if v_s is None:
             raise AssertionError(
@@ -208,7 +207,7 @@ def w2_membership(g: Graph) -> W2Membership:
             raise AssertionError("leftover vertex adjacent to a cover vertex")
         h_prime, rest_ids = induced_subgraph(g, rest_mask)
         for i, old in enumerate(rest_ids):
-            step4 += [(i, pos[u]) for u in iter_bits(g.adj[old] & h_mask)]
+            step4 += [(i, pos[u]) for u in mask_members(g.adj[old] & h_mask)]
 
     recipe = W2Recipe(
         h=h,
@@ -236,15 +235,15 @@ def recognize_triangle_free_wtd2(g: Graph) -> bool:
         return False
     x, y = parts
     adj = g.adj
-    xu = vertex_mask(v for v in iter_bits(x) if adj[v] == y)
-    yu = vertex_mask(v for v in iter_bits(y) if adj[v] == x)
+    xu = vertex_mask(v for v in mask_members(x) if adj[v] == y)
+    yu = vertex_mask(v for v in mask_members(y) if adj[v] == x)
     if xu == x and yu == y:
         return True  # complete bipartite
     return (
         xu != 0
         and yu != 0
-        and any(adj[a] == yu for a in iter_bits(x & ~xu))
-        and any(adj[b] == xu for b in iter_bits(y & ~yu))
+        and any(adj[a] == yu for a in mask_members(x & ~xu))
+        and any(adj[b] == xu for b in mask_members(y & ~yu))
     )
 
 

@@ -154,7 +154,7 @@ def test_criterion_04_realizer_round_trip():
         rg = td.realize_mtds(fam)
         pos = {ground_id: v for v, ground_id in enumerate(rg.ground_vertices)}
         want = sorted(
-            td.vertex_mask(pos[x] for x in td.iter_bits(e)) for e in fam.edges
+            td.vertex_mask(pos[x] for x in td.mask_members(e)) for e in fam.edges
         )
         got = brute_minimal_tds_monotone(rg.graph)
         if rg.graph.n <= 9 and got != brute_minimal_tds(rg.graph):

@@ -331,6 +331,19 @@ class TestReduce:
         code, _, err = run_cli(capsys, "reduce", path, "--edges", "0+1")
         assert code == 2
         assert "malformed edge" in err
+        code, out, err = run_cli(capsys, "reduce", path, "--edges", "a-b")
+        assert code == 2 and out == ""
+        assert err == "error: malformed edge 'a-b'\n"
+
+    def test_c5_leaves_an_isolated_vertex(self, capsys, graph_file):
+        path = graph_file("n 5\n0 1\n0 4\n1 2\n2 3\n3 4\n")
+        code, out, _ = run_cli(capsys, "reduce", path, "--edges", "0-1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "isolated-vertices"
+        assert payload["graph"] == "n 1\n"
+        assert payload["vertex_map"] == [[0, 3]]
+        assert "self_check" not in payload
 
     def test_overlapping_selection(self, capsys, graph_file):
         path = graph_file(C6)
@@ -437,6 +450,26 @@ class TestSearch:
         code, out, _ = run_cli(capsys, "search", "--n-max", "4", "--jobs", "2")
         assert code == 0
         assert json.loads(out)["classified"] == 9
+
+    def test_resumed_parallel_search_submits_no_work(self, capsys, monkeypatch, tmp_path):
+        # pool workers start with the first submitted chunk, so a search whose
+        # catalog already holds every class starts none
+        out_path = str(tmp_path / "cat.jsonl")
+        code, first, _ = run_cli(capsys, "search", "--n-max", "5", "--out", out_path)
+        assert code == 0
+        submitted = []
+
+        class Counting(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+        argv = ("search", "--n-max", "5", "--jobs", "2", "--out", out_path)
+        code, again, _ = run_cli(capsys, *argv)
+        assert code == 0 and again == first
+        assert submitted == []
 
     def test_unwritable_out_fails_before_parallel_enumeration(self, capsys, monkeypatch, tmp_path):
         def no_enumeration(*args, **kwargs):

@@ -38,6 +38,7 @@ class TestTdsPredicates:
     def test_p5_pair_misses_middle(self):
         g = path_graph(5)
         assert not td.is_tds(g, 0b01010)
+        assert not td.is_minimal_tds(g, 0b01010)
 
     def test_whole_vertex_set(self, figure1):
         assert td.is_tds(figure1, figure1.full_mask)

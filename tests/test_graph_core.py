@@ -63,6 +63,20 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             td.Graph(td.MAX_VERTICES + 1, tuple([0] * (td.MAX_VERTICES + 1)))
 
+    @pytest.mark.parametrize(
+        "n, adj, labels, message",
+        [
+            (2, (0b10,), None, "adjacency length does not match vertex count"),
+            (2, (0b110, 0b001), None, "neighborhood of 0 mentions out-of-range vertices"),
+            (2, (0b01, 0b00), None, "self-loop at vertex 0"),
+            (2, (0b10, 0b01), ("a",), "label count does not match vertex count"),
+        ],
+    )
+    def test_rejects_malformed_construction(self, n, adj, labels, message):
+        with pytest.raises(ValueError) as err:
+            td.Graph(n, adj, labels)
+        assert str(err.value) == message
+
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValueError):
             td.Graph(2, (0b10, 0b00))
@@ -80,7 +94,6 @@ class TestGraphBasics:
     def test_vertex_mask_helpers(self):
         assert td.vertex_mask([0, 3]) == 0b1001
         assert td.mask_members(0b1001) == (0, 3)
-        assert list(td.iter_bits(0b10100)) == [2, 4]
 
 
 class TestConnectivityAndStructure:
@@ -152,6 +165,8 @@ class TestConnectivityAndStructure:
         assert rest.edges() == ((0, 1),)
         with pytest.raises(ValueError):
             td.delete_closed_neighborhood(c6, 0)
+        with pytest.raises(ValueError, match="^vertex set a mentions out-of-range vertices$"):
+            td.delete_closed_neighborhood(c6, 1 << 6)
 
     def test_matching_number(self):
         assert td.matching_number(path_graph(5)) == 2

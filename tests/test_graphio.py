@@ -38,6 +38,7 @@ class TestEdgeListParsing:
             ("n 2\n# labels: a a\n0 1\n", "label"),
             ("n 2\n# labels: a b\n# labels: c d\n0 1\n", "labels"),
             ("n two\n", "integer"),
+            ("n 3\n0 x\n", "line 2: edge endpoints must be integers"),
         ],
     )
     def test_parse_errors(self, text, fragment):
@@ -46,8 +47,10 @@ class TestEdgeListParsing:
         assert fragment in str(err.value)
 
     def test_unknown_format(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown format 'dot'"):
             td.parse_graph("n 1\n", "dot")
+        with pytest.raises(ValueError, match="^unknown format 'dot'"):
+            td.serialize_graph(path_graph(2), "dot")
 
     def test_serialize_round_trip_with_labels(self):
         g = td.Graph.from_edges(3, [(0, 2), (1, 2)], labels=("p", "q", "r"))
@@ -111,6 +114,19 @@ class TestGraph6:
             td.parse_graph("", td.GRAPH6)
         with pytest.raises(td.ParseError):
             td.parse_graph("C~~~", td.GRAPH6)  # trailing junk
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (">>graph6<<", "line 1: no graph6 data found"),
+            ("~??", "line 1: truncated graph6 size"),
+            ("~?@@", "line 1: vertex count 65 outside 0..64"),  # long form, n = 65
+        ],
+    )
+    def test_rejects_bad_sizes(self, text, message):
+        with pytest.raises(td.ParseError) as err:
+            td.parse_graph(text, td.GRAPH6)
+        assert str(err.value) == message
 
     def test_one_graph_per_input(self):
         assert td.parse_graph("\n\nC~\n\n", td.GRAPH6) == complete_graph(4)

@@ -72,6 +72,10 @@ class TestSpernerFamily:
         with pytest.raises(ValueError):
             td.SpernerFamily(2, (0b100,))
 
+    def test_rejects_ground_above_64(self):
+        with pytest.raises(ValueError, match="^ground size 65 outside 0..64$"):
+            td.SpernerFamily(65, ())
+
     def test_empty_edge_tuple_is_permitted(self):
         # the bounded enumerator must be able to hand back "nothing found"
         assert td.SpernerFamily(3, ()).edges == ()
@@ -191,6 +195,11 @@ class TestBoundedEnumeration:
         fam = td.SpernerFamily(2, (0b11,))
         with pytest.raises(ValueError):
             td.enumerate_bounded_minimal_transversals(fam, 0)
+
+    def test_rejects_empty_family(self):
+        message = "^transversals of an empty family are not defined here$"
+        with pytest.raises(ValueError, match=message):
+            td.enumerate_bounded_minimal_transversals(td.SpernerFamily(2, ()), 1)
 
     def test_disjoint_pairs(self):
         fam = td.SpernerFamily(4, (0b0011, 0b1100))

@@ -411,6 +411,22 @@ class TestRunSearch:
         assert resumed == entries
         assert len(out.read_text().splitlines()) == len(full)
 
+    def test_catalog_blank_line_resumes(self, tmp_path, monkeypatch):
+        out = tmp_path / "catalog.jsonl"
+        filt = td.SearchFilter(n_max=4)
+        entries, _ = td.run_search(filt, ["DIAM3"], out_path=str(out))
+        full = out.read_text().splitlines(keepends=True)
+        text = "".join(full[:3]) + "\n" + "".join(full[3:])
+        out.write_text(text)
+
+        def no_classify(*args, **kwargs):
+            raise AssertionError("a stored class was classified again")
+
+        monkeypatch.setattr(td.search, "classify", no_classify)
+        resumed, _ = td.run_search(filt, ["DIAM3"], out_path=str(out))
+        assert resumed == entries
+        assert out.read_text() == text
+
     def test_corrupt_catalog_line(self, tmp_path):
         out = tmp_path / "catalog.jsonl"
         out.write_text("not json\n")

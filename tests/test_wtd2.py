@@ -253,7 +253,7 @@ def _random_w2_recipe(rng: random.Random) -> tuple[td.W2Recipe, td.Graph]:
         for v in range(u + 1, h.n)
         if not h.has_edge(u, v) and rng.random() < 0.3
     }
-    step4 = {(w, u) for w in range(hp_n) for u in td.iter_bits(rng.choice(covers))}
+    step4 = {(w, u) for w in range(hp_n) for u in td.mask_members(rng.choice(covers))}
     while True:
         recipe = td.W2Recipe(
             h=h,
@@ -322,7 +322,7 @@ class TestRealizerChoice:
             recipe, built = _random_w2_recipe(rng)
             # a twin of a cover vertex sees a vertex cover of h: a valid h' vertex
             cover, _ = rng.choice(recipe.mvc_vertices)
-            twin = tuple((u, built.n) for u in td.iter_bits(cover))
+            twin = tuple((u, built.n) for u in td.mask_members(cover))
             g = random_relabel(td.Graph.from_edges(built.n + 1, built.edges() + twin), rng)
 
             r = td.w2_membership(g)
@@ -331,7 +331,7 @@ class TestRealizerChoice:
             h_mask = td.vertex_mask(h_ids)
             used = 0
             for c, _ in r.recipe.mvc_vertices:
-                nbhd = td.vertex_mask(h_ids[v] for v in td.iter_bits(c))
+                nbhd = td.vertex_mask(h_ids[v] for v in td.mask_members(c))
                 used |= 1 << min(
                     v for v in range(g.n) if g.adj[v] == nbhd and not h_mask >> v & 1
                 )
@@ -340,7 +340,9 @@ class TestRealizerChoice:
             assert r.recipe.h_prime == h_prime
             pos = {old: new for new, old in enumerate(h_ids)}
             step4 = [
-                (i, pos[u]) for i, w in enumerate(rest_ids) for u in td.iter_bits(g.adj[w] & h_mask)
+                (i, pos[u])
+                for i, w in enumerate(rest_ids)
+                for u in td.mask_members(g.adj[w] & h_mask)
             ]
             assert r.recipe.step4_edges == tuple(sorted(step4))
             assert td.canonical_form(td.construct_w2(r.recipe)) == td.canonical_form(g)
@@ -424,6 +426,11 @@ class TestRecipeText:
             ("H:\nn 2\n0 1\nMVC:\nq -> 2\n", "malformed MVC line"),
             ("H:\nn 2\n0 1\nMVC:\n-> 2\n", "empty cover"),
             ("H:\nn 2\n0 1\nMVC:\n0 -> 2\n1 -> 3\nSTEP3:\n0 1 2\n", "malformed STEP3"),
+            ("H:\nn 2\n0 1\nMVC:\n0 -> 2\n1 -> 3\nSTEP3:\n0 x\n", "malformed STEP3 line '0 x'"),
+            (
+                "H:\nn 2\n0 1\nMVC:\n0 -> 2\n1 -> 3\nHPRIME:\nn 1\nSTEP4:\n0 a\n",
+                "malformed STEP4 line '0 a'",
+            ),
             ("H:\nn 2\n0 1\nMVC:\n0 -> 2\n1 -> 3\nSTEP4:\n0 0\n", "without an HPRIME"),
         ],
     )

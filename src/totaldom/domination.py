@@ -43,9 +43,13 @@ def is_minimal_tds(g: Graph, s: int) -> bool:
     return not any(is_tds(g, s ^ (1 << v)) for v in mask_members(s))
 
 
-def mtds(g: Graph) -> SpernerFamily:
-    """The family of all minimal total dominating sets of g."""
-    return enumerate_minimal_transversals(neighborhood_hypergraph(g))
+def mtds(g: Graph, max_count: int | None = None) -> SpernerFamily:
+    """The family of all minimal total dominating sets of g.
+
+    With ``max_count``, raise CapabilityError once more than that many turn
+    up, before enumerating the rest.
+    """
+    return enumerate_minimal_transversals(neighborhood_hypergraph(g), max_count)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 
 from .errors import CapabilityError, DominationUndefinedError
 from .graphs import (
@@ -89,6 +90,33 @@ class CatalogEntry:
 
 _FIELDS = tuple(f.name for f in fields(CatalogEntry))
 
+# A catalog line is json.dumps(record, sort_keys=True) of an entry's fields
+# plus its graph6 string; _catalog_line writes those bytes without the dict
+# and the encoder.
+_LINE_KEYS = tuple(sorted(_FIELDS + ("graph6",)))
+_LINE = "{" + ", ".join(f'"{name}": %s' for name in _LINE_KEYS) + "}\n"
+
+
+def _json_scalar(value: str | int | bool | None) -> str:
+    """value as json.dumps writes it."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return int.__repr__(value)
+
+
+def _catalog_line(entry: CatalogEntry, graph6: str) -> str:
+    """The catalog line of entry: json.dumps(record, sort_keys=True) and a
+    newline, where record holds entry's fields and graph6.
+    """
+    record = vars(entry) | {"graph6": graph6}
+    return _LINE % tuple([_json_scalar(record[name]) for name in _LINE_KEYS])
+
 
 @dataclass(frozen=True)
 class Profile:
@@ -106,12 +134,31 @@ class Profile:
     dominating_edges: DominatingEdgeSubgraph | None
 
 
+# The most minimal total dominating sets a profile lists.  The family can
+# grow exponentially with n (16 disjoint copies of K4 have 6**16); past this
+# many sets profile raises CapabilityError instead, after about 2 s of
+# enumeration.  No searched graph reaches it: the family is an antichain,
+# so on CANONICAL_BOUND = 12 vertices it has at most C(12, 6) = 924 sets
+# (Sperner's theorem).  The largest family that analyze and construct-w2
+# meet on perfbench's 256 frozen profile-mid seeds has 320 sets.
+MTDS_LIMIT = 100_000
+
+
 def profile(g: Graph) -> Profile:
-    """Compute the total-domination profile of g once."""
+    """Compute the total-domination profile of g once.
+
+    Raises CapabilityError when g has more than MTDS_LIMIT minimal total
+    dominating sets.
+    """
     try:
-        fam = mtds(g)
+        fam = mtds(g, max_count=MTDS_LIMIT)
     except DominationUndefinedError:
         fam = rep = gde = None
+    except CapabilityError:
+        raise CapabilityError(
+            f"more than MTDS_LIMIT = {MTDS_LIMIT} minimal total dominating sets; "
+            "a profile lists the whole family, so it stops there"
+        ) from None
     else:
         rep = report(g, fam)
         gde = dominating_edge_subgraph(g) if rep.gamma_t == 2 else None
@@ -124,7 +171,10 @@ def classify(
     """Compute the full catalog record for one graph.
 
     key and planar, when given, must be g's canonical form and planarity
-    (enumerate_graphs yields both); they are computed when None.
+    (enumerate_graphs yields both; its planar is None on the last level
+    unless a parent settled it); they are computed when None.  Raises
+    CapabilityError, as profile does, past MTDS_LIMIT minimal total
+    dominating sets, which no searched graph reaches (see MTDS_LIMIT).
     """
     if key is None:
         key = canonical_form(g)
@@ -168,20 +218,51 @@ def _below(n: int, adj: tuple[int, ...]) -> list[int]:
     return [vertex_mask(v for v in range(n) if adj[v].bit_count() < d) for d in range(n + 2)]
 
 
+def _neighbour_degree_sums(adj: tuple[int, ...]) -> list[int]:
+    """For each vertex, the sum of its neighbours' degrees."""
+    sums = []
+    for row in adj:
+        total = 0
+        while row:
+            bit = row & -row
+            total += adj[bit.bit_length() - 1].bit_count()
+            row ^= bit
+        sums.append(total)
+    return sums
+
+
+def _degree_cap(adj: tuple[int, ...], parts: list[tuple[int, ...]]) -> int:
+    """The largest neighbourhood a new vertex can have and pass
+    _new_vertex_is_least: one more than the least degree of a non-cut
+    vertex of the parent.
+
+    A non-cut vertex v of the parent stays a non-cut vertex of every child
+    except the one whose new vertex is joined to v alone, and its child
+    degree is at most deg(v) + 1, so a larger neighbourhood puts v below
+    the new vertex.
+    """
+    return 1 + min(row.bit_count() for row, cut in zip(adj, parts) if len(cut) <= 1)
+
+
 def _new_vertex_is_least(
-    nb: int, adj: tuple[int, ...], below: list[int], parts: list[tuple[int, ...]]
+    nb: int,
+    adj: tuple[int, ...],
+    below: list[int],
+    parts: list[tuple[int, ...]],
+    sums: list[int],
 ) -> bool:
     """Whether a new vertex joined to nb is least among the non-cut vertices
     of the child by (degree, -sum of neighbour degrees), given the parent's
-    adjacency, _below and _parts_without.
+    adjacency, _below, _parts_without and _neighbour_degree_sums.
 
     An old vertex v has child degree deg(v) + [v in nb], so it is below the
     new vertex's degree d when deg(v) < d - 1, or deg(v) < d and v is not in
     nb, and ties with it when its child degree is exactly d.  It is a
     non-cut vertex of the child when every component of the parent minus v
-    meets nb.  Neighbour-degree sums are computed only for tied non-cut
+    meets nb.  Neighbour-degree sums are compared only for tied non-cut
     vertices: the new vertex's is d plus the parent degrees over nb, and v's
-    adds one per neighbour in nb, and d if v itself is in nb.
+    is its parent sum plus one per neighbour in nb, plus d if v itself is in
+    nb.
     """
     d = nb.bit_count()
     lower = (below[d] & ~nb) | (below[d - 1] & nb)
@@ -205,12 +286,7 @@ def _new_vertex_is_least(
                 bit = rest & -rest
                 own += adj[bit.bit_length() - 1].bit_count()
                 rest ^= bit
-        theirs = (adj[v] & nb).bit_count() + (d if low & nb else 0)
-        rest = adj[v]
-        while rest:
-            bit = rest & -rest
-            theirs += adj[bit.bit_length() - 1].bit_count()
-            rest ^= bit
+        theirs = sums[v] + (adj[v] & nb).bit_count() + (d if low & nb else 0)
         if theirs > own:
             return False
     return True
@@ -244,6 +320,19 @@ def _orbit_labels(n: int, gens: list[tuple[int, ...]]) -> list[int] | None:
     return label
 
 
+def _fits_in_a_face(adj: tuple[int, ...], nb: int) -> bool:
+    """Whether a new vertex joined to nb keeps a planar graph planar because
+    it has degree 1, or degree 2 with adjacent neighbours: it then fits in a
+    face beside its neighbour or beside that edge.  is_planar deletes such
+    vertices by the same rule.
+    """
+    low = nb & -nb
+    rest = nb ^ low
+    if not rest:
+        return True
+    return rest & (rest - 1) == 0 and (adj[low.bit_length() - 1] & rest) != 0
+
+
 def enumerate_graphs(filt: SearchFilter):
     """Yield (canonical key, graph, planar) per isomorphism class, by level
     then key.
@@ -268,21 +357,26 @@ def enumerate_graphs(filt: SearchFilter):
     automorphism s maps the child of nb isomorphically onto the child of
     s(nb), and the rule above and the triangle test hold for both or for
     neither, so every skipped child is isomorphic to one that is tried.
-    The per-level dict keeps the first labelled child that reaches each
-    key; which child that is depends on the rule and on the parent order,
-    so the yielded graphs may be other labellings of the same classes,
-    while the keys and their order do not change.
+    Neighbourhoods of more than _degree_cap members are not tried at all:
+    the rule rejects every one of them.  The per-level dict keeps the first
+    labelled child that reaches each key; which child that is depends on
+    the rule and on the parent order, so the yielded graphs may be other
+    labellings of the same classes, while the keys and their order do not
+    change.
 
     Each level is one dict, key -> (adjacency, planar), holding the
     record of each class from the moment its key is first reached, and is
     walked once in key order: each class is yielded, then expanded.  planar
-    is inherited: a child's record is set False as soon as one parent that
-    generates it is non-planar, since that parent is an induced subgraph.
-    A planar still None is decided by is_planar, once per class, when its
-    level is expanded further or filtered on planarity; on the last level
-    planar is None unless inherited, and classify decides it when asked.
-    The planar and triangle-free restrictions prune whole subtrees, since a
-    child can qualify only if its parent does.
+    is inherited in both directions, from whichever parent that generates
+    the child shows it: False when the parent is non-planar, since it is an
+    induced subgraph, and True when the parent is planar and the new vertex
+    fits in a face (_fits_in_a_face).  A planar still None is decided by
+    is_planar, once per class, when its level is expanded further or
+    filtered on planarity; on the last level planar is None unless
+    inherited, and classify decides it when asked.  One Graph is built per
+    class, for is_planar and the yield alike.  The planar and triangle-free
+    restrictions prune whole subtrees, since a child can qualify only if
+    its parent does.
     """
     level: dict[bytes, tuple] = {canonical_key(1, (0,)): ((0,), True)}
     for n in range(1, filt.n_max + 1):
@@ -290,12 +384,15 @@ def enumerate_graphs(filt: SearchFilter):
         nxt: dict[bytes, tuple] = {}
         for key in sorted(level):
             adj, planar = level[key]
+            g = None
             if planar is None and (deepen or filt.planar_only):
-                planar = is_planar(Graph(n, adj))
+                g = Graph(n, adj)
+                planar = is_planar(g)
             if filt.planar_only and not planar:
                 continue
             if n >= filt.n_min:
-                g = Graph(n, adj)
+                if g is None:
+                    g = Graph(n, adj)
                 if filt.min_degree is None or g.min_degree() >= filt.min_degree:
                     yield key, g, planar
             if not deepen:
@@ -303,21 +400,32 @@ def enumerate_graphs(filt: SearchFilter):
             orbit = _orbit_labels(n, automorphism_generators(n, adj))
             below = _below(n, adj)
             parts = _parts_without(n, adj)
+            sums = _neighbour_degree_sums(adj)
+            cap = _degree_cap(adj, parts)
             for nb in range(1, 1 << n):
+                if nb.bit_count() > cap:
+                    continue
                 if orbit is not None and orbit[nb] != nb:
                     continue  # an isomorphic child comes from the orbit's least mask
                 if filt.triangle_free_only and neighbors(adj, nb) & nb:
                     continue
-                if not _new_vertex_is_least(nb, adj, below, parts):
+                if not _new_vertex_is_least(nb, adj, below, parts, sums):
                     continue
                 child = tuple(
                     row | ((nb >> i & 1) << n) for i, row in enumerate(adj)
                 ) + (nb,)
                 child_key = canonical_key(n + 1, child)
-                if child_key not in nxt:
-                    nxt[child_key] = (child, None if planar else False)
-                elif not planar:
-                    nxt[child_key] = (nxt[child_key][0], False)
+                if not planar:
+                    fact = False
+                elif _fits_in_a_face(adj, nb):
+                    fact = True
+                else:
+                    fact = None
+                record = nxt.get(child_key)
+                if record is None:
+                    nxt[child_key] = (child, fact)
+                elif record[1] is None and fact is not None:
+                    nxt[child_key] = (record[0], fact)
         level = nxt
 
 
@@ -503,9 +611,8 @@ def run_search(
         for entry in computed:
             existing[entry.canonical_key] = entry
             if sink is not None:
-                record = {name: getattr(entry, name) for name in _FIELDS}
-                record["graph6"] = graph6_from_key(bytes.fromhex(entry.canonical_key))
-                sink.write(json.dumps(record, sort_keys=True) + "\n")
+                graph6 = graph6_from_key(bytes.fromhex(entry.canonical_key))
+                sink.write(_catalog_line(entry, graph6))
                 sink.flush()
     finally:
         if sink is not None:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -113,6 +114,18 @@ class TestAnalyze:
         assert payload["rho"] == 1
         assert payload["g_de_edges"] == [["y", "z"], ["y", "t"], ["t", "w"]]
 
+    def test_family_limit(self, capsys, graph_file):
+        # 16 disjoint copies of K4 have 6**16 minimal TDSs; the profile
+        # stops after MTDS_LIMIT of them (about 2 s) instead
+        edges = "".join(
+            f"{4 * c + i} {4 * c + j}\n" for c in range(16) for i in range(4) for j in range(i + 1, 4)
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "analyze", graph_file("n 64\n" + edges))
+        assert time.perf_counter() - start < 60
+        assert code == 2 and out == ""
+        assert f"more than MTDS_LIMIT = {td.search.MTDS_LIMIT} minimal total dominating sets" in err
+
     def test_byte_identical_reruns(self, capsys, graph_file):
         path = graph_file(FIGURE1)
         _, first, _ = run_cli(capsys, "analyze", path)
@@ -218,6 +231,15 @@ class TestConstructW2:
         assert check["is_wtd"] is True
         assert check["gamma_t"] == 2
         assert check["rho"] == 2
+
+    def test_self_check_family_limit(self, capsys, graph_file, monkeypatch):
+        # the self-check is the analyze profile, with the same family limit
+        # (this graph has two minimal TDSs)
+        monkeypatch.setattr(td.search, "MTDS_LIMIT", 1)
+        path = graph_file(FIG2_RECIPE, name="fig.recipe")
+        code, out, err = run_cli(capsys, "construct-w2", path)
+        assert code == 2 and out == ""
+        assert "more than MTDS_LIMIT = 1 minimal total dominating sets" in err
 
     def test_step2_violation(self, capsys, graph_file):
         bad = "H:\nn 2\n0 1\nMVC:\n0 -> 2\n"

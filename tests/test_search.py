@@ -4,9 +4,18 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import totaldom as td
-from totaldom.search import _below, _new_vertex_is_least, _parts_without
+from totaldom.search import (
+    _below,
+    _catalog_line,
+    _degree_cap,
+    _fits_in_a_face,
+    _neighbour_degree_sums,
+    _new_vertex_is_least,
+    _parts_without,
+)
 from oracles import (
     _connected,
     all_graphs_up_to_iso,
@@ -82,23 +91,42 @@ class TestEnumeration:
         assert got == expect
 
     def test_planarity_matches_oracle_to_7(self, enumerated8):
-        # below the last level every class carries its planarity, decided
-        # by is_planar or inherited from a non-planar parent
-        inherited = 0
+        # below the last level every class carries its planarity, decided by
+        # is_planar or inherited; on the last level planar is inherited or
+        # None, and every inherited value is right
+        inherited = {True: 0, False: 0}
         for key, g, planar in enumerated8:
             if g.n <= 7:
                 assert planar == brute_planar(g), key.hex()
-            else:
-                assert planar in (None, False), key.hex()
-                inherited += planar is False
-        assert inherited > 0
+            elif planar is not None:
+                assert planar == brute_planar(g), key.hex()
+                inherited[planar] += 1
+        assert inherited[True] > 0 and inherited[False] > 0
 
     def test_last_level_planarity(self):
-        # on the last level planar is only ever an inherited False; classify
-        # decides the rest
+        # on the last level planar is inherited in both directions or None,
+        # and classify decides the rest
+        inherited = {True: 0, False: 0, None: 0}
         for key, g, planar in td.enumerate_graphs(td.SearchFilter(n_max=7, n_min=7)):
-            assert planar is None or planar is False
+            if planar is not None:
+                assert planar == brute_planar(g), key.hex()
+            inherited[planar] += 1
             assert td.classify(g, key=key, planar=planar).planar == brute_planar(g), key.hex()
+        assert all(inherited.values())
+
+    def test_fits_in_a_face(self):
+        # K5 minus the edge 0-1 is planar; a new vertex joined to an edge of
+        # it (or to one vertex) keeps it planar, one joined to 0 and 1 makes
+        # a subdivided K5
+        adj = complete_graph(5).adj
+        adj = (adj[0] & ~2, adj[1] & ~1) + adj[2:]
+        assert _fits_in_a_face(adj, 0b00001)
+        assert _fits_in_a_face(adj, 0b00101)
+        assert not _fits_in_a_face(adj, 0b00011)
+        assert not _fits_in_a_face(adj, 0b00111)
+        parent = td.Graph(5, adj)
+        child = td.Graph(6, (adj[0] | 1 << 5, adj[1] | 1 << 5) + adj[2:] + (0b11,))
+        assert brute_planar(parent) and not brute_planar(child)
 
     def test_one_key_per_orbit_of_neighbourhoods(self, monkeypatch):
         # a parent's neighbourhoods are tried once per automorphism orbit,
@@ -224,9 +252,23 @@ class TestCanonicalParent:
                     parent.adj,
                     _below(n - 1, parent.adj),
                     _parts_without(n - 1, parent.adj),
+                    _neighbour_degree_sums(parent.adj),
                 )
                 assert kept == (rank(v) == least), (g.edges(), v)
         assert tie_broken > 0
+
+    def test_degree_cap_skips_no_kept_neighbourhood(self, atlas6):
+        # every neighbourhood the rule keeps has at most _degree_cap members,
+        # and the cap skips some neighbourhoods
+        skipped = 0
+        for _, g in atlas6:
+            below, parts = _below(g.n, g.adj), _parts_without(g.n, g.adj)
+            sums, cap = _neighbour_degree_sums(g.adj), _degree_cap(g.adj, parts)
+            for nb in range(1, 1 << g.n):
+                if nb.bit_count() > cap:
+                    skipped += 1
+                    assert not _new_vertex_is_least(nb, g.adj, below, parts, sums)
+        assert skipped > 0
 
     def test_classify_matches_oracles(self, graphs):
         checked = 0
@@ -441,3 +483,32 @@ class TestRunSearch:
         parallel, rep2 = td.run_search(filt, ["all"], jobs=2)
         assert serial == parallel
         assert rep1 == rep2
+
+
+scalars = st.one_of(st.none(), st.booleans(), st.integers())
+
+
+@st.composite
+def catalog_entries(draw):
+    values = {
+        f.name: draw(scalars) for f in dataclasses.fields(td.CatalogEntry)
+    }
+    values["canonical_key"] = draw(st.binary(max_size=12)).hex()
+    return td.CatalogEntry(**values)
+
+
+class TestCatalogLine:
+    @given(
+        catalog_entries(),
+        st.text(alphabet=st.sampled_from([chr(c) for c in range(63, 127)])),
+    )
+    @example(
+        td.CatalogEntry("0611dc", 6, 7, 1, 2, 2, True, 2, 3, 4, 1, True, True), "EC\\o"
+    )
+    @example(td.CatalogEntry("", 0, None, False, True, -1, None, 1, 0, None, 2, False, 0), "~\\~")
+    @settings(max_examples=300, deadline=None)
+    def test_equals_sorted_json_dumps(self, entry, graph6):
+        # the reference: the record json.dumps writes with sorted keys
+        record = dataclasses.asdict(entry)
+        record["graph6"] = graph6
+        assert _catalog_line(entry, graph6) == json.dumps(record, sort_keys=True) + "\n"

@@ -16,8 +16,10 @@ edge list carried a `# labels:` line, else integer ids.
 Every command prints one JSON document: exactly the bytes of
 json.dumps(payload, indent=2), written by this module's own writer
 (_dumps).  The stdlib falls back to its pure-Python encoder for any indent;
-_dumps lays out only the containers in Python and hands each flat list of
-names or ids to the C string encoder or int.__repr__ in one join.
+_dumps lays out the containers in Python.  Vertex sets (every minimal TDS,
+dominating edge and witness) stay bitmasks until they are written: each is
+joined straight from its mask through a table of vertex names encoded once
+per graph, by the C string encoder for labels or int.__repr__ for ids.
 
 Exit codes: 0 success (and accepted decisions), 1 negative decision,
 2 bad input, 3 assertion violations found by search, 4 internal error.
@@ -29,10 +31,12 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import Iterable, Sequence
 
 from .errors import CapabilityError, NotAntichainError, ParseError
-from .graphs import Graph, mask_members
+from .graphs import Graph
 from .graphio import EDGE_LIST, FORMATS, parse_graph, serialize_graph
 from .hypergraph import SpernerFamily, require_total_domination
 from .domination import CORE_COMPLETE, CORE_MINIMAL_VALID, realize_mtds, recognize_wtd_k
@@ -55,29 +59,26 @@ def _load_graph(args) -> Graph:
     return parse_graph(_read_text(args.path), args.format)
 
 
-def _names(g: Graph, mask: int) -> list:
-    members, labels = mask_members(mask), g.labels
-    return list(members) if labels is None else [labels[v] for v in members]
-
-
 def _analyze_payload(g: Graph) -> dict:
     require_total_domination(g)
     prof = profile(g)
+    names = _name_table(g)
     payload = {
         "n": g.n,
         "m": g.m,
         "gamma_t": prof.report.gamma_t,
         "Gamma_t": prof.report.Gamma_t,
         "is_wtd": prof.report.is_wtd,
-        "mtds": [_names(g, e) for e in prof.family.edges],
+        "mtds": _Sets(names, prof.family.edges),
         "rho": prof.rho,
         "diameter": prof.diameter,
         "girth": prof.girth,
     }
     if prof.dominating_edges is not None:
-        payload["g_de_edges"] = [
-            [g.label(u), g.label(v)] for u, v in prof.dominating_edges.edges
-        ]
+        # u < v on each dominating edge, so its mask lists u, then v
+        payload["g_de_edges"] = _Sets(
+            names, [(1 << u) | (1 << v) for u, v in prof.dominating_edges.edges]
+        )
     return payload
 
 
@@ -89,11 +90,12 @@ def _cmd_analyze(args) -> tuple[int, dict]:
 def _cmd_recognize(args) -> tuple[int, dict]:
     g = _load_graph(args)
     result = recognize_wtd_k(g, args.k)
+    witness = _Set(_name_table(g), result.witness)
     if result.accepted:
-        return 0, {"wtd_k": True, "k": args.k, "witness": _names(g, result.witness)}
+        return 0, {"wtd_k": True, "k": args.k, "witness": witness}
     payload = {"wtd_k": False, "k": args.k}
     if args.witness:
-        payload["witness"] = _names(g, result.witness)
+        payload["witness"] = witness
         payload["reason"] = result.reason
     return 1, payload
 
@@ -304,14 +306,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# encoders of the flat lists that make up most of the output: every
-# minimal TDS, every dominating-edge pair (bool is not int here)
-_FLAT = {str: encode_basestring_ascii, int: int.__repr__}
+def _name_table(g: Graph) -> list[str]:
+    """The JSON text of each vertex's name: its label, else its id."""
+    if g.labels is None:
+        return list(map(int.__repr__, range(g.n)))
+    return list(map(encode_basestring_ascii, g.labels))
+
+
+@dataclass(frozen=True)
+class _Set:
+    """One vertex set (a mask), written by _dumps as its list of names
+    through a name table."""
+
+    names: list[str]
+    mask: int
+
+
+@dataclass(frozen=True)
+class _Sets:
+    """A list of vertex sets (masks), written by _dumps as a list of lists
+    of names through one name table."""
+
+    names: list[str]
+    masks: Sequence[int]
 
 
 def _dumps(obj, pad: str = "\n") -> str:
-    """json.dumps(obj, indent=2) for str-keyed dicts, lists, tuples and JSON
-    scalars; pad is the newline and indent of obj's own nesting level."""
+    """json.dumps(obj, indent=2) for str-keyed dicts, lists, tuples, JSON
+    scalars and vertex sets (_Set, _Sets); pad is the newline and indent of
+    obj's own nesting level."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if type(obj) is int:
@@ -320,13 +343,9 @@ def _dumps(obj, pad: str = "\n") -> str:
         if not obj:
             return "[]"
         inner = pad + "  "
-        kinds = set(map(type, obj))
-        enc = _FLAT.get(kinds.pop()) if len(kinds) == 1 else None
-        if enc is not None:
-            items = map(enc, obj)
-        else:
-            items = [_dumps(item, inner) for item in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
+        return "[" + inner + ("," + inner).join([
+            _dumps(item, inner) for item in obj
+        ]) + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -335,7 +354,31 @@ def _dumps(obj, pad: str = "\n") -> str:
             encode_basestring_ascii(key) + ": " + _dumps(value, inner)
             for key, value in obj.items()
         ]) + pad + "}"
+    if type(obj) is _Sets:
+        if not obj.masks:
+            return "[]"
+        inner = pad + "  "
+        texts = _set_texts(obj.names, obj.masks, inner)
+        return "[" + inner + ("," + inner).join(texts) + pad + "]"
+    if type(obj) is _Set:
+        return _set_texts(obj.names, (obj.mask,), pad)[0]
     return json.dumps(obj)  # None, bool, float
+
+
+def _set_texts(names: list[str], masks: Iterable[int], pad: str) -> list[str]:
+    """Each nonempty mask's member names, ascending by id, as a list at pad's
+    level."""
+    inner = pad + "  "
+    sep, close = "," + inner, pad + "]"
+    texts = []
+    for mask in masks:
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(names[low.bit_length() - 1])
+            mask ^= low
+        texts.append("[" + inner + sep.join(members) + close)
+    return texts
 
 
 def main(argv=None) -> int:

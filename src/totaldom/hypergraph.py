@@ -139,6 +139,9 @@ def _mmcs(
 ) -> list[int]:
     """Minimal transversals of size <= max_size, each exactly once (MMCS search).
 
+    edges must be nonempty and max_size at least 1; the public entry points
+    check both.
+
     A branch keeps, for every chosen vertex, the set of edges it hits alone
     ("critical" edges); a branch dies as soon as a chosen vertex loses its
     last critical edge, so every completed leaf is inclusion-minimal.
@@ -163,14 +166,11 @@ def _mmcs(
             e ^= low
     out: list[int] = []
 
-    def rec(chosen: int, cand: int, crit: tuple[tuple[int, int], ...], uncov: int) -> None:
-        if uncov == 0:
-            if max_count is not None and len(out) >= max_count:
-                raise CapabilityError(f"more than {max_count} minimal transversals")
-            out.append(chosen)
-            return
-        if len(crit) == max_size:
-            return
+    # crit[j] holds the edges that the j-th chosen vertex hits alone.  The
+    # parent's loop settles two kinds of child without a call: one that covers
+    # every edge (a leaf, appended there) and one that would hold max_size
+    # vertices with edges still uncovered (skipped)
+    def rec(chosen: int, cand: int, crit: list[int], uncov: int) -> None:
         # an uncovered edge with no candidate left is picked (width 0), and
         # its empty branch ends the call
         pick = -1
@@ -186,25 +186,32 @@ def _mmcs(
                 pick = i
         branch = edges[pick] & cand
         cand &= ~branch
+        deeper = len(crit) + 1 < max_size
         while branch:
             bit = branch & -branch
             branch ^= bit
             cont = containing[bit.bit_length() - 1]
-            ok = True
+            left = uncov & ~cont
+            if left and not deeper:
+                cand |= bit
+                continue
             new_crit = []
-            for vb, cm in crit:
+            for cm in crit:
                 cm &= ~cont
                 if cm == 0:
-                    ok = False
                     break
-                new_crit.append((vb, cm))
-            if ok:
-                new_crit.append((bit, uncov & cont))
-                rec(chosen | bit, cand, tuple(new_crit), uncov & ~cont)
+                new_crit.append(cm)
+            else:
+                if left:
+                    new_crit.append(uncov & cont)
+                    rec(chosen | bit, cand, new_crit, left)
+                else:
+                    if max_count is not None and len(out) >= max_count:
+                        raise CapabilityError(f"more than {max_count} minimal transversals")
+                    out.append(chosen | bit)
             cand |= bit
-        return
 
-    rec(0, cand0, (), (1 << m) - 1)
+    rec(0, cand0, [], (1 << m) - 1)
     return sorted(out)
 
 

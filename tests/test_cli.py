@@ -72,6 +72,16 @@ FIGURE1_ANALYZE = (
     '    [\n      "t",\n      "w"\n    ]\n  ]\n}\n'
 )
 
+REALIZE_AB_BC = (
+    '{\n  "graph": "n 5\\n# labels: a b c v{b} v{a,c}\\n0 1\\n0 2\\n0 4\\n1 2\\n1 3\\n2 4\\n",\n'
+    '  "ground": [\n    "a",\n    "b",\n    "c"\n  ],\n  "self_check": {\n    "n": 5,\n    "m": 6,\n'
+    '    "gamma_t": 2,\n    "Gamma_t": 2,\n    "is_wtd": true,\n'
+    '    "mtds": [\n      [\n        "a",\n        "b"\n      ],\n      [\n        "b",\n        "c"\n      ]\n    ],\n'
+    '    "rho": 2,\n    "diameter": 3,\n    "girth": 3,\n'
+    '    "g_de_edges": [\n      [\n        "a",\n        "b"\n      ],\n      [\n        "b",\n        "c"\n      ]\n    ]\n'
+    '  }\n}\n'
+)
+
 json_values = st.recursive(
     st.none()
     | st.booleans()
@@ -87,6 +97,15 @@ json_values = st.recursive(
 )
 
 
+@st.composite
+def named_sets(draw):
+    """(n, distinct labels or None, a list of nonempty vertex-set masks)."""
+    n = draw(st.integers(1, 12))
+    labels = st.lists(st.text(max_size=4), min_size=n, max_size=n, unique=True)
+    masks = st.lists(st.integers(1, (1 << n) - 1), max_size=8)
+    return n, draw(st.none() | labels.map(tuple)), draw(masks)
+
+
 class TestWriter:
     @given(json_values)
     @example({"": [], "a": {}})
@@ -99,6 +118,29 @@ class TestWriter:
         code, out, _ = run_cli(capsys, "analyze", graph_file(FIGURE1))
         assert code == 0
         assert out == FIGURE1_ANALYZE
+
+    def test_realize_bytes_frozen(self, capsys):
+        code, out, _ = run_cli(capsys, "realize", "--family", "{a,b};{b,c}")
+        assert code == 0
+        assert out == REALIZE_AB_BC
+
+    @given(named_sets())
+    @example((1, None, []))
+    @example((1, None, [0b1]))
+    @example((3, None, [0b1, 0b110]))
+    @example((1, ('"',), [0b1]))
+    @example((5, ("\\", "é", "\x00", "\n\x7f", "\u2028"), [0b11111, 0b10]))
+    @settings(max_examples=300, deadline=None)
+    def test_vertex_sets_equal_stdlib_indent2(self, case):
+        n, labels, masks = case
+        g = td.Graph(n, (0,) * n, labels)
+        names = cli._name_table(g)
+        listed = [[g.label(v) for v in td.mask_members(mask)] for mask in masks]
+        for wrap in (lambda x: {"mtds": x}, lambda x: {"self_check": {"mtds": x}}):
+            assert _dumps(wrap(cli._Sets(names, masks))) == json.dumps(wrap(listed), indent=2)
+        for mask, members in zip(masks, listed):
+            witness = cli._Set(names, mask)
+            assert _dumps({"witness": witness}) == json.dumps({"witness": members}, indent=2)
 
 
 class TestAnalyze:
@@ -181,7 +223,8 @@ class TestAnalyze:
 
     def test_agrees_with_catalog_on_atlas6(self, atlas6):
         for key, g in atlas6:
-            payload = _analyze_payload(g)
+            # vertex sets stay masks until written, so compare the JSON
+            payload = json.loads(_dumps(_analyze_payload(g)))
             entry = td.classify(g, key=key)
             for field in ("gamma_t", "Gamma_t", "is_wtd", "rho", "diameter", "girth"):
                 assert payload[field] == getattr(entry, field), (key.hex(), field)

@@ -190,6 +190,38 @@ class TestTransversals:
             td.greedy_minimize_transversal(0b001, edges)
 
 
+def core_family(core: int, extra: int) -> td.SpernerFamily:
+    """Edges core + {x} for each of `extra` further vertices: each core vertex
+    hits every edge, so the search's root finds the core singletons as leaves
+    and one more transversal, the extra vertices together."""
+    core_mask = (1 << core) - 1
+    edges = tuple((1 << x) | core_mask for x in range(core, core + extra))
+    return td.SpernerFamily(core + extra, edges)
+
+
+class TestLeavesOfTheRoot:
+    @pytest.mark.parametrize("core", [1, 2, 3, 5])
+    @pytest.mark.parametrize("extra", [1, 2, 4])
+    def test_unbounded_and_size_one(self, core, extra):
+        fam = core_family(core, extra)
+        singletons = [1 << v for v in range(core)]
+        rest = ((1 << extra) - 1) << core
+        full = list(td.enumerate_minimal_transversals(fam).edges)
+        assert full == brute_minimal_transversals(fam.ground, fam.edges)
+        assert full == sorted(singletons + [rest])
+        bounded = td.enumerate_bounded_minimal_transversals(fam, 1)
+        assert list(bounded.edges) == sorted(singletons + ([rest] if extra == 1 else []))
+
+    @pytest.mark.parametrize("core", [1, 2, 3, 5])
+    @pytest.mark.parametrize("extra", [1, 2, 4])
+    def test_count_limit_on_leaves(self, core, extra):
+        fam = core_family(core, extra)
+        count = len(brute_minimal_transversals(fam.ground, fam.edges))
+        with pytest.raises(td.CapabilityError):
+            td.enumerate_minimal_transversals(fam, max_count=count - 1)
+        assert len(td.enumerate_minimal_transversals(fam, max_count=count).edges) == count
+
+
 class TestBoundedEnumeration:
     def test_rejects_k_below_1(self):
         fam = td.SpernerFamily(2, (0b11,))

@@ -10,8 +10,8 @@ Planarity runs on the same masks: after a series reduction, each
 biconnected block is tested on its own, first against Euler's bound and
 then by path addition, with no dependency beyond the standard library.
 The search behind canonical keys also yields generators of the
-automorphism group (automorphism_generators), which the exhaustive search
-uses to try one neighbourhood per orbit of a parent.
+automorphism group (canonical_key's generators list), which the exhaustive
+search uses to try one neighbourhood per orbit of a parent.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ MAX_VERTICES = 64
 # Ceiling for canonical_form (and therefore for atlas-style enumeration).
 # Refinement plus pruned backtracking stays fast well past 12 on typical
 # graphs, and vertex-transitive ones at 12 (C12, the icosahedron, the
-# hexagonal prism) take under a second, because the search prunes
-# against every new best code; the bound exists so larger symmetric inputs,
-# where the number of best leaves grows with the automorphism group, fail
-# loudly instead of burning CPU.
+# hexagonal prism) take under 0.1 s, because the search descends only
+# through least rows and prunes against every new best code; the bound
+# exists so larger symmetric inputs, where the number of best leaves grows
+# with the automorphism group, fail loudly instead of burning CPU (C16
+# takes about 8 s).
 CANONICAL_BOUND = 12
 
 VertexSet = int  # bitmask over vertex ids
@@ -623,24 +624,31 @@ def _min_code(
     are branched only once per node: twinhood is an equivalence, so each
     node keeps a mask of the twin classes it has tried.
 
-    A node is tight while its prefix equals the best code's prefix; only a
-    tight node compares its children's rows and cuts those above the best.
-    A loose node (prefix already below the best) always reaches a leaf,
-    which becomes the new best and shares the node's prefix, so the node is
-    tight again after each child returns.  Only prefixes strictly above the
-    current best are ever cut, so every leaf equal to the final best is
-    still visited, in the same order.
+    Least-row descent: a node computes the row of every candidate against
+    its prefix first and descends only into the candidates with the least
+    row.  Every child has a leaf below it, so a sibling with a larger row
+    heads a subtree whose every code is above one reachable through a
+    least-row sibling: no leaf of that subtree is a least code, and
+    skipping it loses no best leaf.  A node is tight while its prefix
+    equals the best code's prefix; a tight node whose least row is above
+    the best's row at its position is cut, and one whose least row is below
+    it makes its children loose.  A loose child reaches a leaf that becomes
+    the new best with the node's prefix and least row, and a tight child
+    keeps that prefix, so the node's later children are tight.  Only
+    prefixes strictly above some code are cut, so every leaf equal to the
+    final best is still visited, in the order of a plain depth-first walk
+    over the slots.
 
     A generator is a tuple p with p[v] the image of v.  They are one
     transposition per vertex and the least vertex of its twin class, plus
     one permutation per leaf whose code equals the best, mapping the first
     leaf that reached the best code onto it (the list restarts whenever the
     best strictly improves).  The automorphisms are exactly the maps from
-    that first best leaf to the best leaves.  No best leaf is pruned by the
-    code comparison, and a best leaf skipped as a twin branch is the image
-    of one in the tried sibling's subtree under that twin transposition,
-    so every best leaf is a visited one moved by twin transpositions, and
-    the generators generate the whole group.
+    that first best leaf to the best leaves.  No best leaf is skipped by
+    the row comparisons, and a best leaf skipped as a twin branch is the
+    image of one in the tried sibling's subtree under that twin
+    transposition, so every best leaf is a visited one moved by twin
+    transpositions, and the generators generate the whole group.
     """
     slots: list[tuple[int, ...]] = []
     for cell in cells:
@@ -672,16 +680,18 @@ def _min_code(
     def dfs(i: int, tight: bool) -> None:
         nonlocal best, best_order, placed_mask
         if i == n:
-            if best is None or rows < best:
+            if best is None or not tight:  # a loose leaf is below the best
                 best = rows.copy()
                 best_order = placed.copy()
                 del gens[twin_gens:]
-            elif rows == best:
+            else:
                 perm = [0] * n
                 for u, v in zip(best_order, placed):
                     perm[u] = v
                 gens.append(tuple(perm))
             return
+        least = -1
+        chosen: list[int] = []
         tried = 0
         for v in slots[i]:
             if placed_mask >> v & 1 or tried >> twin[v] & 1:
@@ -691,45 +701,47 @@ def _min_code(
             av = adj[v]
             for u in placed:
                 row = (row << 1) | (av >> u & 1)
-            if tight and best is not None:
-                if row > best[i]:
-                    continue
-                child_tight = row == best[i]
-            else:
-                child_tight = False
-            rows[i] = row
+            if row == least:
+                chosen.append(v)
+            elif least < 0 or row < least:
+                least = row
+                chosen = [v]
+        if tight and best is not None:
+            if least > best[i]:
+                return
+            tight = least == best[i]
+        rows[i] = least
+        for v in chosen:
             placed.append(v)
             placed_mask |= 1 << v
-            dfs(i + 1, child_tight if best is not None else tight)
+            dfs(i + 1, tight)
             placed.pop()
             placed_mask ^= 1 << v
-            # the best now has this node's prefix: a tight child kept it, a
-            # loose one reached a leaf that became the new best
+            # the best now has this node's prefix and least row: a tight
+            # child kept it, a loose one reached a leaf that became the best
             tight = True
-        rows[i] = 0
 
     dfs(0, True)
     assert best is not None
     return best, gens
 
 
-def automorphism_generators(n: int, adj: Sequence[int]) -> list[tuple[int, ...]]:
-    """Generators of Aut(G) as image tuples (p[v] is the image of v), from
-    the same search that computes the canonical key; empty when the group
-    is trivial."""
-    if n > CANONICAL_BOUND:
-        raise CapabilityError(f"canonical form limited to {CANONICAL_BOUND} vertices, got {n}")
-    if n <= 1:
-        return []
-    return _min_code(n, adj, _refined_cells(n, adj))[1]
+def canonical_key(
+    n: int, adj: Sequence[int], generators: list[tuple[int, ...]] | None = None
+) -> bytes:
+    """Canonical key of the graph on vertices 0..n-1 with adjacency masks adj.
 
-
-def canonical_key(n: int, adj: Sequence[int]) -> bytes:
+    When a list is given as generators, the generators of Aut(G) that the
+    same search found are appended to it, as image tuples (p[v] is the
+    image of v); none are appended when the group is trivial or n <= 1.
+    """
     if n > CANONICAL_BOUND:
         raise CapabilityError(f"canonical form limited to {CANONICAL_BOUND} vertices, got {n}")
     if n <= 1:
         return bytes([n])
-    rows = _min_code(n, adj, _refined_cells(n, adj))[0]
+    rows, gens = _min_code(n, adj, _refined_cells(n, adj))
+    if generators is not None:
+        generators += gens
     acc = 0
     for i in range(1, n):
         acc = (acc << i) | rows[i]

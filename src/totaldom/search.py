@@ -14,12 +14,12 @@ import json
 import os
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .errors import CapabilityError, DominationUndefinedError
 from .graphs import (
     CANONICAL_BOUND,
     Graph,
-    automorphism_generators,
     canonical_form,
     canonical_key,
     component,
@@ -55,6 +55,8 @@ class SearchFilter:
             raise CapabilityError(
                 f"searches are capped at {CANONICAL_BOUND} vertices, got n_max={self.n_max}"
             )
+        if self.n_max < 2:
+            raise ValueError(f"n_max must be at least 2, got {self.n_max}")
         if self.n_min < 2:
             raise ValueError("n_min must be at least 2")
         if self.n_min > self.n_max:
@@ -89,6 +91,8 @@ class CatalogEntry:
 
 
 _FIELDS = tuple(f.name for f in fields(CatalogEntry))
+# a parsed catalog line's fields in CatalogEntry's positional order
+_entry_fields = itemgetter(*_FIELDS)
 
 # A catalog line is json.dumps(record, sort_keys=True) of an entry's fields
 # plus its graph6 string; _catalog_line writes those bytes without the dict
@@ -171,8 +175,9 @@ def classify(
     """Compute the full catalog record for one graph.
 
     key and planar, when given, must be g's canonical form and planarity
-    (enumerate_graphs yields both; its planar is None on the last level
-    unless a parent settled it); they are computed when None.  Raises
+    (enumerate_graphs yields both beside g's adjacency, from which the
+    caller builds g; its planar is None on the last level unless a parent
+    settled it); they are computed when None.  Raises
     CapabilityError, as profile does, past MTDS_LIMIT minimal total
     dominating sets, which no searched graph reaches (see MTDS_LIMIT).
     """
@@ -334,8 +339,13 @@ def _fits_in_a_face(adj: tuple[int, ...], nb: int) -> bool:
 
 
 def enumerate_graphs(filt: SearchFilter):
-    """Yield (canonical key, graph, planar) per isomorphism class, by level
-    then key.
+    """Yield (canonical key, adjacency, planar) per isomorphism class, by
+    level then key.
+
+    The adjacency is a tuple of neighbourhood masks over vertices 0..n-1,
+    n = len(adjacency); no Graph is built for the yield, so a caller that
+    skips a class (a resumed search, for one already in its catalog) pays
+    nothing for it.
 
     Only connected classes are enumerated.  Augmentation: each level-k class
     spawns level-(k+1) children by attaching a new vertex to a nonempty
@@ -357,47 +367,48 @@ def enumerate_graphs(filt: SearchFilter):
     automorphism s maps the child of nb isomorphically onto the child of
     s(nb), and the rule above and the triangle test hold for both or for
     neither, so every skipped child is isomorphic to one that is tried.
-    Neighbourhoods of more than _degree_cap members are not tried at all:
-    the rule rejects every one of them.  The per-level dict keeps the first
-    labelled child that reaches each key; which child that is depends on
-    the rule and on the parent order, so the yielded graphs may be other
-    labellings of the same classes, while the keys and their order do not
-    change.
+    The group's generators come from the labelling search that computed
+    the parent's key (canonical_key's generators list), so each class runs
+    one labelling search.  Neighbourhoods of more than _degree_cap members
+    are not tried at all: the rule rejects every one of them.  The
+    per-level dict keeps the first labelled child that reaches each key;
+    which child that is depends on the rule and on the parent order, so the
+    yielded adjacencies may be other labellings of the same classes, while
+    the keys and their order do not change.
 
-    Each level is one dict, key -> (adjacency, planar), holding the
-    record of each class from the moment its key is first reached, and is
-    walked once in key order: each class is yielded, then expanded.  planar
-    is inherited in both directions, from whichever parent that generates
-    the child shows it: False when the parent is non-planar, since it is an
-    induced subgraph, and True when the parent is planar and the new vertex
-    fits in a face (_fits_in_a_face).  A planar still None is decided by
-    is_planar, once per class, when its level is expanded further or
-    filtered on planarity; on the last level planar is None unless
-    inherited, and classify decides it when asked.  One Graph is built per
-    class, for is_planar and the yield alike.  The planar and triangle-free
-    restrictions prune whole subtrees, since a child can qualify only if
-    its parent does.
+    Each level is one dict, key -> (adjacency, planar, generators), holding
+    the record of each class from the moment its key is first reached, and
+    is walked once in key order: each class is yielded, then expanded.
+    generators are those of the adjacency kept, and None on the last
+    level, which is not expanded.  planar is inherited in both directions,
+    from whichever parent that generates the child shows it: False when the
+    parent is non-planar, since it is an induced subgraph, and True when
+    the parent is planar and the new vertex fits in a face
+    (_fits_in_a_face).  A planar still None is decided by is_planar, once
+    per class, when its level is expanded further or filtered on
+    planarity; on the last level planar is None unless inherited, and
+    classify decides it when asked.  A Graph is built only for is_planar.
+    The planar and triangle-free restrictions prune whole subtrees, since a
+    child can qualify only if its parent does.
     """
-    level: dict[bytes, tuple] = {canonical_key(1, (0,)): ((0,), True)}
+    level: dict[bytes, tuple] = {canonical_key(1, (0,)): ((0,), True, [])}
     for n in range(1, filt.n_max + 1):
         deepen = n < filt.n_max
+        keep_gens = n + 1 < filt.n_max
         nxt: dict[bytes, tuple] = {}
         for key in sorted(level):
-            adj, planar = level[key]
-            g = None
+            adj, planar, gens = level[key]
             if planar is None and (deepen or filt.planar_only):
-                g = Graph(n, adj)
-                planar = is_planar(g)
+                planar = is_planar(Graph(n, adj))
             if filt.planar_only and not planar:
                 continue
-            if n >= filt.n_min:
-                if g is None:
-                    g = Graph(n, adj)
-                if filt.min_degree is None or g.min_degree() >= filt.min_degree:
-                    yield key, g, planar
+            if n >= filt.n_min and (
+                filt.min_degree is None or min(row.bit_count() for row in adj) >= filt.min_degree
+            ):
+                yield key, adj, planar
             if not deepen:
                 continue
-            orbit = _orbit_labels(n, automorphism_generators(n, adj))
+            orbit = _orbit_labels(n, gens)
             below = _below(n, adj)
             parts = _parts_without(n, adj)
             sums = _neighbour_degree_sums(adj)
@@ -414,7 +425,8 @@ def enumerate_graphs(filt: SearchFilter):
                 child = tuple(
                     row | ((nb >> i & 1) << n) for i, row in enumerate(adj)
                 ) + (nb,)
-                child_key = canonical_key(n + 1, child)
+                child_gens = [] if keep_gens else None
+                child_key = canonical_key(n + 1, child, child_gens)
                 if not planar:
                     fact = False
                 elif _fits_in_a_face(adj, nb):
@@ -423,9 +435,9 @@ def enumerate_graphs(filt: SearchFilter):
                     fact = None
                 record = nxt.get(child_key)
                 if record is None:
-                    nxt[child_key] = (child, fact)
+                    nxt[child_key] = (child, fact, child_gens)
                 elif record[1] is None and fact is not None:
-                    nxt[child_key] = (record[0], fact)
+                    nxt[child_key] = (record[0], fact, record[2])
         level = nxt
 
 
@@ -526,9 +538,11 @@ def resolve_assertion_ids(ids) -> tuple[str, ...]:
     return tuple(chosen)
 
 
-def _classify_payload(payload: tuple[bytes, Graph, bool | None]) -> CatalogEntry:
-    key, g, planar = payload
-    return classify(g, key, planar)
+def _classify_payload(payload: tuple[bytes, tuple[int, ...], bool | None]) -> CatalogEntry:
+    """Classify one class enumerate_graphs yielded, building its Graph here
+    (in the worker, under a pool)."""
+    key, adj, planar = payload
+    return classify(Graph(len(adj), adj), key, planar)
 
 
 def _load_existing(path: str) -> dict[str, CatalogEntry]:
@@ -546,8 +560,7 @@ def _load_existing(path: str) -> dict[str, CatalogEntry]:
         if not line:
             continue
         try:
-            record = json.loads(line)
-            entry = CatalogEntry(**{k: record[k] for k in _FIELDS})
+            entry = CatalogEntry(*_entry_fields(json.loads(line)))
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}:{lineno}: unreadable catalog line ({exc})") from exc
         entries[entry.canonical_key] = entry
@@ -583,11 +596,11 @@ def run_search(
     order: list[str] = []
 
     def fresh():
-        for key, g, planar in enumerate_graphs(filt):
-            hexkey = key.hex()
+        for payload in enumerate_graphs(filt):
+            hexkey = payload[0].hex()
             order.append(hexkey)
             if hexkey not in existing:
-                yield key, g, planar
+                yield payload
 
     # classification results stream to the catalog as they finish, so an
     # interrupted run leaves a usable prefix behind (fresh payloads arrive in

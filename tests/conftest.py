@@ -15,8 +15,12 @@ def figure1() -> td.Graph:
 
 @pytest.fixture(scope="session")
 def enumerated8():
-    """enumerate_graphs(n_max=8) as a list of (key, Graph, planar)."""
-    return list(td.enumerate_graphs(td.SearchFilter(n_max=8)))
+    """enumerate_graphs(n_max=8) as a list of (key, Graph, planar), each
+    Graph built here from the adjacency the enumeration yields."""
+    return [
+        (key, td.Graph(len(adj), adj), planar)
+        for key, adj, planar in td.enumerate_graphs(td.SearchFilter(n_max=8))
+    ]
 
 
 @pytest.fixture(scope="session")
@@ -36,4 +40,5 @@ def atlas7(atlas8):
 @pytest.fixture(scope="session")
 def atlas6():
     """Connected classes with 2 <= n <= 6 only; cheap enough to build alone."""
-    return [(k, g) for k, g, _ in td.enumerate_graphs(td.SearchFilter(n_max=6))]
+    filt = td.SearchFilter(n_max=6)
+    return [(k, td.Graph(len(adj), adj)) for k, adj, _ in td.enumerate_graphs(filt)]

@@ -488,6 +488,33 @@ class TestSearch:
             json.loads(line)
         assert out_path.read_bytes() == complete
 
+    def test_resume_from_catalog_cut_in_half(self, capsys, tmp_path, monkeypatch):
+        # a catalog cut at half its bytes, mid-line: the torn line is
+        # dropped, the classes it and the lost lines held are classified
+        # again and appended, and the bytes equal the fresh run's
+        out_path = tmp_path / "cat6.jsonl"
+        argv = ("search", "--n-max", "6", "--out", str(out_path))
+        code, fresh, _ = run_cli(capsys, *argv)
+        assert code == 0
+        complete = out_path.read_bytes()
+        half = complete[: len(complete) // 2]
+        assert not half.endswith(b"\n")
+        out_path.write_bytes(half)
+        kept = half.count(b"\n")
+        classified = []
+        real = td.search.classify
+
+        def counted(g, key=None, planar=None):
+            classified.append(key)
+            return real(g, key, planar)
+
+        monkeypatch.setattr(td.search, "classify", counted)
+        code, resumed, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert resumed == fresh
+        assert out_path.read_bytes() == complete
+        assert 0 < kept < 142 and len(classified) == 142 - kept
+
     def test_corrupt_middle_line(self, capsys, tmp_path):
         out_path = tmp_path / "cat5.jsonl"
         argv = ("search", "--n-max", "5", "--out", str(out_path))
@@ -499,6 +526,13 @@ class TestSearch:
         assert code == 2 and out == ""
         assert "cat5.jsonl:11: unreadable catalog line" in err
         assert out_path.read_text() == "".join(lines)
+
+    @pytest.mark.parametrize("n_max", ["1", "0"])
+    def test_n_max_below_two(self, capsys, n_max):
+        # rejected for itself, not as a range below the default n_min
+        code, out, err = run_cli(capsys, "search", "--n-max", n_max)
+        assert code == 2 and out == ""
+        assert err == f"error: n_max must be at least 2, got {n_max}\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one(self, capsys, jobs):

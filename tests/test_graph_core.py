@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import totaldom as td
-from totaldom.graphs import automorphism_generators
 from oracles import (
     all_graphs_up_to_iso,
     are_isomorphic,
@@ -522,12 +521,19 @@ def group_order(n: int, gens) -> int:
     return len(seen)
 
 
+def key_generators(n, adj):
+    """The generators canonical_key's labelling search appends to its list."""
+    gens = []
+    td.canonical_key(n, adj, gens)
+    return gens
+
+
 class TestAutomorphismGenerators:
     def test_generators_are_automorphisms(self):
         rng = random.Random(12)
         named = [petersen_graph(), complete_bipartite(3, 4), cycle_graph(12), star_graph(6)]
         for g in named + [random_graph(rng, rng.randint(2, 12), rng.random()) for _ in range(200)]:
-            for perm in automorphism_generators(g.n, g.adj):
+            for perm in key_generators(g.n, g.adj):
                 assert is_automorphism(g, perm), (g.edges(), perm)
 
     def test_group_order_matches_brute_force_to_7(self, atlas7):
@@ -542,12 +548,20 @@ class TestAutomorphismGenerators:
                 graphs.setdefault(td.canonical_form(h), h)
         assert len(graphs) == 2 + 4 + 11 + 34 + 156 + 1044
         for h in graphs.values():
-            gens = automorphism_generators(h.n, h.adj)
+            gens = key_generators(h.n, h.adj)
             assert all(is_automorphism(h, p) for p in gens)
             order = sum(1 for _ in brute_automorphisms(h))
             assert group_order(h.n, gens) == order, h.edges()
             assert (gens == []) == (order == 1)  # no identity generators
-        assert automorphism_generators(1, (0,)) == []
+        assert key_generators(1, (0,)) == []
+
+    def test_list_leaves_key_bytes_alone(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            g = random_graph(rng, rng.randint(1, 12), rng.random())
+            gens = [(0,)]  # appended to, never cleared
+            assert td.canonical_key(g.n, g.adj, gens) == td.canonical_key(g.n, g.adj)
+            assert gens[0] == (0,) and gens[1:] == key_generators(g.n, g.adj)
 
 
 def test_star_and_complete_builders_sane():

@@ -59,8 +59,8 @@ class TestSearchFilter:
 class TestEnumeration:
     def level_counts(self, filt):
         counts = {}
-        for key, g, _ in td.enumerate_graphs(filt):
-            counts[g.n] = counts.get(g.n, 0) + 1
+        for key, adj, _ in td.enumerate_graphs(filt):
+            counts[len(adj)] = counts.get(len(adj), 0) + 1
         return counts
 
     def test_connected_counts(self):
@@ -107,7 +107,8 @@ class TestEnumeration:
         # on the last level planar is inherited in both directions or None,
         # and classify decides the rest
         inherited = {True: 0, False: 0, None: 0}
-        for key, g, planar in td.enumerate_graphs(td.SearchFilter(n_max=7, n_min=7)):
+        for key, adj, planar in td.enumerate_graphs(td.SearchFilter(n_max=7, n_min=7)):
+            g = td.Graph(7, adj)
             if planar is not None:
                 assert planar == brute_planar(g), key.hex()
             inherited[planar] += 1
@@ -137,9 +138,9 @@ class TestEnumeration:
         calls = []
         real = td.search.canonical_key
 
-        def counted(n, adj):
+        def counted(n, adj, generators=None):
             calls.append(n)
-            return real(n, adj)
+            return real(n, adj, generators)
 
         monkeypatch.setattr(td.search, "canonical_key", counted)
         keys = sorted(key for key, _, _ in td.enumerate_graphs(td.SearchFilter(n_max=7)))
@@ -148,10 +149,34 @@ class TestEnumeration:
         assert digest == "4fdef5f6794d8a02bff18249da7145d2fe7410be2991e319ea8687f83264a104"
         assert len(calls) == 1049
 
+    def test_one_labelling_search_per_key(self, monkeypatch):
+        # the generators a parent's orbits need come from the search that
+        # computed its key: no second labelling search runs, so _min_code
+        # runs once per computed key but the order-1 seed's, which needs none
+        keys = []
+        searches = []
+        real_key = td.search.canonical_key
+        real_min_code = td.graphs._min_code
+
+        def counted_key(n, adj, generators=None):
+            keys.append(n)
+            return real_key(n, adj, generators)
+
+        def counted_min_code(n, adj, cells):
+            searches.append(n)
+            return real_min_code(n, adj, cells)
+
+        monkeypatch.setattr(td.search, "canonical_key", counted_key)
+        monkeypatch.setattr(td.graphs, "_min_code", counted_min_code)
+        assert sum(1 for _ in td.enumerate_graphs(td.SearchFilter(n_max=7))) == 995
+        assert len(keys) == 1049
+        assert len(searches) == 1049 - 1
+        assert keys.count(1) == 1 and 1 not in searches
+
     def test_min_degree_three_at_four(self):
         got = list(td.enumerate_graphs(td.SearchFilter(n_max=4, min_degree=3)))
         assert len(got) == 1
-        assert got[0][1].m == 6  # K4 is the only candidate
+        assert td.Graph(4, got[0][1]).m == 6  # K4 is the only candidate
 
     def test_triangle_free_matches_oracle(self):
         filt = td.SearchFilter(n_max=5, triangle_free_only=True)
@@ -190,7 +215,8 @@ class TestEnumeration:
         seen = set()
         last = None
         last_n = 0
-        for key, g, _ in td.enumerate_graphs(td.SearchFilter(n_max=5)):
+        for key, adj, _ in td.enumerate_graphs(td.SearchFilter(n_max=5)):
+            g = td.Graph(len(adj), adj)
             assert key not in seen
             seen.add(key)
             if g.n == last_n:
@@ -331,8 +357,8 @@ class TestClassify:
 
     def test_wtd_regression_counts(self):
         wtd_by_n = {4: 0, 5: 0}
-        for key, g, _ in td.enumerate_graphs(td.SearchFilter(n_max=5, n_min=4)):
-            e = td.classify(g, key=key)
+        for key, adj, _ in td.enumerate_graphs(td.SearchFilter(n_max=5, n_min=4)):
+            e = td.classify(td.Graph(len(adj), adj), key=key)
             if e.is_wtd:
                 wtd_by_n[e.n] += 1
         assert wtd_by_n == {4: 6, 5: 18}
@@ -468,6 +494,36 @@ class TestRunSearch:
         resumed, _ = td.run_search(filt, ["DIAM3"], out_path=str(out))
         assert resumed == entries
         assert out.read_text() == text
+
+    def test_full_resume_builds_no_graph_per_class(self, tmp_path, monkeypatch):
+        # a resumed run builds a Graph only where the enumeration tests
+        # planarity and where T11EQ rebuilds a class from its key: none for
+        # the yield, and no classify for a catalogued class
+        out = tmp_path / "catalog.jsonl"
+        filt = td.SearchFilter(n_max=6)
+        entries, _ = td.run_search(filt, ["all"], out_path=str(out))
+        counts = {"graphs": 0, "is_planar": 0, "graph_from_canonical": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def no_classify(*args, **kwargs):
+            raise AssertionError("a catalogued class was classified again")
+
+        real_post_init = td.Graph.__post_init__
+        monkeypatch.setattr(td.Graph, "__post_init__", counting("graphs", real_post_init))
+        for name in ("is_planar", "graph_from_canonical"):
+            monkeypatch.setattr(td.search, name, counting(name, getattr(td.search, name)))
+        monkeypatch.setattr(td.search, "classify", no_classify)
+        resumed, _ = td.run_search(filt, ["all"], out_path=str(out))
+        assert resumed == entries
+        assert counts["is_planar"] > 0 and counts["graph_from_canonical"] > 0
+        assert counts["graphs"] == counts["is_planar"] + counts["graph_from_canonical"]
+        assert counts["graphs"] < len(entries)
 
     def test_corrupt_catalog_line(self, tmp_path):
         out = tmp_path / "catalog.jsonl"

@@ -614,15 +614,24 @@ def _refined_cells(n: int, adj: Sequence[int]) -> list[int]:
 
 def _min_code(
     n: int, adj: Sequence[int], cells: Sequence[int]
-) -> tuple[list[int], list[tuple[int, ...]]]:
+) -> tuple[list[int], list[int], list[list[int]]]:
     """Lexicographically least adjacency code over cell-respecting orders,
-    and generators of the automorphism group.
+    with what generates the automorphism group: (code, twin, leaves).
 
     Positions are filled cell by cell (the refined order, an isomorphism
-    invariant, so the restriction preserves canonicity).  Twin vertices --
-    N(u) - v = N(v) - u, interchangeable by a transposition automorphism --
-    are branched only once per node: twinhood is an equivalence, so each
-    node keeps a mask of the twin classes it has tried.
+    invariant, so the restriction preserves canonicity).  The leading run
+    of singleton cells is the forced prefix: every order starts with those
+    vertices, so their rows are computed once against the growing prefix,
+    and the search starts at the first cell with more than one member.
+    When every cell is a singleton no search runs, and the group is
+    trivial: twin and leaves come back empty.
+
+    Twin vertices -- N(u) - v = N(v) - u, interchangeable by a
+    transposition automorphism -- are branched only once per node:
+    twinhood is an equivalence, so each node keeps a mask of the twin
+    classes it has tried.  twin[v] is the least vertex of v's class.  Twins
+    are automorphic, so they share a cell, and only the members of cells
+    with more than one are looked up.
 
     Least-row descent: a node computes the row of every candidate against
     its prefix first and descends only into the candidates with the least
@@ -639,56 +648,70 @@ def _min_code(
     final best is still visited, in the order of a plain depth-first walk
     over the slots.
 
-    A generator is a tuple p with p[v] the image of v.  They are one
-    transposition per vertex and the least vertex of its twin class, plus
-    one permutation per leaf whose code equals the best, mapping the first
-    leaf that reached the best code onto it (the list restarts whenever the
-    best strictly improves).  The automorphisms are exactly the maps from
-    that first best leaf to the best leaves.  No best leaf is skipped by
-    the row comparisons, and a best leaf skipped as a twin branch is the
-    image of one in the tried sibling's subtree under that twin
-    transposition, so every best leaf is a visited one moved by twin
-    transpositions, and the generators generate the whole group.
+    leaves holds the vertex order of each best leaf, in visiting order (it
+    restarts whenever the best strictly improves).  The automorphisms are
+    exactly the maps from the first best leaf to the best leaves.  No best
+    leaf is skipped by the row comparisons, and a best leaf skipped as a
+    twin branch is the image of one in the tried sibling's subtree under
+    that twin transposition, so every best leaf is a visited one moved by
+    twin transpositions: the twin transpositions and the maps onto the
+    later leaves generate the whole group (_generators).
     """
-    slots: list[tuple[int, ...]] = []
+    rows = [0] * n
+    placed: list[int] = []
+    start = 0
     for cell in cells:
-        members = mask_members(cell)
+        if cell & (cell - 1):
+            break
+        v = cell.bit_length() - 1
+        av = adj[v]
+        row = 0
+        for u in placed:
+            row = (row << 1) | (av >> u & 1)
+        rows[start] = row
+        placed.append(v)
+        start += 1
+    if start == n:
+        return rows, [], []
+
+    # slots[i] lists the candidates for position i, the members of its cell
+    slots: list[list[int]] = [[]] * start  # the forced positions are never read
+    spread = 0  # the members of cells with more than one
+    for cell in cells[start:]:
+        members = []
+        x = cell
+        while x:
+            low = x & -x
+            members.append(low.bit_length() - 1)
+            x ^= low
+        if len(members) > 1:
+            spread |= cell
         slots += [members] * len(members)
 
     # twin class representative: the least vertex with the same open
     # neighbourhood (false twins) or the same closed one (true twins); an
     # open and a closed neighbourhood are never equal, so one dict serves
-    twin = [0] * n
+    twin = list(range(n))
     first: dict[int, int] = {}
-    for v, a in enumerate(adj):
-        u = first.setdefault(a, v)
-        twin[v] = u if u != v else first.setdefault(a | 1 << v, v)
-    gens: list[tuple[int, ...]] = []
-    for v, u in enumerate(twin):
-        if u != v:
-            perm = list(range(n))
-            perm[u], perm[v] = v, u
-            gens.append(tuple(perm))
-    twin_gens = len(gens)
+    while spread:
+        low = spread & -spread
+        v = low.bit_length() - 1
+        u = first.setdefault(adj[v], v)
+        twin[v] = u if u != v else first.setdefault(adj[v] | low, v)
+        spread ^= low
 
-    placed: list[int] = []
-    placed_mask = 0
-    rows = [0] * n
+    placed_mask = 0  # of the searched positions: no slot holds a forced vertex
     best: list[int] | None = None
-    best_order: list[int] = []
+    leaves: list[list[int]] = []
 
     def dfs(i: int, tight: bool) -> None:
-        nonlocal best, best_order, placed_mask
+        nonlocal best, leaves, placed_mask
         if i == n:
             if best is None or not tight:  # a loose leaf is below the best
                 best = rows.copy()
-                best_order = placed.copy()
-                del gens[twin_gens:]
+                leaves = [placed.copy()]
             else:
-                perm = [0] * n
-                for u, v in zip(best_order, placed):
-                    perm[u] = v
-                gens.append(tuple(perm))
+                leaves.append(placed.copy())
             return
         least = -1
         chosen: list[int] = []
@@ -721,9 +744,29 @@ def _min_code(
             # child kept it, a loose one reached a leaf that became the best
             tight = True
 
-    dfs(0, True)
+    dfs(start, True)
     assert best is not None
-    return best, gens
+    return best, twin, leaves
+
+
+def _generators(n: int, twin: list[int], leaves: list[list[int]]) -> list[tuple[int, ...]]:
+    """Generators of Aut(G) from _min_code's twin and leaves, as image tuples
+    (p[v] is the image of v): one transposition per vertex and the least
+    vertex of its twin class, in ascending vertex order, then one map from
+    the first best leaf onto each later one.
+    """
+    gens = []
+    for v, u in enumerate(twin):
+        if u != v:
+            perm = list(range(n))
+            perm[u], perm[v] = v, u
+            gens.append(tuple(perm))
+    for order in leaves[1:]:
+        perm = [0] * n
+        for u, v in zip(leaves[0], order):
+            perm[u] = v
+        gens.append(tuple(perm))
+    return gens
 
 
 def canonical_key(
@@ -731,17 +774,24 @@ def canonical_key(
 ) -> bytes:
     """Canonical key of the graph on vertices 0..n-1 with adjacency masks adj.
 
+    The key is the least adjacency code over the vertex orders that respect
+    the refined partition (_min_code).  Its leading singleton cells, the
+    forced prefix, are placed directly; the labelling search branches only
+    from the first cell with more than one member, and none runs when the
+    refinement is discrete.
+
     When a list is given as generators, the generators of Aut(G) that the
     same search found are appended to it, as image tuples (p[v] is the
     image of v); none are appended when the group is trivial or n <= 1.
+    The tuples are built only then.
     """
     if n > CANONICAL_BOUND:
         raise CapabilityError(f"canonical form limited to {CANONICAL_BOUND} vertices, got {n}")
     if n <= 1:
         return bytes([n])
-    rows, gens = _min_code(n, adj, _refined_cells(n, adj))
+    rows, twin, leaves = _min_code(n, adj, _refined_cells(n, adj))
     if generators is not None:
-        generators += gens
+        generators += _generators(n, twin, leaves)
     acc = 0
     for i in range(1, n):
         acc = (acc << i) | rows[i]

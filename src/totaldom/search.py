@@ -93,6 +93,8 @@ class CatalogEntry:
 _FIELDS = tuple(f.name for f in fields(CatalogEntry))
 # a parsed catalog line's fields in CatalogEntry's positional order
 _entry_fields = itemgetter(*_FIELDS)
+# parses one JSON value at the start of a str: (value, end index)
+_decode = json.JSONDecoder().raw_decode
 
 # A catalog line is json.dumps(record, sort_keys=True) of an entry's fields
 # plus its graph6 string; _catalog_line writes those bytes without the dict
@@ -549,6 +551,12 @@ def _load_existing(path: str) -> dict[str, CatalogEntry]:
     """Read a catalog.  A final line without its newline is the tail of an
     interrupted write: it is cut off (even if it parses, as the next record
     would join it) and its class classified again.  Other bad lines raise.
+
+    Each stripped line is decoded from UTF-8 once and parsed by one
+    raw_decode, which must consume all of it: trailing data is rejected as
+    json.loads rejects it.  Catalogs are written in ASCII, so a line that
+    json.loads(bytes) would sniff as UTF-16 or UTF-32, or that starts with
+    a byte-order mark, is unreadable.
     """
     entries: dict[str, CatalogEntry] = {}
     with open(path, "rb") as fh:
@@ -560,7 +568,11 @@ def _load_existing(path: str) -> dict[str, CatalogEntry]:
         if not line:
             continue
         try:
-            entry = CatalogEntry(*_entry_fields(json.loads(line)))
+            text = line.decode("utf-8", "surrogatepass")  # as json.loads decodes UTF-8
+            record, end = _decode(text)
+            if end != len(text):
+                raise json.JSONDecodeError("Extra data", text, end)
+            entry = CatalogEntry(*_entry_fields(record))
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}:{lineno}: unreadable catalog line ({exc})") from exc
         entries[entry.canonical_key] = entry

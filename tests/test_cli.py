@@ -527,6 +527,51 @@ class TestSearch:
         assert "cat5.jsonl:11: unreadable catalog line" in err
         assert out_path.read_text() == "".join(lines)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda line: line[:-1] + b" x\n", id="trailing-data"),
+            pytest.param(lambda line: line[:-1] + b" " + line, id="two-records"),
+            pytest.param(lambda line: b'["canonical_key", "n"]\n', id="array"),
+            pytest.param(lambda line: b'"canonical_key"\n', id="string"),
+            pytest.param(
+                # in the graph6 string, a field the reader does not keep
+                lambda line: line.replace(b'"graph6": "', b'"graph6": "\xff', 1),
+                id="non-utf8",
+            ),
+        ],
+    )
+    def test_unreadable_line_exits_2(self, capsys, tmp_path, damage):
+        out_path = tmp_path / "cat.jsonl"
+        argv = ("search", "--n-max", "5", "--out", str(out_path))
+        assert run_cli(capsys, *argv)[0] == 0
+        lines = out_path.read_bytes().splitlines(keepends=True)
+        lines[10] = damage(lines[10])
+        damaged = b"".join(lines)
+        out_path.write_bytes(damaged)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "cat.jsonl:11: unreadable catalog line" in err
+        assert out_path.read_bytes() == damaged
+
+    def test_crlf_catalog_resumes(self, capsys, tmp_path, monkeypatch):
+        # the reader strips each line, so CRLF line ends read as LF ones
+        out_path = tmp_path / "cat.jsonl"
+        argv = ("search", "--n-max", "5", "--out", str(out_path))
+        code, fresh, _ = run_cli(capsys, *argv)
+        assert code == 0
+        crlf = out_path.read_bytes().replace(b"\n", b"\r\n")
+        out_path.write_bytes(crlf)
+
+        def no_classify(*args, **kwargs):
+            raise AssertionError("a catalogued class was classified again")
+
+        monkeypatch.setattr(td.search, "classify", no_classify)
+        code, resumed, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert resumed == fresh
+        assert out_path.read_bytes() == crlf
+
     @pytest.mark.parametrize("n_max", ["1", "0"])
     def test_n_max_below_two(self, capsys, n_max):
         # rejected for itself, not as a range below the default n_min

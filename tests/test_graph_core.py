@@ -528,6 +528,18 @@ def key_generators(n, adj):
     return gens
 
 
+def with_complements(connected: list[td.Graph]) -> list[td.Graph]:
+    """One graph per class: each of the connected graphs and its complement
+    (a disconnected graph has a connected complement).  Over one graph per
+    connected class with 2 <= n <= 7, that is every graph of those orders."""
+    graphs = {}
+    for g in connected:
+        complement = tuple(g.full_mask & ~a & ~(1 << v) for v, a in enumerate(g.adj))
+        for h in (g, td.Graph(g.n, complement)):
+            graphs.setdefault(td.canonical_form(h), h)
+    return list(graphs.values())
+
+
 class TestAutomorphismGenerators:
     def test_generators_are_automorphisms(self):
         rng = random.Random(12)
@@ -537,23 +549,39 @@ class TestAutomorphismGenerators:
                 assert is_automorphism(g, perm), (g.edges(), perm)
 
     def test_group_order_matches_brute_force_to_7(self, atlas7):
-        # every graph with 2 <= n <= 7: each connected class and its
-        # complement (a disconnected graph has a connected complement).
         # Equal orders make the generated group all of Aut(G), so the vertex
         # orbits agree too.
-        graphs = {}
-        for _, g in atlas7:
-            complement = tuple(g.full_mask & ~a & ~(1 << v) for v, a in enumerate(g.adj))
-            for h in (g, td.Graph(g.n, complement)):
-                graphs.setdefault(td.canonical_form(h), h)
+        graphs = with_complements([g for _, g in atlas7])
         assert len(graphs) == 2 + 4 + 11 + 34 + 156 + 1044
-        for h in graphs.values():
+        for h in graphs:
             gens = key_generators(h.n, h.adj)
             assert all(is_automorphism(h, p) for p in gens)
             order = sum(1 for _ in brute_automorphisms(h))
             assert group_order(h.n, gens) == order, h.edges()
             assert (gens == []) == (order == 1)  # no identity generators
         assert key_generators(1, (0,)) == []
+
+    def test_generator_lists_frozen(self, atlas7):
+        # the lists themselves, in order, not only the groups they generate:
+        # every graph with 2 <= n <= 7 (the canonical labelling of each
+        # class, so the enumeration's labellings play no part), then the 400
+        # seeded graphs of test_key_bytes_frozen_past_8
+        rng = random.Random(912)
+        past_8 = [
+            random_graph(rng, 9 + i % 4, (0.2, 0.35, 0.5, 0.65, 0.8)[i % 5])
+            for i in range(400)
+        ]
+        to_7 = with_complements([td.graph_from_canonical(key) for key, _ in atlas7])
+        lists = [key_generators(g.n, g.adj) for g in to_7 + past_8]
+        digest = hashlib.sha256(repr(lists).encode()).hexdigest()
+        assert digest == "344ba3088aee47490b3891b3f64a5c21686427a0ab5dd5e9340426df9a69cadf"
+        # a discrete refined order admits only the identity
+        discrete = [
+            gens
+            for g, gens in zip(to_7 + past_8, lists)
+            if len(td.graphs._refined_cells(g.n, g.adj)) == g.n
+        ]
+        assert len(discrete) > 100 and discrete == [[]] * len(discrete)
 
     def test_list_leaves_key_bytes_alone(self):
         rng = random.Random(5)

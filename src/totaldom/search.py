@@ -40,6 +40,19 @@ from .domination import dominating_edge_subgraph, mtds, packing_number, report
 from .graphio import serialize_graph  # noqa: F401
 
 
+# OEIS A001349: connected graphs on n vertices, n = 0..CANONICAL_BOUND.
+CONNECTED_CLASSES = (
+    1, 1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571, 1006700565, 164059830476
+)
+# The most connected classes, summed over orders 2..n_max, that a search
+# without a planar or triangle-free restriction may enumerate.  n <= 9 holds
+# 273,192; n <= 10 holds 11,989,763, whose order-10 level dict alone would
+# need about 8 GB, so the search would run out of memory after minutes
+# instead of failing at once.  Restricted searches have no projected count
+# here and stay unbounded.
+SEARCH_BUDGET = 1_000_000
+
+
 @dataclass(frozen=True)
 class SearchFilter:
     """What to enumerate: order range plus optional structural restrictions."""
@@ -55,6 +68,14 @@ class SearchFilter:
             raise CapabilityError(
                 f"searches are capped at {CANONICAL_BOUND} vertices, got n_max={self.n_max}"
             )
+        if not (self.planar_only or self.triangle_free_only):
+            count = sum(CONNECTED_CLASSES[2 : self.n_max + 1])
+            if count > SEARCH_BUDGET:
+                raise CapabilityError(
+                    f"a search to n_max={self.n_max} without a planar or triangle-free "
+                    f"restriction enumerates {count:,} connected classes (OEIS A001349), "
+                    f"more than the budget of {SEARCH_BUDGET:,}"
+                )
         if self.n_max < 2:
             raise ValueError(f"n_max must be at least 2, got {self.n_max}")
         if self.n_min < 2:
@@ -151,59 +172,104 @@ MTDS_LIMIT = 100_000
 
 
 def profile(g: Graph) -> Profile:
-    """Compute the total-domination profile of g once.
+    """Compute the total-domination profile of g once: a one-graph block
+    of _profile_block, the kernels every search classification runs.
 
     Raises CapabilityError when g has more than MTDS_LIMIT minimal total
     dominating sets.
     """
-    try:
-        fam = mtds(g, max_count=MTDS_LIMIT)
-    except DominationUndefinedError:
-        fam = rep = gde = None
-    except CapabilityError:
-        raise CapabilityError(
-            f"more than MTDS_LIMIT = {MTDS_LIMIT} minimal total dominating sets; "
-            "a profile lists the whole family, so it stops there"
-        ) from None
-    else:
-        rep = report(g, fam)
-        gde = dominating_edge_subgraph(g) if rep.gamma_t == 2 else None
-    return Profile(fam, rep, packing_number(g), diameter(g), girth(g), gde)
+    return _profile_block([g])[0]
+
+
+def _profile_block(graphs: list[Graph]) -> list[Profile]:
+    """The profile of each graph, one kernel at a time over the whole list.
+
+    Raises CapabilityError, naming MTDS_LIMIT, when any graph has more
+    minimal total dominating sets than that.
+    """
+    families = []
+    for g in graphs:
+        try:
+            families.append(mtds(g, max_count=MTDS_LIMIT))
+        except DominationUndefinedError:
+            families.append(None)
+        except CapabilityError:
+            raise CapabilityError(
+                f"more than MTDS_LIMIT = {MTDS_LIMIT} minimal total dominating sets; "
+                "a profile lists the whole family, so it stops there"
+            ) from None
+    reports = [None if fam is None else report(g, fam) for g, fam in zip(graphs, families)]
+    edges = [
+        dominating_edge_subgraph(g) if rep is not None and rep.gamma_t == 2 else None
+        for g, rep in zip(graphs, reports)
+    ]
+    rhos = [packing_number(g) for g in graphs]
+    diameters = [diameter(g) for g in graphs]
+    girths = [girth(g) for g in graphs]
+    return list(map(Profile, families, reports, rhos, diameters, girths, edges))
 
 
 def classify(
     g: Graph, key: bytes | None = None, planar: bool | None = None
 ) -> CatalogEntry:
-    """Compute the full catalog record for one graph.
+    """Compute the full catalog record for one graph: a one-graph block of
+    _classify_block, the path every search classification takes.
 
-    key and planar, when given, must be g's canonical form and planarity
-    (enumerate_graphs yields both beside g's adjacency, from which the
-    caller builds g; its planar is None on the last level unless a parent
-    settled it); they are computed when None.  Raises
+    key and planar, when given, must be g's canonical form and planarity;
+    key is computed when None, and planar is decided by is_planar.  Raises
     CapabilityError, as profile does, past MTDS_LIMIT minimal total
     dominating sets, which no searched graph reaches (see MTDS_LIMIT).
     """
     if key is None:
         key = canonical_form(g)
-    if planar is None:
-        planar = is_planar(g)
-    prof = profile(g)
-    rep, gde = prof.report, prof.dominating_edges
-    return CatalogEntry(
-        canonical_key=key.hex(),
-        n=g.n,
-        m=g.m,
-        min_degree=g.min_degree(),
-        gamma_t=None if rep is None else rep.gamma_t,
-        Gamma_t=None if rep is None else rep.Gamma_t,
-        is_wtd=None if rep is None else rep.is_wtd,
-        rho=prof.rho,
-        diameter=prof.diameter,
-        girth=prof.girth,
-        nu_gde=None if gde is None else max_matching_of_edges(gde.edges),
-        planar=planar,
-        triangle_free=is_triangle_free(g),
-    )
+    return _classify_block([(key, g.adj, planar)])[0]
+
+
+# run_search classifies fresh classes in blocks of this many: each kernel
+# runs over the whole block before the next one starts, and the block's
+# catalog lines go out in one write, so an interrupted run classifies at
+# most one block again.
+BLOCK = 256
+
+
+def _classify_block(block: list[tuple]) -> list[CatalogEntry]:
+    """The catalog record of each class in a block of enumerate_graphs
+    payloads (canonical key, adjacency, planar), one kernel at a time over
+    the block.  The Graphs are built here (in the worker, under a pool);
+    a planar of None is decided by is_planar.
+    """
+    keys, adjs, planars = zip(*block)
+    graphs = [Graph(len(adj), adj) for adj in adjs]
+    profiles = _profile_block(graphs)
+    matchings = [
+        None if p.dominating_edges is None else max_matching_of_edges(p.dominating_edges.edges)
+        for p in profiles
+    ]
+    planars = [is_planar(g) if planar is None else planar for g, planar in zip(graphs, planars)]
+    triangle_free = [is_triangle_free(g) for g in graphs]
+    entries = []
+    for g, key, prof, nu, planar, tf in zip(
+        graphs, keys, profiles, matchings, planars, triangle_free
+    ):
+        rep = prof.report
+        entries.append(
+            CatalogEntry(
+                canonical_key=key.hex(),
+                n=g.n,
+                m=g.m,
+                min_degree=g.min_degree(),
+                gamma_t=None if rep is None else rep.gamma_t,
+                Gamma_t=None if rep is None else rep.Gamma_t,
+                is_wtd=None if rep is None else rep.is_wtd,
+                rho=prof.rho,
+                diameter=prof.diameter,
+                girth=prof.girth,
+                nu_gde=nu,
+                planar=planar,
+                triangle_free=tf,
+            )
+        )
+    return entries
 
 
 def _parts_without(n: int, adj: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -389,9 +455,9 @@ def enumerate_graphs(filt: SearchFilter):
     (_fits_in_a_face).  A planar still None is decided by is_planar, once
     per class, when its level is expanded further or filtered on
     planarity; on the last level planar is None unless inherited, and
-    classify decides it when asked.  A Graph is built only for is_planar.
-    The planar and triangle-free restrictions prune whole subtrees, since a
-    child can qualify only if its parent does.
+    the classification decides it (_classify_block).  A Graph is built only
+    for is_planar.  The planar and triangle-free restrictions prune whole
+    subtrees, since a child can qualify only if its parent does.
     """
     level: dict[bytes, tuple] = {canonical_key(1, (0,)): ((0,), True, [])}
     for n in range(1, filt.n_max + 1):
@@ -540,13 +606,6 @@ def resolve_assertion_ids(ids) -> tuple[str, ...]:
     return tuple(chosen)
 
 
-def _classify_payload(payload: tuple[bytes, tuple[int, ...], bool | None]) -> CatalogEntry:
-    """Classify one class enumerate_graphs yielded, building its Graph here
-    (in the worker, under a pool)."""
-    key, adj, planar = payload
-    return classify(Graph(len(adj), adj), key, planar)
-
-
 def _load_existing(path: str) -> dict[str, CatalogEntry]:
     """Read a catalog.  A final line without its newline is the tail of an
     interrupted write: it is cut off (even if it parses, as the next record
@@ -608,20 +667,28 @@ def run_search(
     order: list[str] = []
 
     def fresh():
+        """The payloads of the classes the catalog lacks, BLOCK at a time."""
+        block = []
         for payload in enumerate_graphs(filt):
             hexkey = payload[0].hex()
             order.append(hexkey)
             if hexkey not in existing:
-                yield payload
+                block.append(payload)
+                if len(block) == BLOCK:
+                    yield block
+                    block = []
+        if block:
+            yield block
 
-    # classification results stream to the catalog as they finish, so an
-    # interrupted run leaves a usable prefix behind (fresh payloads arrive in
-    # ascending canonical-key order, keeping the file sorted per run).  The
-    # catalog opens before enumeration, so an unwritable path fails at once.
-    # A serial run classifies each class as it is enumerated.  A pool's
-    # workers start with its first chunk of fresh classes, but Executor.map
-    # submits the whole enumeration before it yields a result; with no fresh
-    # class nothing is submitted and no worker starts.
+    # Fresh classes are classified a block at a time and each block's lines
+    # go to the catalog in one write, so an interrupted run leaves a usable
+    # prefix behind and classifies at most one block again (fresh payloads
+    # arrive in ascending canonical-key order, keeping the file sorted per
+    # run).  The catalog opens before enumeration, so an unwritable path
+    # fails at once.  A serial run classifies each block as soon as it is
+    # enumerated.  A pool's workers start with its first block, but
+    # Executor.map submits the whole enumeration before it yields a result;
+    # with no fresh class nothing is submitted and no worker starts.
     sink = open(out_path, "a", encoding="utf-8") if out_path is not None else None
     pool = None
     try:
@@ -630,14 +697,17 @@ def run_search(
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(max_workers=jobs)
-            computed = pool.map(_classify_payload, fresh(), chunksize=32)
+            computed = pool.map(_classify_block, fresh())
         else:
-            computed = map(_classify_payload, fresh())
-        for entry in computed:
-            existing[entry.canonical_key] = entry
+            computed = map(_classify_block, fresh())
+        for block in computed:
+            for entry in block:
+                existing[entry.canonical_key] = entry
             if sink is not None:
-                graph6 = graph6_from_key(bytes.fromhex(entry.canonical_key))
-                sink.write(_catalog_line(entry, graph6))
+                sink.write("".join([
+                    _catalog_line(entry, graph6_from_key(bytes.fromhex(entry.canonical_key)))
+                    for entry in block
+                ]))
                 sink.flush()
     finally:
         if sink is not None:

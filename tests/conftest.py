@@ -42,3 +42,22 @@ def atlas6():
     """Connected classes with 2 <= n <= 6 only; cheap enough to build alone."""
     filt = td.SearchFilter(n_max=6)
     return [(k, td.Graph(len(adj), adj)) for k, adj, _ in td.enumerate_graphs(filt)]
+
+
+@pytest.fixture
+def classified(monkeypatch):
+    """The canonical keys of the classes the search classifies, in order.
+
+    Wraps search._classify_block, the one path every classification takes
+    (run_search's blocks and classify alike), so it counts classes, not
+    calls.
+    """
+    keys = []
+    real = td.search._classify_block
+
+    def counted(block):
+        keys.extend(key for key, _, _ in block)
+        return real(block)
+
+    monkeypatch.setattr(td.search, "_classify_block", counted)
+    return keys

@@ -488,7 +488,7 @@ class TestSearch:
             json.loads(line)
         assert out_path.read_bytes() == complete
 
-    def test_resume_from_catalog_cut_in_half(self, capsys, tmp_path, monkeypatch):
+    def test_resume_from_catalog_cut_in_half(self, capsys, tmp_path, classified):
         # a catalog cut at half its bytes, mid-line: the torn line is
         # dropped, the classes it and the lost lines held are classified
         # again and appended, and the bytes equal the fresh run's
@@ -501,19 +501,12 @@ class TestSearch:
         assert not half.endswith(b"\n")
         out_path.write_bytes(half)
         kept = half.count(b"\n")
-        classified = []
-        real = td.search.classify
-
-        def counted(g, key=None, planar=None):
-            classified.append(key)
-            return real(g, key, planar)
-
-        monkeypatch.setattr(td.search, "classify", counted)
+        classified.clear()
         code, resumed, _ = run_cli(capsys, *argv)
         assert code == 0
+        assert 0 < kept < 142 and len(classified) == 142 - kept
         assert resumed == fresh
         assert out_path.read_bytes() == complete
-        assert 0 < kept < 142 and len(classified) == 142 - kept
 
     def test_corrupt_middle_line(self, capsys, tmp_path):
         out_path = tmp_path / "cat5.jsonl"
@@ -554,23 +547,61 @@ class TestSearch:
         assert "cat.jsonl:11: unreadable catalog line" in err
         assert out_path.read_bytes() == damaged
 
-    def test_crlf_catalog_resumes(self, capsys, tmp_path, monkeypatch):
+    def test_crlf_catalog_resumes(self, capsys, tmp_path, classified):
         # the reader strips each line, so CRLF line ends read as LF ones
         out_path = tmp_path / "cat.jsonl"
         argv = ("search", "--n-max", "5", "--out", str(out_path))
         code, fresh, _ = run_cli(capsys, *argv)
-        assert code == 0
+        assert code == 0 and len(classified) == 30
         crlf = out_path.read_bytes().replace(b"\n", b"\r\n")
         out_path.write_bytes(crlf)
-
-        def no_classify(*args, **kwargs):
-            raise AssertionError("a catalogued class was classified again")
-
-        monkeypatch.setattr(td.search, "classify", no_classify)
+        classified.clear()
         code, resumed, _ = run_cli(capsys, *argv)
         assert code == 0
+        assert classified == [], "a catalogued class was classified again"
         assert resumed == fresh
         assert out_path.read_bytes() == crlf
+
+    def test_interrupted_block_write(self, capsys, tmp_path, monkeypatch):
+        # a class past MTDS_LIMIT stops the search inside a later block:
+        # the catalog keeps the whole lines of the blocks before that one,
+        # and a rerun with the real limit completes it to the fresh bytes
+        argv = ("search", "--n-max", "6", "--out", str(tmp_path / "fresh.jsonl"))
+        code, fresh, _ = run_cli(capsys, *argv)
+        assert code == 0
+        complete = (tmp_path / "fresh.jsonl").read_bytes()
+        filt = td.SearchFilter(n_max=6)
+        sizes = [
+            len(td.mtds(td.Graph(len(adj), adj)).edges) for _, adj, _ in td.enumerate_graphs(filt)
+        ]
+        block = 16
+        limit = max(sizes[: 2 * block])
+        first = next(i for i, size in enumerate(sizes) if size > limit)
+        assert first >= 2 * block and first % block > 0
+        monkeypatch.setattr(td.search, "BLOCK", block)
+        real_limit = td.search.MTDS_LIMIT
+        monkeypatch.setattr(td.search, "MTDS_LIMIT", limit)
+        out_path = tmp_path / "cat.jsonl"
+        argv = ("search", "--n-max", "6", "--out", str(out_path))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"more than MTDS_LIMIT = {limit} minimal total dominating sets" in err
+        cut = out_path.read_bytes()
+        assert cut.endswith(b"\n") and complete.startswith(cut)
+        assert cut.count(b"\n") == first - first % block
+        monkeypatch.setattr(td.search, "MTDS_LIMIT", real_limit)
+        code, resumed, _ = run_cli(capsys, *argv)
+        assert code == 0 and resumed == fresh
+        assert out_path.read_bytes() == complete
+
+    def test_unrestricted_search_past_budget(self, capsys):
+        # n <= 10 holds 11,989,763 connected classes (A001349); refused at
+        # once, where the order-10 level would take gigabytes
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "search", "--n-max", "10")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert "11,989,763" in err and f"{td.search.SEARCH_BUDGET:,}" in err
 
     @pytest.mark.parametrize("n_max", ["1", "0"])
     def test_n_max_below_two(self, capsys, n_max):

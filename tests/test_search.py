@@ -48,8 +48,24 @@ class TestSearchFilter:
             td.SearchFilter(n_max=3, n_min=4)
 
     def test_n_max_cap(self):
-        with pytest.raises(td.CapabilityError):
+        # checked before the class budget, which this n_max also exceeds
+        with pytest.raises(td.CapabilityError) as err:
             td.SearchFilter(n_max=td.CANONICAL_BOUND + 1)
+        assert str(err.value) == (
+            f"searches are capped at {td.CANONICAL_BOUND} vertices, "
+            f"got n_max={td.CANONICAL_BOUND + 1}"
+        )
+
+    def test_budget_counts_unrestricted_classes(self):
+        assert sum(td.search.CONNECTED_CLASSES[2:10]) == 273_192
+        td.SearchFilter(n_max=9)
+        with pytest.raises(td.CapabilityError) as err:
+            td.SearchFilter(n_max=10, min_degree=3)
+        assert "11,989,763" in str(err.value)
+        assert f"{td.search.SEARCH_BUDGET:,}" in str(err.value)
+        # restricted searches keep no budget of their own (not yet bounded)
+        td.SearchFilter(n_max=12, planar_only=True)
+        td.SearchFilter(n_max=12, triangle_free_only=True)
 
     def test_min_degree_sign(self):
         with pytest.raises(ValueError):
@@ -479,29 +495,29 @@ class TestRunSearch:
         assert resumed == entries
         assert len(out.read_text().splitlines()) == len(full)
 
-    def test_catalog_blank_line_resumes(self, tmp_path, monkeypatch):
+    def test_catalog_blank_line_resumes(self, tmp_path, classified):
         out = tmp_path / "catalog.jsonl"
         filt = td.SearchFilter(n_max=4)
         entries, _ = td.run_search(filt, ["DIAM3"], out_path=str(out))
+        assert len(classified) == len(entries) == 9
         full = out.read_text().splitlines(keepends=True)
         text = "".join(full[:3]) + "\n" + "".join(full[3:])
         out.write_text(text)
-
-        def no_classify(*args, **kwargs):
-            raise AssertionError("a stored class was classified again")
-
-        monkeypatch.setattr(td.search, "classify", no_classify)
+        classified.clear()
         resumed, _ = td.run_search(filt, ["DIAM3"], out_path=str(out))
+        assert classified == [], "a stored class was classified again"
         assert resumed == entries
         assert out.read_text() == text
 
-    def test_full_resume_builds_no_graph_per_class(self, tmp_path, monkeypatch):
+    def test_full_resume_builds_no_graph_per_class(self, tmp_path, monkeypatch, classified):
         # a resumed run builds a Graph only where the enumeration tests
         # planarity and where T11EQ rebuilds a class from its key: none for
-        # the yield, and no classify for a catalogued class
+        # the yield, and no classification for a catalogued class
         out = tmp_path / "catalog.jsonl"
         filt = td.SearchFilter(n_max=6)
         entries, _ = td.run_search(filt, ["all"], out_path=str(out))
+        assert len(classified) == len(entries) == 142
+        classified.clear()
         counts = {"graphs": 0, "is_planar": 0, "graph_from_canonical": 0}
 
         def counting(name, fn):
@@ -511,15 +527,12 @@ class TestRunSearch:
 
             return wrapper
 
-        def no_classify(*args, **kwargs):
-            raise AssertionError("a catalogued class was classified again")
-
         real_post_init = td.Graph.__post_init__
         monkeypatch.setattr(td.Graph, "__post_init__", counting("graphs", real_post_init))
         for name in ("is_planar", "graph_from_canonical"):
             monkeypatch.setattr(td.search, name, counting(name, getattr(td.search, name)))
-        monkeypatch.setattr(td.search, "classify", no_classify)
         resumed, _ = td.run_search(filt, ["all"], out_path=str(out))
+        assert classified == [], "a catalogued class was classified again"
         assert resumed == entries
         assert counts["is_planar"] > 0 and counts["graph_from_canonical"] > 0
         assert counts["graphs"] == counts["is_planar"] + counts["graph_from_canonical"]

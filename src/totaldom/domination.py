@@ -134,25 +134,29 @@ def packing_number(g: Graph) -> int:
             near |= adj[low.bit_length() - 1]
             rest ^= low
         conflict.append(near & ~(1 << v))
-    best = 0
+    return _grow_packing(conflict, 0, g.full_mask, 0)
 
-    def grow(size: int, avail: int) -> None:
-        nonlocal best
-        while avail:
-            if size + avail.bit_count() <= best:
-                return
-            low = avail & -avail
-            avail ^= low
-            clash = conflict[low.bit_length() - 1] & avail
-            size += 1
-            if clash:
-                grow(size, avail & ~clash)  # take it, then go on without it
-                size -= 1
-        if size > best:
-            best = size
 
-    grow(0, g.full_mask)
-    return best
+def _grow_packing(conflict: list[int], size: int, avail: int, best: int) -> int:
+    """The larger of best and the largest packing that adds vertices of
+    avail to one of the given size.
+
+    The best packing so far comes in as an argument and goes out as the
+    result, not through a closure over a nested function, so a call leaves
+    no function-cell reference cycle behind.
+    """
+    while avail:
+        if size + avail.bit_count() <= best:
+            return best
+        low = avail & -avail
+        avail ^= low
+        clash = conflict[low.bit_length() - 1] & avail
+        size += 1
+        if clash:
+            # take it, then go on without it
+            best = _grow_packing(conflict, size, avail & ~clash, best)
+            size -= 1
+    return size if size > best else best
 
 
 def minimal_vertex_covers(g: Graph, max_count: int | None = None) -> SpernerFamily:

@@ -353,34 +353,50 @@ def _blocks(adj: Sequence[int]) -> list[int]:
     stack: list[int] = []
     blocks: list[int] = []
     clock = 0
-
-    def visit(v: int, parent: int) -> None:
-        nonlocal clock
-        disc[v] = low[v] = clock
-        clock += 1
-        stack.append(v)
-        x = adj[v]
-        while x:
-            bit = x & -x
-            w = bit.bit_length() - 1
-            x ^= bit
-            if disc[w] < 0:
-                visit(w, v)
-                low[v] = min(low[v], low[w])
-                if low[w] >= disc[v]:  # v separates w's subtree: a block
-                    mask = 1 << v
-                    u = -1
-                    while u != w:
-                        u = stack.pop()
-                        mask |= 1 << u
-                    blocks.append(mask)
-            elif w != parent:
-                low[v] = min(low[v], disc[w])
-
     for v, a in enumerate(adj):
         if a and disc[v] < 0:
-            visit(v, -1)
+            clock = _lowpoint(adj, disc, low, stack, blocks, clock, v, -1)
     return blocks
+
+
+def _lowpoint(
+    adj: Sequence[int],
+    disc: list[int],
+    low: list[int],
+    stack: list[int],
+    blocks: list[int],
+    clock: int,
+    v: int,
+    parent: int,
+) -> int:
+    """Visit v from parent in _blocks' DFS, the next discovery time being
+    clock; return the one after the subtree.
+
+    The DFS state comes in as arguments and the clock goes out as the
+    result, not through a closure over a nested function, so a call leaves
+    no function-cell reference cycle behind.
+    """
+    disc[v] = low[v] = clock
+    clock += 1
+    stack.append(v)
+    x = adj[v]
+    while x:
+        bit = x & -x
+        w = bit.bit_length() - 1
+        x ^= bit
+        if disc[w] < 0:
+            clock = _lowpoint(adj, disc, low, stack, blocks, clock, w, v)
+            low[v] = min(low[v], low[w])
+            if low[w] >= disc[v]:  # v separates w's subtree: a block
+                mask = 1 << v
+                u = -1
+                while u != w:
+                    u = stack.pop()
+                    mask |= 1 << u
+                blocks.append(mask)
+        elif w != parent:
+            low[v] = min(low[v], disc[w])
+    return clock
 
 
 def _embeds(adj: Sequence[int], block: int) -> bool:
@@ -528,35 +544,41 @@ def max_matching_of_edges(edges: Iterable[Edge]) -> int:
     for u, v in edges:
         adj[pos[u]] |= 1 << pos[v]
         adj[pos[v]] |= 1 << pos[u]
-    memo: dict[int, int] = {}
+    return _matching(adj, {}, (1 << len(verts)) - 1)
 
-    def rec(avail: int) -> int:
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            partners = adj[low.bit_length() - 1] & avail
-            if partners:
+
+def _matching(adj: list[int], memo: dict[int, int], avail: int) -> int:
+    """Size of a maximum matching among the vertices of avail, memoized in
+    memo by the available mask.
+
+    adj and memo come in as arguments rather than through a closure over a
+    nested function, so a call leaves no function-cell reference cycle
+    behind.
+    """
+    while avail:
+        low = avail & -avail
+        avail ^= low
+        partners = adj[low.bit_length() - 1] & avail
+        if partners:
+            break
+    else:
+        return 0
+    key = avail | low
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    enough = (avail.bit_count() + 1) // 2
+    best = 0
+    while partners:
+        bit = partners & -partners
+        size = 1 + _matching(adj, memo, avail ^ bit)
+        if size > best:
+            best = size
+            if best == enough:
                 break
-        else:
-            return 0
-        key = avail | low
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        enough = (avail.bit_count() + 1) // 2
-        best = 0
-        while partners:
-            bit = partners & -partners
-            size = 1 + rec(avail ^ bit)
-            if size > best:
-                best = size
-                if best == enough:
-                    break
-            partners ^= bit
-        memo[key] = best
-        return best
-
-    return rec((1 << len(verts)) - 1)
+        partners ^= bit
+    memo[key] = best
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -700,53 +722,71 @@ def _min_code(
         twin[v] = u if u != v else first.setdefault(adj[v] | low, v)
         spread ^= low
 
-    placed_mask = 0  # of the searched positions: no slot holds a forced vertex
-    best: list[int] | None = None
+    best: list[int] = []  # filled at the first leaf
     leaves: list[list[int]] = []
-
-    def dfs(i: int, tight: bool) -> None:
-        nonlocal best, leaves, placed_mask
-        if i == n:
-            if best is None or not tight:  # a loose leaf is below the best
-                best = rows.copy()
-                leaves = [placed.copy()]
-            else:
-                leaves.append(placed.copy())
-            return
-        least = -1
-        chosen: list[int] = []
-        tried = 0
-        for v in slots[i]:
-            if placed_mask >> v & 1 or tried >> twin[v] & 1:
-                continue  # placed, or a twin of an already-tried sibling
-            tried |= 1 << twin[v]
-            row = 0
-            av = adj[v]
-            for u in placed:
-                row = (row << 1) | (av >> u & 1)
-            if row == least:
-                chosen.append(v)
-            elif least < 0 or row < least:
-                least = row
-                chosen = [v]
-        if tight and best is not None:
-            if least > best[i]:
-                return
-            tight = least == best[i]
-        rows[i] = least
-        for v in chosen:
-            placed.append(v)
-            placed_mask |= 1 << v
-            dfs(i + 1, tight)
-            placed.pop()
-            placed_mask ^= 1 << v
-            # the best now has this node's prefix and least row: a tight
-            # child kept it, a loose one reached a leaf that became the best
-            tight = True
-
-    dfs(start, True)
-    assert best is not None
+    _descend(n, adj, slots, twin, rows, placed, 0, best, leaves, start, True)
     return best, twin, leaves
+
+
+def _descend(
+    n: int,
+    adj: Sequence[int],
+    slots: list[list[int]],
+    twin: list[int],
+    rows: list[int],
+    placed: list[int],
+    placed_mask: int,
+    best: list[int],
+    leaves: list[list[int]],
+    i: int,
+    tight: bool,
+) -> None:
+    """_min_code's labelling search at position i, below the prefix placed
+    with its rows in rows.  placed_mask holds the prefix's searched
+    vertices only: no slot holds a forced one.
+
+    best (empty until the first leaf) and leaves are updated in place.  The
+    search's state comes in as arguments rather than through a closure over
+    a nested function, so a call leaves no function-cell reference cycle
+    behind.
+    """
+    if i == n:
+        if not best or not tight:  # a loose leaf is below the best
+            best[:] = rows
+            leaves[:] = [placed.copy()]
+        else:
+            leaves.append(placed.copy())
+        return
+    least = -1
+    chosen: list[int] = []
+    tried = 0
+    for v in slots[i]:
+        if placed_mask >> v & 1 or tried >> twin[v] & 1:
+            continue  # placed, or a twin of an already-tried sibling
+        tried |= 1 << twin[v]
+        row = 0
+        av = adj[v]
+        for u in placed:
+            row = (row << 1) | (av >> u & 1)
+        if row == least:
+            chosen.append(v)
+        elif least < 0 or row < least:
+            least = row
+            chosen = [v]
+    if tight and best:
+        if least > best[i]:
+            return
+        tight = least == best[i]
+    rows[i] = least
+    for v in chosen:
+        placed.append(v)
+        _descend(
+            n, adj, slots, twin, rows, placed, placed_mask | 1 << v, best, leaves, i + 1, tight
+        )
+        placed.pop()
+        # the best now has this node's prefix and least row: a tight child
+        # kept it, a loose one reached a leaf that became the best
+        tight = True
 
 
 def _generators(n: int, twin: list[int], leaves: list[list[int]]) -> list[tuple[int, ...]]:

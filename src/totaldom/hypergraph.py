@@ -16,6 +16,17 @@ from .graphs import Graph, mask_members
 
 MAX_GROUND = 64
 
+# all_minimal_transversals_have_size_k dualizes its whole depth-k family, and
+# that family grows exponentially with k (6 disjoint copies of K4 have 6**6 =
+# 46,656 minimal total dominating sets of size 12, whose dualization alone ran
+# for about a minute); past this many sets it raises CapabilityError instead,
+# within a few hundredths of a second.  It is above C(64, 2) = 2,016, so a
+# depth-2 search on 64 vertices (w2-check) is never refused.  Families near it
+# dualized in 2.6-3.5 s (5,298 to 5,660 sets from dense random graphs on 48
+# and 64 vertices, k = 3 and 4; Python 3.11 on a 2-vCPU VM, process time) and
+# the 1,296 of 4 disjoint K4s at k = 8 in 0.034 s.
+SIZE_K_LIMIT = 5_000
+
 
 @dataclass(frozen=True)
 class SpernerFamily:
@@ -165,54 +176,72 @@ def _mmcs(
             containing[low.bit_length() - 1] |= bit
             e ^= low
     out: list[int] = []
-
-    # crit[j] holds the edges that the j-th chosen vertex hits alone.  The
-    # parent's loop settles two kinds of child without a call: one that covers
-    # every edge (a leaf, appended there) and one that would hold max_size
-    # vertices with edges still uncovered (skipped)
-    def rec(chosen: int, cand: int, crit: list[int], uncov: int) -> None:
-        # an uncovered edge with no candidate left is picked (width 0), and
-        # its empty branch ends the call
-        pick = -1
-        pick_width = MAX_GROUND + 1
-        rest = uncov
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            rest ^= low
-            width = (edges[i] & cand).bit_count()
-            if width < pick_width:
-                pick_width = width
-                pick = i
-        branch = edges[pick] & cand
-        cand &= ~branch
-        deeper = len(crit) + 1 < max_size
-        while branch:
-            bit = branch & -branch
-            branch ^= bit
-            cont = containing[bit.bit_length() - 1]
-            left = uncov & ~cont
-            if left and not deeper:
-                cand |= bit
-                continue
-            new_crit = []
-            for cm in crit:
-                cm &= ~cont
-                if cm == 0:
-                    break
-                new_crit.append(cm)
-            else:
-                if left:
-                    new_crit.append(uncov & cont)
-                    rec(chosen | bit, cand, new_crit, left)
-                else:
-                    if max_count is not None and len(out) >= max_count:
-                        raise CapabilityError(f"more than {max_count} minimal transversals")
-                    out.append(chosen | bit)
-            cand |= bit
-
-    rec(0, cand0, [], (1 << m) - 1)
+    _mmcs_branch(edges, containing, max_size, max_count, out, 0, cand0, [], (1 << m) - 1)
     return sorted(out)
+
+
+def _mmcs_branch(
+    edges: Sequence[int],
+    containing: list[int],
+    max_size: int,
+    max_count: int | None,
+    out: list[int],
+    chosen: int,
+    cand: int,
+    crit: list[int],
+    uncov: int,
+) -> None:
+    """One MMCS branch: the vertices in chosen, the edges in uncov left.
+
+    crit[j] holds the edges that the j-th chosen vertex hits alone.  The
+    branch loop settles two kinds of child without a call: one that covers
+    every edge (a leaf, appended to out) and one that would hold max_size
+    vertices with edges still uncovered (skipped).  The search's state
+    comes in as arguments rather than through a closure over a nested
+    function, so a call leaves no function-cell reference cycle behind.
+    """
+    # an uncovered edge with no candidate left is picked (width 0), and its
+    # empty branch ends the call
+    pick = -1
+    pick_width = MAX_GROUND + 1
+    rest = uncov
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        rest ^= low
+        width = (edges[i] & cand).bit_count()
+        if width < pick_width:
+            pick_width = width
+            pick = i
+    branch = edges[pick] & cand
+    cand &= ~branch
+    deeper = len(crit) + 1 < max_size
+    while branch:
+        bit = branch & -branch
+        branch ^= bit
+        cont = containing[bit.bit_length() - 1]
+        left = uncov & ~cont
+        if left and not deeper:
+            cand |= bit
+            continue
+        new_crit = []
+        for cm in crit:
+            cm &= ~cont
+            if cm == 0:
+                break
+            new_crit.append(cm)
+        else:
+            if left:
+                new_crit.append(uncov & cont)
+                _mmcs_branch(
+                    edges, containing, max_size, max_count, out,
+                    chosen | bit, cand, new_crit, left,
+                )
+            else:
+                if max_count is not None and len(out) >= max_count:
+                    raise CapabilityError(f"more than {max_count} minimal transversals")
+                out.append(chosen | bit)
+        cand |= bit
 
 
 def enumerate_minimal_transversals(
@@ -228,17 +257,20 @@ def enumerate_minimal_transversals(
     return SpernerFamily(h.ground, tuple(_mmcs(h.edges, max_count=max_count)))
 
 
-def enumerate_bounded_minimal_transversals(h: SpernerFamily, k: int) -> SpernerFamily:
+def enumerate_bounded_minimal_transversals(
+    h: SpernerFamily, k: int, max_count: int | None = None
+) -> SpernerFamily:
     """All minimal transversals of size <= k; the result may be empty.
 
     This is the MMCS search cut at depth k, so the leaf count is bounded by
-    (largest edge size)**k.
+    (largest edge size)**k.  With ``max_count``, raise CapabilityError once
+    more than that many turn up, before enumerating the rest.
     """
     if not h.edges:
         raise ValueError("transversals of an empty family are not defined here")
     if k < 1:
         raise ValueError(f"size bound must be at least 1, got {k}")
-    return SpernerFamily(h.ground, tuple(_mmcs(h.edges, max_size=k)))
+    return SpernerFamily(h.ground, tuple(_mmcs(h.edges, k, max_count)))
 
 
 @dataclass(frozen=True)
@@ -266,8 +298,17 @@ def all_minimal_transversals_have_size_k(h: SpernerFamily, k: int) -> SizeKDecis
     and every edge of h is itself a transversal of g), so the complement of B
     is a transversal of h, and greedily minimizing it yields a minimal
     transversal disjoint from B -- hence missed by g, hence of size > k.
+
+    Raises CapabilityError, naming SIZE_K_LIMIT, when g has more members
+    than that.
     """
-    bounded = enumerate_bounded_minimal_transversals(h, k)
+    try:
+        bounded = enumerate_bounded_minimal_transversals(h, k, SIZE_K_LIMIT)
+    except CapabilityError:
+        raise CapabilityError(
+            f"more than SIZE_K_LIMIT = {SIZE_K_LIMIT} minimal transversals of size at "
+            f"most {k}; the size-k certificate dualizes all of them, so it stops there"
+        ) from None
     union = 0
     for e in h.edges:
         union |= e

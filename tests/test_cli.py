@@ -262,6 +262,39 @@ class TestRecognize:
         assert code == 2
         assert "at least 2" in err
 
+    @staticmethod
+    def disjoint_k4s(copies):
+        return f"n {4 * copies}\n" + "".join(
+            f"{4 * c + i} {4 * c + j}\n"
+            for c in range(copies) for i in range(4) for j in range(i + 1, 4)
+        )
+
+    def test_size_k_limit(self, capsys, graph_file):
+        # 6 disjoint copies of K4 have 6**6 = 46,656 minimal TDSs of size 12,
+        # whose dualization ran for about a minute; recognition stops after
+        # SIZE_K_LIMIT of them instead
+        path = graph_file(self.disjoint_k4s(6))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "recognize", path, "--k", "12")
+        assert time.perf_counter() - start < 10
+        assert code == 2 and out == ""
+        limit = td.hypergraph.SIZE_K_LIMIT
+        assert f"more than SIZE_K_LIMIT = {limit} minimal transversals of size at most 12" in err
+
+    def test_below_size_k_limit(self, capsys, graph_file):
+        # 4 copies: 6**4 = 1,296 size-8 sets, accepted
+        code, out, _ = run_cli(capsys, "recognize", graph_file(self.disjoint_k4s(4)), "--k", "8")
+        assert code == 0
+        assert json.loads(out)["wtd_k"] is True
+
+    def test_size_k_limit_admits_depth_two_on_64_vertices(self, capsys, graph_file):
+        # every pair of K64 is a minimal TDS: C(64, 2) = 2,016 sets, the most
+        # a depth-2 search (w2-check's) can meet
+        edges = "".join(f"{u} {v}\n" for u in range(64) for v in range(u + 1, 64))
+        code, out, _ = run_cli(capsys, "recognize", graph_file("n 64\n" + edges), "--k", "2")
+        assert code == 0
+        assert json.loads(out)["wtd_k"] is True
+
 
 class TestConstructW2:
     def test_eleven_vertex_recipe(self, capsys, graph_file):

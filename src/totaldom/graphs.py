@@ -209,7 +209,9 @@ def diameter(g: Graph) -> int | None:
     """Largest pairwise distance; None when g is disconnected (or empty).
 
     One layered bitmask BFS per source: the eccentricity is the number of
-    nonempty layers after the source.
+    layers after the source.  A source stops once it has reached every
+    vertex, and the whole call returns None at the first layer that comes
+    up empty before that.
     """
     if g.n == 0:
         return None
@@ -218,13 +220,13 @@ def diameter(g: Graph) -> int | None:
     best = 0
     for s in range(g.n):
         seen = frontier = 1 << s
-        depth = -1
-        while frontier:
-            depth += 1
+        depth = 0
+        while seen != full:
             frontier = neighbors(adj, frontier) & ~seen
+            if not frontier:
+                return None
             seen |= frontier
-        if seen != full:
-            return None
+            depth += 1
         if depth > best:
             best = depth
     return best

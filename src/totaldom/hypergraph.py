@@ -24,8 +24,13 @@ MAX_GROUND = 64
 # depth-2 search on 64 vertices (w2-check) is never refused.  Families near it
 # dualized in 2.6-3.5 s (5,298 to 5,660 sets from dense random graphs on 48
 # and 64 vertices, k = 3 and 4; Python 3.11 on a 2-vCPU VM, process time) and
-# the 1,296 of 4 disjoint K4s at k = 8 in 0.034 s.
+# the 1,296 of 4 disjoint K4s at k = 8 in 0.034 s.  The dualization's own
+# output is held to the same limit, since a small family can dualize to a far
+# larger one (522 pairs from a dense 64-vertex graph to 19,462 sets, 3.8 s).
 SIZE_K_LIMIT = 5_000
+
+# _BYTE_MEMBERS[b] lists the set bits of the byte b, ascending
+_BYTE_MEMBERS = tuple(tuple(v for v in range(8) if b >> v & 1) for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -36,6 +41,12 @@ class SpernerFamily:
     report "nothing within the size bound"; the constructors that model
     graphs (`minimize_family`, `neighborhood_hypergraph`) and all transversal
     consumers reject it.
+
+    Every construction checks the whole family: ground size, nonempty and
+    ascending in-ground edges, and the antichain property, in time
+    proportional to the total edge size.  A contained edge raises
+    NotAntichainError naming the smallest such edge and its lowest
+    superset.
     """
 
     ground: int
@@ -58,20 +69,23 @@ class SpernerFamily:
         # holding over the members of e marks the edges containing e.  A
         # proper superset is a larger mask, so edges are indexed from the
         # largest down and each is tested against the larger ones only:
-        # sum(|e|) bit steps instead of F**2 pairs.  The smallest contained
-        # edge and its lowest superset are reported.
-        holding = [0] * self.ground
+        # sum(|e|) steps instead of F**2 pairs.  Members are read a byte of
+        # the mask at a time from _BYTE_MEMBERS, so holding is kept in rows
+        # of 8 vertices.  The smallest contained edge and its lowest superset
+        # are reported.
+        holding = [[0] * 8 for _ in range((self.ground + 7) >> 3)]
         contained = None
         for i in range(len(self.edges) - 1, -1, -1):
             bit = 1 << i
             within = -1
             rest = self.edges[i]
-            while rest:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                within &= holding[v]
-                holding[v] |= bit
-                rest ^= low
+            for row in holding:
+                for v in _BYTE_MEMBERS[rest & 255]:
+                    within &= row[v]
+                    row[v] |= bit
+                rest >>= 8
+                if not rest:
+                    break
             if within:
                 contained = (i, within)
         if contained is not None:
@@ -193,15 +207,26 @@ def _mmcs_branch(
 ) -> None:
     """One MMCS branch: the vertices in chosen, the edges in uncov left.
 
-    crit[j] holds the edges that the j-th chosen vertex hits alone.  The
-    branch loop settles two kinds of child without a call: one that covers
-    every edge (a leaf, appended to out) and one that would hold max_size
-    vertices with edges still uncovered (skipped).  The search's state
-    comes in as arguments rather than through a closure over a nested
-    function, so a call leaves no function-cell reference cycle behind.
+    The branch picks an uncovered edge with the fewest candidates, stopping
+    at the first with a single one (MMCS is correct under any pick), and
+    tries each of its candidates as the next vertex.  crit[j] holds the
+    edges that the j-th chosen vertex hits alone; a candidate whose edges
+    cont include all of some crit[j] (``cm & cont == cm``) would make the
+    j-th vertex redundant, so its child dies.  The branch loop settles two
+    kinds of child without a call: one that covers every edge (a leaf,
+    tested against crit directly and appended to out) and one that would
+    hold max_size vertices with edges still uncovered (skipped).  The
+    search's state comes in as arguments rather than through a closure over
+    a nested function, so a call leaves no function-cell reference cycle
+    behind.
     """
-    # an uncovered edge with no candidate left is picked (width 0), and its
-    # empty branch ends the call
+    # No uncovered edge is ever left without candidates (width 0), so the
+    # pick stops at the first of width 1.  By induction: at the root every
+    # edge's members are candidates, and the child for v has its parent's
+    # candidates less some of the picked branch, so an uncovered edge e dies
+    # there only if e & cand lies in the branch without v.  A width-1 pick
+    # leaves nothing beside v, and a narrowest pick of width w <= |e & cand|
+    # makes e & cand the whole branch, so v is in e and covers it.
     pick = -1
     pick_width = MAX_GROUND + 1
     rest = uncov
@@ -211,8 +236,10 @@ def _mmcs_branch(
         rest ^= low
         width = (edges[i] & cand).bit_count()
         if width < pick_width:
-            pick_width = width
             pick = i
+            if width <= 1:
+                break
+            pick_width = width
     branch = edges[pick] & cand
     cand &= ~branch
     deeper = len(crit) + 1 < max_size
@@ -221,26 +248,27 @@ def _mmcs_branch(
         branch ^= bit
         cont = containing[bit.bit_length() - 1]
         left = uncov & ~cont
-        if left and not deeper:
-            cand |= bit
-            continue
-        new_crit = []
-        for cm in crit:
-            cm &= ~cont
-            if cm == 0:
-                break
-            new_crit.append(cm)
-        else:
-            if left:
+        if not left:
+            for cm in crit:
+                if cm & cont == cm:
+                    break
+            else:
+                if max_count is not None and len(out) >= max_count:
+                    raise CapabilityError(f"more than {max_count} minimal transversals")
+                out.append(chosen | bit)
+        elif deeper:
+            new_crit = []
+            for cm in crit:
+                cm &= ~cont
+                if not cm:
+                    break
+                new_crit.append(cm)
+            else:
                 new_crit.append(uncov & cont)
                 _mmcs_branch(
                     edges, containing, max_size, max_count, out,
                     chosen | bit, cand, new_crit, left,
                 )
-            else:
-                if max_count is not None and len(out) >= max_count:
-                    raise CapabilityError(f"more than {max_count} minimal transversals")
-                out.append(chosen | bit)
         cand |= bit
 
 
@@ -300,7 +328,8 @@ def all_minimal_transversals_have_size_k(h: SpernerFamily, k: int) -> SizeKDecis
     transversal disjoint from B -- hence missed by g, hence of size > k.
 
     Raises CapabilityError, naming SIZE_K_LIMIT, when g has more members
-    than that.
+    than that, or when Tr(g) does: a small g can still dualize to a family
+    exponentially larger than itself.
     """
     try:
         bounded = enumerate_bounded_minimal_transversals(h, k, SIZE_K_LIMIT)
@@ -318,7 +347,14 @@ def all_minimal_transversals_have_size_k(h: SpernerFamily, k: int) -> SizeKDecis
     if not bounded.edges:
         witness = greedy_minimize_transversal(union, h.edges)
         return SizeKDecision(False, witness, "larger-witness")
-    full = enumerate_minimal_transversals(bounded)
+    try:
+        full = enumerate_minimal_transversals(bounded, SIZE_K_LIMIT)
+    except CapabilityError:
+        raise CapabilityError(
+            f"the {len(bounded.edges)} minimal transversals of size at most {k} dualize to "
+            f"more than SIZE_K_LIMIT = {SIZE_K_LIMIT} sets; the size-k certificate lists "
+            "all of them, so it stops there"
+        ) from None
     if full.edges == h.edges:
         return SizeKDecision(True, bounded.edges[0], "uniform")
     h_set = set(h.edges)

@@ -119,30 +119,36 @@ _decode = json.JSONDecoder().raw_decode
 
 # A catalog line is json.dumps(record, sort_keys=True) of an entry's fields
 # plus its graph6 string; _catalog_line writes those bytes without the dict
-# and the encoder.
-_LINE_KEYS = tuple(sorted(_FIELDS + ("graph6",)))
-_LINE = "{" + ", ".join(f'"{name}": %s' for name in _LINE_KEYS) + "}\n"
-
-
-def _json_scalar(value: str | int | bool | None) -> str:
-    """value as json.dumps writes it."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    return int.__repr__(value)
+# and the encoder, each field by its type, in sorted key order.
+_LINE = (
+    '{"Gamma_t": %s, "canonical_key": %s, "diameter": %s, "gamma_t": %s, '
+    '"girth": %s, "graph6": %s, "is_wtd": %s, "m": %d, "min_degree": %d, '
+    '"n": %d, "nu_gde": %s, "planar": %s, "rho": %d, "triangle_free": %s}\n'
+)
+# JSON text of a bool, or of an optional one
+_JSON_BOOL = {True: "true", False: "false", None: "null"}
 
 
 def _catalog_line(entry: CatalogEntry, graph6: str) -> str:
     """The catalog line of entry: json.dumps(record, sort_keys=True) and a
     newline, where record holds entry's fields and graph6.
     """
-    record = vars(entry) | {"graph6": graph6}
-    return _LINE % tuple([_json_scalar(record[name]) for name in _LINE_KEYS])
+    return _LINE % (
+        "null" if entry.Gamma_t is None else int.__repr__(entry.Gamma_t),
+        encode_basestring_ascii(entry.canonical_key),
+        "null" if entry.diameter is None else int.__repr__(entry.diameter),
+        "null" if entry.gamma_t is None else int.__repr__(entry.gamma_t),
+        "null" if entry.girth is None else int.__repr__(entry.girth),
+        encode_basestring_ascii(graph6),
+        _JSON_BOOL[entry.is_wtd],
+        entry.m,
+        entry.min_degree,
+        entry.n,
+        "null" if entry.nu_gde is None else int.__repr__(entry.nu_gde),
+        _JSON_BOOL[entry.planar],
+        entry.rho,
+        _JSON_BOOL[entry.triangle_free],
+    )
 
 
 @dataclass(frozen=True)

@@ -99,10 +99,15 @@ json_values = st.recursive(
 
 @st.composite
 def named_sets(draw):
-    """(n, distinct labels or None, a list of nonempty vertex-set masks)."""
-    n = draw(st.integers(1, 12))
+    """(n, distinct labels or None, a list of nonempty vertex-set masks).
+
+    n runs to 64, and half the lists hold at least _CHUNKED_FROM of up to 40
+    sets, so the writer takes both of its paths (members one by one, and
+    chunks of ids) across every chunk boundary."""
+    n = draw(st.integers(1, 64))
     labels = st.lists(st.text(max_size=4), min_size=n, max_size=n, unique=True)
-    masks = st.lists(st.integers(1, (1 << n) - 1), max_size=8)
+    least = draw(st.sampled_from((0, cli._CHUNKED_FROM)))
+    masks = st.lists(st.integers(1, (1 << n) - 1), min_size=least, max_size=40)
     return n, draw(st.none() | labels.map(tuple)), draw(masks)
 
 
@@ -130,6 +135,8 @@ class TestWriter:
     @example((3, None, [0b1, 0b110]))
     @example((1, ('"',), [0b1]))
     @example((5, ("\\", "é", "\x00", "\n\x7f", "\u2028"), [0b11111, 0b10]))
+    @example((64, None, [(1 << 64) - 1, 1 << 63, 1 << 6, (1 << 6) - 1, *range(1, 13)]))
+    @example((64, tuple(map(str, range(64, 0, -1))), [1 << v for v in range(64)]))
     @settings(max_examples=300, deadline=None)
     def test_vertex_sets_equal_stdlib_indent2(self, case):
         n, labels, masks = case
@@ -280,6 +287,39 @@ class TestRecognize:
         assert code == 2 and out == ""
         limit = td.hypergraph.SIZE_K_LIMIT
         assert f"more than SIZE_K_LIMIT = {limit} minimal transversals of size at most 12" in err
+
+    @staticmethod
+    def clique_prism(m):
+        # two copies of K_m joined by a perfect matching: the matching's m
+        # edges are its only minimal TDSs of size 2, and they dualize to the
+        # 2**m sets with one end of each
+        return f"n {2 * m}\n" + "".join(
+            f"{s + i} {s + j}\n" for s in (0, m) for i in range(m) for j in range(i + 1, m)
+        ) + "".join(f"{i} {m + i}\n" for i in range(m))
+
+    def test_size_k_dualization_limit(self, capsys, graph_file):
+        # the 20 size-2 sets dualize to 2**20 = 1,048,576 sets, which would
+        # take well over a minute to list and check; recognition stops after
+        # SIZE_K_LIMIT of them instead
+        path = graph_file(self.clique_prism(20))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "recognize", path, "--k", "2", "--witness")
+        assert time.perf_counter() - start < 10
+        assert code == 2 and out == ""
+        limit = td.hypergraph.SIZE_K_LIMIT
+        assert (
+            f"the 20 minimal transversals of size at most 2 dualize to "
+            f"more than SIZE_K_LIMIT = {limit} sets"
+        ) in err
+
+    def test_below_size_k_dualization_limit(self, capsys, graph_file):
+        # 2**12 = 4,096 sets in the dualization: decided, with a witness of
+        # size 12 (one end of each matching edge)
+        path = graph_file(self.clique_prism(12))
+        code, out, _ = run_cli(capsys, "recognize", path, "--k", "2", "--witness")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["reason"] == "larger-witness" and len(payload["witness"]) == 12
 
     def test_below_size_k_limit(self, capsys, graph_file):
         # 4 copies: 6**4 = 1,296 size-8 sets, accepted

@@ -203,6 +203,17 @@ class TestMetricsAgainstOracles:
             assert td.girth(g) == brute_girth(g)
             assert td.packing_number(g) == brute_packing_number(g)
 
+    def test_diameter_matches_oracle_on_atlas8(self, atlas8):
+        for key, g in atlas8:
+            assert td.diameter(g) == brute_diameter(g), key.hex()
+        # beside a disjoint edge each class is disconnected, whichever
+        # source's BFS first comes up short
+        for key, g in atlas8:
+            if g.n <= 6:
+                apart = td.Graph.from_edges(g.n + 2, [*g.edges(), (g.n, g.n + 1)])
+                assert td.diameter(apart) is None, key.hex()
+                assert brute_diameter(apart) is None
+
     def test_planarity_matches_kuratowski_oracle(self):
         rng = random.Random(5)
         assert not td.is_planar(complete_graph(5))

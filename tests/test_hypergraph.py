@@ -62,6 +62,38 @@ class TestSpernerFamily:
             several += len(contained) > 1
         assert antichains > 300 and several > 300
 
+    def test_antichain_check_matches_pairwise_scan_past_one_byte(self):
+        # grounds 9..64 put members in every byte of the mask; subsets and
+        # supersets of drawn edges make contained pairs across bytes
+        rng = random.Random(64)
+        antichains = contained = 0
+        for ground in range(9, 65):
+            for _ in range(30):
+                edges = set()
+                for _ in range(rng.randint(1, 10)):
+                    if edges and rng.random() < 0.3:
+                        base = rng.choice(sorted(edges))
+                        e = base & rng.getrandbits(ground) or base
+                        e = e if rng.random() < 0.5 else base | rng.getrandbits(ground)
+                    elif rng.random() < 0.5:
+                        e = sum(1 << v for v in rng.sample(range(ground), rng.randint(1, 4)))
+                    else:
+                        e = rng.randrange(1, 1 << ground)
+                    edges.add(e)
+                edges = tuple(sorted(edges))
+                pair = pairwise_containment(edges)
+                if pair is None:
+                    assert td.SpernerFamily(ground, edges).edges == edges
+                    antichains += 1
+                    continue
+                with pytest.raises(ValueError) as err:
+                    td.SpernerFamily(ground, edges)
+                e, f = ({v for v in range(ground) if x >> v & 1} for x in pair)
+                assert str(err.value) == f"not an antichain: {e} is contained in {f}"
+                assert (err.value.contained, err.value.superset) == pair
+                contained += 1
+        assert antichains > 300 and contained > 300
+
     def test_rejects_unsorted_or_duplicate(self):
         with pytest.raises(ValueError):
             td.SpernerFamily(3, (0b100, 0b011))
@@ -181,6 +213,37 @@ class TestTransversals:
         else:
             assert list(td.enumerate_minimal_transversals(fam, max_count=limit).edges) == brute
 
+    def test_search_meets_forced_edges_and_no_dead_ones(self, monkeypatch):
+        # small edges make the search meet uncovered edges with one candidate
+        # left (forced); the watch counts the nodes whose narrowest uncovered
+        # edge has width 0 (dead: never, by the pick), 1 and 2 or more
+        widths = [0, 0, 0]
+        branch = td.hypergraph._mmcs_branch
+
+        def watched(edges, containing, max_size, max_count, out, chosen, cand, crit, uncov):
+            narrowest = min((e & cand).bit_count() for i, e in enumerate(edges) if uncov >> i & 1)
+            widths[min(narrowest, 2)] += 1
+            branch(edges, containing, max_size, max_count, out, chosen, cand, crit, uncov)
+
+        monkeypatch.setattr(td.hypergraph, "_mmcs_branch", watched)
+        mmcs = td.hypergraph._mmcs
+        rng = random.Random(22)
+        for _ in range(300):
+            ground = rng.randint(4, 9)
+            raw = [
+                sum(1 << v for v in rng.sample(range(ground), rng.choice((1, 2, 2, 3, 3, 4))))
+                for _ in range(rng.randint(2, 9))
+            ]
+            edges = td.minimize_family(ground, raw).edges
+            brute = brute_minimal_transversals(ground, edges)
+            assert mmcs(edges) == brute
+            k = rng.randint(1, ground)
+            assert mmcs(edges, k) == [t for t in brute if t.bit_count() <= k]
+            with pytest.raises(td.CapabilityError):
+                mmcs(edges, max_count=len(brute) - 1)
+            assert mmcs(edges, max_count=len(brute)) == brute
+        assert widths[0] == 0 and min(widths[1:]) > 100, widths
+
     def test_is_transversal_and_greedy_minimize(self):
         edges = (0b011, 0b110)
         assert td.is_transversal(0b010, edges)
@@ -290,6 +353,31 @@ class TestSizeKDecision:
         assert not decision.accepted
         assert decision.reason == "smaller-witness"
         assert decision.witness.bit_count() < 3
+
+    @pytest.mark.parametrize("m", [12, 13])
+    def test_dualization_limit(self, m):
+        # two copies of K_m joined by a perfect matching: the matching's m
+        # edges are its only minimal TDSs of size 2, and they dualize to the
+        # 2**m sets with one end of each (4,096 for m = 12, 8,192 for 13)
+        g = td.Graph.from_edges(
+            2 * m,
+            [(s + i, s + j) for s in (0, m) for i in range(m) for j in range(i + 1, m)]
+            + [(i, m + i) for i in range(m)],
+        )
+        fam = td.neighborhood_hypergraph(g)
+        bounded = td.enumerate_bounded_minimal_transversals(fam, 2)
+        assert bounded.edges == tuple((1 << i) | (1 << m + i) for i in range(m))
+        if 2**m <= td.hypergraph.SIZE_K_LIMIT:
+            decision = td.all_minimal_transversals_have_size_k(fam, 2)
+            assert decision.reason == "larger-witness" and decision.witness.bit_count() == m
+        else:
+            limit = td.hypergraph.SIZE_K_LIMIT
+            message = (
+                f"^the {m} minimal transversals of size at most 2 dualize to "
+                f"more than SIZE_K_LIMIT = {limit} sets"
+            )
+            with pytest.raises(td.CapabilityError, match=message):
+                td.all_minimal_transversals_have_size_k(fam, 2)
 
     @given(family_strategy(), st.integers(min_value=1, max_value=8))
     @settings(max_examples=200, deadline=None)

@@ -554,15 +554,21 @@ class TestRunSearch:
         assert rep1 == rep2
 
 
-scalars = st.one_of(st.none(), st.booleans(), st.integers())
+# a strategy for each field type of CatalogEntry, by its annotation
+by_type = {
+    "str": st.binary(max_size=12).map(bytes.hex),
+    "int": st.integers(),
+    "int | None": st.none() | st.integers(),
+    "bool": st.booleans(),
+    "bool | None": st.none() | st.booleans(),
+}
 
 
 @st.composite
 def catalog_entries(draw):
     values = {
-        f.name: draw(scalars) for f in dataclasses.fields(td.CatalogEntry)
+        f.name: draw(by_type[f.type]) for f in dataclasses.fields(td.CatalogEntry)
     }
-    values["canonical_key"] = draw(st.binary(max_size=12)).hex()
     return td.CatalogEntry(**values)
 
 
@@ -574,7 +580,8 @@ class TestCatalogLine:
     @example(
         td.CatalogEntry("0611dc", 6, 7, 1, 2, 2, True, 2, 3, 4, 1, True, True), "EC\\o"
     )
-    @example(td.CatalogEntry("", 0, None, False, True, -1, None, 1, 0, None, 2, False, 0), "~\\~")
+    @example(td.CatalogEntry("", 0, -1, 0, None, None, None, -2, None, None, None, False, False), "~\\~")
+    @example(td.CatalogEntry("ff", 10**20, 1, -3, 0, -1, False, 0, -4, 2**70, 5, True, False), "?")
     @settings(max_examples=300, deadline=None)
     def test_equals_sorted_json_dumps(self, entry, graph6):
         # the reference: the record json.dumps writes with sorted keys

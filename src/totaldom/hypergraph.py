@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, DominationUndefinedError, NotAntichainError
-from .graphs import Graph, mask_members
-
-MAX_GROUND = 64
+from .graphs import MAX_VERTICES, Graph, mask_members
 
 # all_minimal_transversals_have_size_k dualizes its whole depth-k family, and
 # that family grows exponentially with k (6 disjoint copies of K4 have 6**6 =
@@ -37,10 +35,10 @@ _BYTE_MEMBERS = tuple(tuple(v for v in range(8) if b >> v & 1) for b in range(25
 class SpernerFamily:
     """An antichain of nonempty edges (bitmasks), sorted ascending.
 
-    A zero-edge family is representable only so that bounded enumeration can
-    report "nothing within the size bound"; the constructors that model
-    graphs (`minimize_family`, `neighborhood_hypergraph`) and all transversal
-    consumers reject it.
+    A zero-edge family is representable only so that enumeration with a
+    size bound can report "nothing within the bound"; the constructors
+    that model graphs (`minimize_family`, `neighborhood_hypergraph`) and all
+    transversal consumers reject it.
 
     Every construction checks the whole family: ground size, nonempty and
     ascending in-ground edges, and the antichain property, in time
@@ -53,8 +51,8 @@ class SpernerFamily:
     edges: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.ground <= MAX_GROUND:
-            raise ValueError(f"ground size {self.ground} outside 0..{MAX_GROUND}")
+        if not 0 <= self.ground <= MAX_VERTICES:
+            raise ValueError(f"ground size {self.ground} outside 0..{MAX_VERTICES}")
         full = (1 << self.ground) - 1
         prev = -1
         for e in self.edges:
@@ -160,12 +158,12 @@ def greedy_minimize_transversal(mask: int, edges: Sequence[int]) -> int:
 
 
 def _mmcs(
-    edges: Sequence[int], max_size: int = MAX_GROUND, max_count: int | None = None
+    edges: Sequence[int], max_size: int = MAX_VERTICES, max_count: int | None = None
 ) -> list[int]:
     """Minimal transversals of size <= max_size, each exactly once (MMCS search).
 
-    edges must be nonempty and max_size at least 1; the public entry points
-    check both.
+    edges must be nonempty and max_size at least 1; the one public entry
+    point, enumerate_minimal_transversals, checks both.
 
     A branch keeps, for every chosen vertex, the set of edges it hits alone
     ("critical" edges); a branch dies as soon as a chosen vertex loses its
@@ -180,7 +178,7 @@ def _mmcs(
     raises CapabilityError as soon as it finds more than that many.
     """
     m = len(edges)
-    containing = [0] * MAX_GROUND
+    containing = [0] * MAX_VERTICES
     cand0 = 0
     for i, e in enumerate(edges):
         cand0 |= e
@@ -228,7 +226,7 @@ def _mmcs_branch(
     # leaves nothing beside v, and a narrowest pick of width w <= |e & cand|
     # makes e & cand the whole branch, so v is in e and covers it.
     pick = -1
-    pick_width = MAX_GROUND + 1
+    pick_width = MAX_VERTICES + 1
     rest = uncov
     while rest:
         low = rest & -rest
@@ -273,32 +271,21 @@ def _mmcs_branch(
 
 
 def enumerate_minimal_transversals(
-    h: SpernerFamily, max_count: int | None = None
+    h: SpernerFamily, max_count: int | None = None, max_size: int | None = None
 ) -> SpernerFamily:
     """Exactly the inclusion-minimal hitting sets of h, ascending by bitmask.
 
-    With ``max_count``, raise CapabilityError once more than that many turn
-    up, before enumerating the rest.
+    With ``max_size``, only those of at most that many members: the search
+    cut at that depth, so the leaf count is bounded by (largest edge
+    size)**max_size, and the result may be empty.  With ``max_count``,
+    raise CapabilityError once more than that many turn up, before
+    enumerating the rest.
     """
     if not h.edges:
         raise ValueError("transversals of an empty family are not defined here")
-    return SpernerFamily(h.ground, tuple(_mmcs(h.edges, max_count=max_count)))
-
-
-def enumerate_bounded_minimal_transversals(
-    h: SpernerFamily, k: int, max_count: int | None = None
-) -> SpernerFamily:
-    """All minimal transversals of size <= k; the result may be empty.
-
-    This is the MMCS search cut at depth k, so the leaf count is bounded by
-    (largest edge size)**k.  With ``max_count``, raise CapabilityError once
-    more than that many turn up, before enumerating the rest.
-    """
-    if not h.edges:
-        raise ValueError("transversals of an empty family are not defined here")
-    if k < 1:
-        raise ValueError(f"size bound must be at least 1, got {k}")
-    return SpernerFamily(h.ground, tuple(_mmcs(h.edges, k, max_count)))
+    if max_size is not None and max_size < 1:
+        raise ValueError(f"size bound must be at least 1, got {max_size}")
+    return SpernerFamily(h.ground, tuple(_mmcs(h.edges, max_size or MAX_VERTICES, max_count)))
 
 
 @dataclass(frozen=True)
@@ -319,20 +306,20 @@ class SizeKDecision:
 def all_minimal_transversals_have_size_k(h: SpernerFamily, k: int) -> SizeKDecision:
     """Decide whether every minimal transversal of h has size exactly k.
 
-    Bounded enumeration collects the minimal transversals of size <= k as a
-    family g; completeness is certified by dualizing twice: g equals the full
-    transversal family iff Tr(g) = h.  When that fails, some member B of
-    Tr(g) is not an edge of h; no edge of h fits inside B (h is an antichain
-    and every edge of h is itself a transversal of g), so the complement of B
-    is a transversal of h, and greedily minimizing it yields a minimal
-    transversal disjoint from B -- hence missed by g, hence of size > k.
+    The search cut at depth k collects the minimal transversals of size <= k as
+    a family g; completeness is certified by dualizing twice: g equals the full
+    transversal family iff Tr(g) = h.  When that fails, some member B of Tr(g)
+    is not an edge of h; no edge of h fits inside B (h is an antichain and
+    every edge of h is itself a transversal of g), so the complement of B is a
+    transversal of h, and greedily minimizing it yields a minimal transversal
+    disjoint from B -- hence missed by g, hence of size > k.
 
     Raises CapabilityError, naming SIZE_K_LIMIT, when g has more members
     than that, or when Tr(g) does: a small g can still dualize to a family
     exponentially larger than itself.
     """
     try:
-        bounded = enumerate_bounded_minimal_transversals(h, k, SIZE_K_LIMIT)
+        bounded = enumerate_minimal_transversals(h, max_count=SIZE_K_LIMIT, max_size=k)
     except CapabilityError:
         raise CapabilityError(
             f"more than SIZE_K_LIMIT = {SIZE_K_LIMIT} minimal transversals of size at "

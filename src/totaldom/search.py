@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import CapabilityError, DominationUndefinedError
 from .graphs import (
@@ -40,16 +41,21 @@ from .domination import dominating_edge_subgraph, mtds, packing_number, report
 from .graphio import serialize_graph  # noqa: F401
 
 
-# OEIS A001349: connected graphs on n vertices, n = 0..CANONICAL_BOUND.
+# Connected graphs on n vertices, n = 0..CANONICAL_BOUND: all of them (OEIS
+# A001349), the planar ones (A003094) and the triangle-free ones (A024607).
 CONNECTED_CLASSES = (
     1, 1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571, 1006700565, 164059830476
 )
-# The most connected classes, summed over orders 2..n_max, that a search
-# without a planar or triangle-free restriction may enumerate.  n <= 9 holds
-# 273,192; n <= 10 holds 11,989,763, whose order-10 level dict alone would
-# need about 8 GB, so the search would run out of memory after minutes
-# instead of failing at once.  Restricted searches have no projected count
-# here and stay unbounded.
+CONNECTED_PLANAR = (1, 1, 1, 2, 6, 20, 99, 646, 5974, 71885, 1052805, 17449299, 313372298)
+CONNECTED_TRIANGLE_FREE = (1, 1, 1, 1, 3, 6, 19, 59, 267, 1380, 9832, 90842, 1144061)
+# The most classes, summed over orders 2..n_max of the table that fits the
+# restriction, that a search may enumerate.  n <= 10 holds 11,989,763
+# connected classes, whose order-10 level dict alone would need about 8 GB.
+# A triangle-free search drops children with a triangle before keying them,
+# so A024607 bounds its keys exactly.  A planar search also keys non-planar
+# children of planar parents, so A003094 bounds only what it yields; but it
+# is refused from n_max = 10 on, and up to n_max = 9 its keys stay inside
+# the 273,192 connected classes, so every accepted search is bounded.
 SEARCH_BUDGET = 1_000_000
 
 
@@ -68,14 +74,18 @@ class SearchFilter:
             raise CapabilityError(
                 f"searches are capped at {CANONICAL_BOUND} vertices, got n_max={self.n_max}"
             )
-        if not (self.planar_only or self.triangle_free_only):
-            count = sum(CONNECTED_CLASSES[2 : self.n_max + 1])
-            if count > SEARCH_BUDGET:
-                raise CapabilityError(
-                    f"a search to n_max={self.n_max} without a planar or triangle-free "
-                    f"restriction enumerates {count:,} connected classes (OEIS A001349), "
-                    f"more than the budget of {SEARCH_BUDGET:,}"
-                )
+        if self.triangle_free_only:
+            table, kind = CONNECTED_TRIANGLE_FREE, "connected triangle-free classes (OEIS A024607)"
+        elif self.planar_only:
+            table, kind = CONNECTED_PLANAR, "connected planar classes (OEIS A003094)"
+        else:
+            table, kind = CONNECTED_CLASSES, "connected classes (OEIS A001349)"
+        count = sum(table[2 : self.n_max + 1])
+        if count > SEARCH_BUDGET:
+            raise CapabilityError(
+                f"a search to n_max={self.n_max} enumerates {count:,} {kind}, "
+                f"more than the budget of {SEARCH_BUDGET:,}"
+            )
         if self.n_max < 2:
             raise ValueError(f"n_max must be at least 2, got {self.n_max}")
         if self.n_min < 2:
@@ -215,20 +225,14 @@ def _profile_block(graphs: list[Graph]) -> list[Profile]:
     return list(map(Profile, families, reports, rhos, diameters, girths, edges))
 
 
-def classify(
-    g: Graph, key: bytes | None = None, planar: bool | None = None
-) -> CatalogEntry:
-    """Compute the full catalog record for one graph: a one-graph block of
-    _classify_block, the path every search classification takes.
+def classify(g: Graph) -> CatalogEntry:
+    """The full catalog record of g, key and planarity included: a one-graph
+    block of _classify_block, the path every search classification takes.
 
-    key and planar, when given, must be g's canonical form and planarity;
-    key is computed when None, and planar is decided by is_planar.  Raises
-    CapabilityError, as profile does, past MTDS_LIMIT minimal total
-    dominating sets, which no searched graph reaches (see MTDS_LIMIT).
+    Raises CapabilityError above CANONICAL_BOUND vertices, and as profile
+    does past MTDS_LIMIT minimal total dominating sets (see MTDS_LIMIT).
     """
-    if key is None:
-        key = canonical_form(g)
-    return _classify_block([(key, g.adj, planar)])[0]
+    return _classify_block([(canonical_form(g), g.adj, None)])[0]
 
 
 # run_search classifies fresh classes in blocks of this many: each kernel
@@ -297,17 +301,19 @@ def _below(n: int, adj: tuple[int, ...]) -> list[int]:
     return [vertex_mask(v for v in range(n) if adj[v].bit_count() < d) for d in range(n + 2)]
 
 
+def _degree_sum(adj: tuple[int, ...], mask: int) -> int:
+    """The sum of the degrees of the vertices of mask."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += adj[low.bit_length() - 1].bit_count()
+        mask ^= low
+    return total
+
+
 def _neighbour_degree_sums(adj: tuple[int, ...]) -> list[int]:
     """For each vertex, the sum of its neighbours' degrees."""
-    sums = []
-    for row in adj:
-        total = 0
-        while row:
-            bit = row & -row
-            total += adj[bit.bit_length() - 1].bit_count()
-            row ^= bit
-        sums.append(total)
-    return sums
+    return [_degree_sum(adj, row) for row in adj]
 
 
 def _degree_cap(adj: tuple[int, ...], parts: list[tuple[int, ...]]) -> int:
@@ -359,12 +365,7 @@ def _new_vertex_is_least(
         if not all(part & nb for part in parts[v]):
             continue
         if own < 0:
-            own = d
-            rest = nb
-            while rest:
-                bit = rest & -rest
-                own += adj[bit.bit_length() - 1].bit_count()
-                rest ^= bit
+            own = d + _degree_sum(adj, nb)
         theirs = sums[v] + (adj[v] & nb).bit_count() + (d if low & nb else 0)
         if theirs > own:
             return False
@@ -519,6 +520,12 @@ def _wtd2(entry: CatalogEntry) -> bool:
     return bool(entry.is_wtd) and entry.gamma_t == 2
 
 
+def _planar_wtd2_min_degree3(entry: CatalogEntry) -> bool:
+    """Planar, uniform size 2 and min degree >= 3: the class T12 and P7A
+    bound, whose largest instance is the search's frontier."""
+    return bool(entry.planar) and _wtd2(entry) and entry.min_degree >= 3
+
+
 def _girth_at_most(entry: CatalogEntry, bound: int) -> bool:
     return entry.girth is None or entry.girth <= bound
 
@@ -534,7 +541,7 @@ ASSERTIONS: dict[str, tuple] = {
     "T12": (
         "planar, uniform size 2, min degree >= 3 forces at most 16 vertices",
         17,
-        lambda e: bool(e.planar) and _wtd2(e) and e.min_degree >= 3,
+        _planar_wtd2_min_degree3,
         lambda e: e.n <= 16,
     ),
     "L12A": (
@@ -552,7 +559,7 @@ ASSERTIONS: dict[str, tuple] = {
     "P7A": (
         "planar, uniform size 2, min degree >= 3 forces matching exactly 2 or at most 8 vertices",
         9,
-        lambda e: bool(e.planar) and _wtd2(e) and e.min_degree >= 3,
+        _planar_wtd2_min_degree3,
         lambda e: e.nu_gde == 2 or e.n <= 8,
     ),
     "T14": (
@@ -590,23 +597,19 @@ def _t11_agrees(entry: CatalogEntry) -> bool:
 
 
 def resolve_assertion_ids(ids) -> tuple[str, ...]:
-    """Normalize user-supplied assertion names; 'all' selects everything."""
-    chosen: list[str] = []
+    """Normalize user-supplied assertion names, each once in order of first
+    mention; 'all' selects everything."""
+    chosen: dict[str, None] = {}
     for raw in ids:
         name = raw.strip().upper()
-        if not name:
-            continue
         if name == "ALL":
-            for known in ASSERTIONS:
-                if known not in chosen:
-                    chosen.append(known)
-            continue
-        if name not in ASSERTIONS:
+            chosen.update(dict.fromkeys(ASSERTIONS))
+        elif name in ASSERTIONS:
+            chosen[name] = None
+        elif name:
             raise ValueError(
                 f"unknown assertion id {raw!r}; known ids: {', '.join(ASSERTIONS)} (or 'all')"
             )
-        if name not in chosen:
-            chosen.append(name)
     if not chosen:
         raise ValueError("no assertion ids given")
     return tuple(chosen)
@@ -695,14 +698,15 @@ def run_search(
     # enumerated.  A pool's workers start with its first block, but
     # Executor.map submits the whole enumeration before it yields a result;
     # with no fresh class nothing is submitted and no worker starts.
-    sink = open(out_path, "a", encoding="utf-8") if out_path is not None else None
-    pool = None
-    try:
+    with ExitStack() as stack:
+        sink = None
+        if out_path is not None:
+            sink = stack.enter_context(open(out_path, "a", encoding="utf-8"))
         if jobs > 1:
             # imported here: serial runs and the per-graph commands never pay for it
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=jobs)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
             computed = pool.map(_classify_block, fresh())
         else:
             computed = map(_classify_block, fresh())
@@ -715,34 +719,21 @@ def run_search(
                     for entry in block
                 ]))
                 sink.flush()
-    finally:
-        if sink is not None:
-            sink.close()
-        if pool is not None:
-            pool.shutdown()
     entries = [existing[h] for h in order]
 
     assertion_report: dict[str, dict] = {}
     for name in ids:
         _, smallest, applies, holds = ASSERTIONS[name]
-        checked = 0
-        violations: list[str] = []
-        for entry in entries:
-            if applies(entry):
-                checked += 1
-                if not holds(entry):
-                    violations.append(entry.canonical_key)
+        checked = list(filter(applies, entries))
         assertion_report[name] = {
-            "checked": checked,
-            "violations": violations,
+            "checked": len(checked),
+            "violations": [e.canonical_key for e in checked if not holds(e)],
             "falsifiable": filt.n_max >= smallest,
         }
 
-    frontier_entry = None
-    for entry in entries:
-        if entry.planar and _wtd2(entry) and entry.min_degree >= 3:
-            if frontier_entry is None or entry.n > frontier_entry.n:
-                frontier_entry = entry
+    frontier_entry = max(
+        filter(_planar_wtd2_min_degree3, entries), key=attrgetter("n"), default=None
+    )
     search_report = {
         "classified": len(entries),
         "assertions": assertion_report,

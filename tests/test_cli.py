@@ -232,7 +232,8 @@ class TestAnalyze:
         for key, g in atlas6:
             # vertex sets stay masks until written, so compare the JSON
             payload = json.loads(_dumps(_analyze_payload(g)))
-            entry = td.classify(g, key=key)
+            entry = td.classify(g)
+            assert entry.canonical_key == key.hex()
             for field in ("gamma_t", "Gamma_t", "is_wtd", "rho", "diameter", "girth"):
                 assert payload[field] == getattr(entry, field), (key.hex(), field)
             edges = payload.get("g_de_edges")
@@ -675,6 +676,18 @@ class TestSearch:
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
         assert "11,989,763" in err and f"{td.search.SEARCH_BUDGET:,}" in err
+
+    @pytest.mark.parametrize(
+        "restriction, n_max, count",
+        [("--planar", "10", "1,131,438"), ("--triangle-free", "12", "1,246,471")],
+    )
+    def test_restricted_search_past_budget(self, capsys, restriction, n_max, count):
+        # the restricted searches are bounded by their own OEIS tables
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "search", restriction, "--n-max", n_max)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert count in err and f"{td.search.SEARCH_BUDGET:,}" in err
 
     @pytest.mark.parametrize("n_max", ["1", "0"])
     def test_n_max_below_two(self, capsys, n_max):

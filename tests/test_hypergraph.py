@@ -272,7 +272,7 @@ class TestLeavesOfTheRoot:
         full = list(td.enumerate_minimal_transversals(fam).edges)
         assert full == brute_minimal_transversals(fam.ground, fam.edges)
         assert full == sorted(singletons + [rest])
-        bounded = td.enumerate_bounded_minimal_transversals(fam, 1)
+        bounded = td.enumerate_minimal_transversals(fam, max_size=1)
         assert list(bounded.edges) == sorted(singletons + ([rest] if extra == 1 else []))
 
     @pytest.mark.parametrize("core", [1, 2, 3, 5])
@@ -289,17 +289,17 @@ class TestBoundedEnumeration:
     def test_rejects_k_below_1(self):
         fam = td.SpernerFamily(2, (0b11,))
         with pytest.raises(ValueError):
-            td.enumerate_bounded_minimal_transversals(fam, 0)
+            td.enumerate_minimal_transversals(fam, max_size=0)
 
     def test_rejects_empty_family(self):
         message = "^transversals of an empty family are not defined here$"
         with pytest.raises(ValueError, match=message):
-            td.enumerate_bounded_minimal_transversals(td.SpernerFamily(2, ()), 1)
+            td.enumerate_minimal_transversals(td.SpernerFamily(2, ()), max_size=1)
 
     def test_disjoint_pairs(self):
         fam = td.SpernerFamily(4, (0b0011, 0b1100))
-        assert td.enumerate_bounded_minimal_transversals(fam, 1).edges == ()
-        assert td.enumerate_bounded_minimal_transversals(fam, 2).edges == (
+        assert td.enumerate_minimal_transversals(fam, max_size=1).edges == ()
+        assert td.enumerate_minimal_transversals(fam, max_size=2).edges == (
             0b0101,
             0b0110,
             0b1001,
@@ -308,14 +308,14 @@ class TestBoundedEnumeration:
 
     def test_p5_at_3(self):
         fam = td.neighborhood_hypergraph(path_graph(5))
-        assert td.enumerate_bounded_minimal_transversals(fam, 3).edges == (0b01110,)
+        assert td.enumerate_minimal_transversals(fam, max_size=3).edges == (0b01110,)
 
     @given(family_strategy(), st.integers(min_value=1, max_value=7))
     @settings(max_examples=150, deadline=None)
     def test_bounded_equals_filtered_full(self, case, k):
         ground, raw = case
         fam = td.minimize_family(ground, raw)
-        bounded = td.enumerate_bounded_minimal_transversals(fam, k)
+        bounded = td.enumerate_minimal_transversals(fam, max_size=k)
         full = [e for e in brute_minimal_transversals(ground, raw) if e.bit_count() <= k]
         assert list(bounded.edges) == full
 
@@ -324,8 +324,8 @@ class TestBoundedEnumeration:
     def test_bounded_at_ground_equals_full(self, case):
         ground, raw = case
         fam = td.minimize_family(ground, raw)
-        assert td.enumerate_bounded_minimal_transversals(
-            fam, ground
+        assert td.enumerate_minimal_transversals(
+            fam, max_size=ground
         ) == td.enumerate_minimal_transversals(fam)
 
 
@@ -365,7 +365,7 @@ class TestSizeKDecision:
             + [(i, m + i) for i in range(m)],
         )
         fam = td.neighborhood_hypergraph(g)
-        bounded = td.enumerate_bounded_minimal_transversals(fam, 2)
+        bounded = td.enumerate_minimal_transversals(fam, max_size=2)
         assert bounded.edges == tuple((1 << i) | (1 << m + i) for i in range(m))
         if 2**m <= td.hypergraph.SIZE_K_LIMIT:
             decision = td.all_minimal_transversals_have_size_k(fam, 2)

@@ -45,7 +45,7 @@ class TestKernels:
 
     def test_bounded_minimal_transversals(self):
         h = td.neighborhood_hypergraph(PETERSEN)
-        assert leftover(lambda: td.enumerate_bounded_minimal_transversals(h, 4)) == 0
+        assert leftover(lambda: td.enumerate_minimal_transversals(h, max_size=4)) == 0
 
     def test_minimal_transversals_past_max_count(self):
         h = td.neighborhood_hypergraph(PETERSEN)

@@ -35,7 +35,7 @@ A001349 = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 # OEIS A003094: connected planar graphs on n vertices
 A003094 = {2: 1, 3: 2, 4: 6, 5: 20, 6: 99, 7: 646, 8: 5974}
 # OEIS A024607: connected triangle-free graphs on n vertices
-A024607 = {2: 1, 3: 1, 4: 3, 5: 6, 6: 19, 7: 59, 8: 267, 9: 1380}
+A024607 = {2: 1, 3: 1, 4: 3, 5: 6, 6: 19, 7: 59, 8: 267, 9: 1380, 10: 9832}
 
 
 class TestSearchFilter:
@@ -63,9 +63,39 @@ class TestSearchFilter:
             td.SearchFilter(n_max=10, min_degree=3)
         assert "11,989,763" in str(err.value)
         assert f"{td.search.SEARCH_BUDGET:,}" in str(err.value)
-        # restricted searches keep no budget of their own (not yet bounded)
-        td.SearchFilter(n_max=12, planar_only=True)
-        td.SearchFilter(n_max=12, triangle_free_only=True)
+        # restricted searches are bounded by their own tables
+        with pytest.raises(td.CapabilityError):
+            td.SearchFilter(n_max=12, planar_only=True)
+        with pytest.raises(td.CapabilityError):
+            td.SearchFilter(n_max=12, triangle_free_only=True)
+
+    @pytest.mark.parametrize(
+        "restriction, accepted, count, sequence",
+        [
+            ({"planar_only": True}, 9, "1,131,438", "A003094"),
+            ({"triangle_free_only": True}, 11, "1,246,471", "A024607"),
+            ({"planar_only": True, "triangle_free_only": True}, 11, "1,246,471", "A024607"),
+        ],
+        ids=["planar", "triangle_free", "both"],
+    )
+    def test_budget_counts_restricted_classes(self, restriction, accepted, count, sequence):
+        td.SearchFilter(n_max=accepted, **restriction)
+        with pytest.raises(td.CapabilityError) as err:
+            td.SearchFilter(n_max=accepted + 1, **restriction)
+        message = str(err.value)
+        assert count in message and sequence in message
+        assert f"{td.search.SEARCH_BUDGET:,}" in message
+
+    def test_budget_tables_match_enumerated_counts(self):
+        # test_restricted_counts and test_connected_counts_to_8 enumerate
+        # these orders; the rest of each table is cited from OEIS
+        for table, counts in [
+            (td.search.CONNECTED_CLASSES, A001349),
+            (td.search.CONNECTED_PLANAR, A003094),
+            (td.search.CONNECTED_TRIANGLE_FREE, A024607),
+        ]:
+            assert len(table) == td.CANONICAL_BOUND + 1
+            assert {n: table[n] for n in counts} == counts
 
     def test_min_degree_sign(self):
         with pytest.raises(ValueError):
@@ -120,15 +150,16 @@ class TestEnumeration:
         assert inherited[True] > 0 and inherited[False] > 0
 
     def test_last_level_planarity(self):
-        # on the last level planar is inherited in both directions or None,
-        # and classify decides the rest
+        # on the last level planar is inherited in both directions or None;
+        # the classification keeps an inherited value and decides the rest
         inherited = {True: 0, False: 0, None: 0}
         for key, adj, planar in td.enumerate_graphs(td.SearchFilter(n_max=7, n_min=7)):
             g = td.Graph(7, adj)
             if planar is not None:
                 assert planar == brute_planar(g), key.hex()
             inherited[planar] += 1
-            assert td.classify(g, key=key, planar=planar).planar == brute_planar(g), key.hex()
+            entry = td.search._classify_block([(key, adj, planar)])[0]
+            assert entry.planar == brute_planar(g), key.hex()
         assert all(inherited.values())
 
     def test_fits_in_a_face(self):
@@ -371,10 +402,21 @@ class TestClassify:
         for _ in range(10):
             assert td.classify(random_relabel(figure1, rng)) == base
 
+    def test_matches_search_records_to_6(self):
+        # classify keys the graph and decides its planarity itself, so a
+        # relabelled copy of each class gets the record the search wrote
+        rng = random.Random(23)
+        entries, _ = td.run_search(td.SearchFilter(n_max=6), ["DIAM3"])
+        assert len(entries) == 142
+        for entry in entries:
+            g = td.graph_from_canonical(bytes.fromhex(entry.canonical_key))
+            got = td.classify(random_relabel(g, rng))
+            assert dataclasses.asdict(got) == dataclasses.asdict(entry)
+
     def test_wtd_regression_counts(self):
         wtd_by_n = {4: 0, 5: 0}
         for key, adj, _ in td.enumerate_graphs(td.SearchFilter(n_max=5, n_min=4)):
-            e = td.classify(td.Graph(len(adj), adj), key=key)
+            e = td.classify(td.Graph(len(adj), adj))
             if e.is_wtd:
                 wtd_by_n[e.n] += 1
         assert wtd_by_n == {4: 6, 5: 18}
@@ -386,6 +428,13 @@ class TestAssertionIds:
 
     def test_case_insensitive_and_dedup(self):
         assert td.resolve_assertion_ids(["t12", "l12a", "T12"]) == ("T12", "L12A")
+
+    @pytest.mark.parametrize("name", ["t12", "diam3"])
+    def test_first_mention_order_with_all(self, name):
+        first = name.upper()
+        rest = tuple(known for known in td.ASSERTIONS if known != first)
+        assert td.resolve_assertion_ids([name, "all"]) == (first,) + rest
+        assert td.resolve_assertion_ids(["all", name]) == tuple(td.ASSERTIONS)
 
     def test_unknown(self):
         with pytest.raises(ValueError) as err:

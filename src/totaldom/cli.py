@@ -16,11 +16,12 @@ edge list carried a `# labels:` line, else integer ids.
 Every command prints one JSON document: exactly the bytes of
 json.dumps(payload, indent=2), written by this module's own writer
 (_dumps).  The stdlib falls back to its pure-Python encoder for any indent;
-_dumps lays out the containers in Python.  Vertex sets (every minimal TDS,
-dominating edge and witness) stay bitmasks until they are written: each is
-joined straight from its mask through a table of vertex names encoded once
-per graph, by the C string encoder for labels or int.__repr__ for ids; a
-long list of sets is joined from names pre-joined for chunks of its ids.
+_dumps lays out the containers in Python.  Lists of vertex sets (the
+minimal TDSs and dominating edges) stay bitmasks until they are written:
+each set is joined straight from its mask through a table of vertex names
+encoded once per graph, by the C string encoder for labels or int.__repr__
+for ids; a long list of sets is joined from names pre-joined for chunks of
+its ids.  A lone witness is a plain list of names, through the same encoders.
 
 Exit codes: 0 success (and accepted decisions), 1 negative decision,
 2 bad input, 3 assertion violations found by search, 4 internal error.
@@ -37,10 +38,11 @@ from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .errors import CapabilityError, NotAntichainError, ParseError
-from .graphs import Graph
+from .graphs import Graph, mask_members
 from .graphio import EDGE_LIST, FORMATS, parse_graph, serialize_graph
-from .hypergraph import SpernerFamily, require_total_domination
+from .hypergraph import SpernerFamily
 from .domination import CORE_COMPLETE, CORE_MINIMAL_VALID, realize_mtds, recognize_wtd_k
+from .domination import require_total_domination
 from .reduction import MatchingSelection, reduce_by_matching
 from .search import SearchFilter, profile, run_search
 # unused here; bound because perfbench/layers.json traces cli.<name> sites
@@ -91,7 +93,7 @@ def _cmd_analyze(args) -> tuple[int, dict]:
 def _cmd_recognize(args) -> tuple[int, dict]:
     g = _load_graph(args)
     result = recognize_wtd_k(g, args.k)
-    witness = _Set(_name_table(g), result.witness)
+    witness = [g.label(v) for v in mask_members(result.witness)]
     if result.accepted:
         return 0, {"wtd_k": True, "k": args.k, "witness": witness}
     payload = {"wtd_k": False, "k": args.k}
@@ -315,15 +317,6 @@ def _name_table(g: Graph) -> list[str]:
 
 
 @dataclass(frozen=True)
-class _Set:
-    """One vertex set (a mask), written by _dumps as its list of names
-    through a name table."""
-
-    names: list[str]
-    mask: int
-
-
-@dataclass(frozen=True)
 class _Sets:
     """A list of vertex sets (masks), written by _dumps as a list of lists
     of names through one name table."""
@@ -334,7 +327,7 @@ class _Sets:
 
 def _dumps(obj, pad: str = "\n") -> str:
     """json.dumps(obj, indent=2) for str-keyed dicts, lists, tuples, JSON
-    scalars and vertex sets (_Set, _Sets); pad is the newline and indent of
+    scalars and lists of vertex sets (_Sets); pad is the newline and indent of
     obj's own nesting level."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
@@ -361,14 +354,12 @@ def _dumps(obj, pad: str = "\n") -> str:
         inner = pad + "  "
         texts = _set_texts(obj.names, obj.masks, inner)
         return "[" + inner + ("," + inner).join(texts) + pad + "]"
-    if type(obj) is _Set:
-        return _set_texts(obj.names, (obj.mask,), pad)[0]
     return json.dumps(obj)  # None, bool, float
 
 
 # _set_texts pre-joins the names of each _CHUNK consecutive ids for a family
 # of at least _CHUNKED_FROM sets; for fewer (profile-mid's dominating-edge
-# lists, witnesses) building the chunk texts costs more than it saves
+# lists) building the chunk texts costs more than it saves
 _CHUNK = 6
 _CHUNKED_FROM = 16
 
@@ -382,8 +373,8 @@ def _set_texts(names: list[str], masks: Sequence[int], pad: str) -> list[str]:
     names, built by doubling, with every name preceded by the separator,
     and a mask's text joins the texts of its chunks and drops the leading
     comma.  A set then costs one lookup per chunk rather than a step per
-    member.  A smaller family, a lone witness (_Set) above all, would not
-    repay the chunk texts, so its sets are walked member by member.
+    member.  A smaller family would not repay the chunk texts, so its sets
+    are walked member by member.
     """
     inner = pad + "  "
     sep, close = "," + inner, pad + "]"

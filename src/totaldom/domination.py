@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CapabilityError, ValidationError
+from .errors import CapabilityError, DominationUndefinedError, ValidationError
 from .graphs import MAX_VERTICES, Edge, Graph, mask_members, neighbors, vertex_mask
 # unused here; bound because perfbench/layers.json traces domination.diameter
 from .graphs import diameter  # noqa: F401
@@ -20,12 +20,31 @@ from .hypergraph import (
     SpernerFamily,
     all_minimal_transversals_have_size_k,
     enumerate_minimal_transversals,
-    neighborhood_hypergraph,
-    require_total_domination,
+    minimize_family,
 )
 
 CORE_COMPLETE = "complete"
 CORE_MINIMAL_VALID = "minimal-valid"
+
+
+def require_total_domination(g: Graph) -> None:
+    """Raise DominationUndefinedError unless g has vertices and none is isolated."""
+    if g.n == 0:
+        raise DominationUndefinedError("total domination undefined: graph has no vertices")
+    if 0 in g.adj:
+        raise DominationUndefinedError(
+            f"total domination undefined: vertex {g.label(g.adj.index(0))} is isolated"
+        )
+
+
+def neighborhood_hypergraph(g: Graph) -> SpernerFamily:
+    """Minimized family of open neighborhoods {N(v) : v in V(g)}.
+
+    Total dominating sets of g are exactly the transversals of this family,
+    and minimizing preserves the minimal ones.
+    """
+    require_total_domination(g)
+    return minimize_family(g.n, g.adj)
 
 
 def is_tds(g: Graph, s: int) -> bool:

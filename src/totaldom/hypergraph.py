@@ -3,7 +3,7 @@
 A hypergraph here is always an antichain of nonempty vertex sets (bitmasks)
 over a ground set 0..ground-1.  Minimal transversals (inclusion-minimal
 hitting sets) are the workhorse: total domination reduces to them via the
-open-neighborhood hypergraph.
+open-neighborhood hypergraph, which `domination` builds.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CapabilityError, DominationUndefinedError, NotAntichainError
-from .graphs import MAX_VERTICES, Graph, mask_members
+from .errors import CapabilityError, NotAntichainError
+from .graphs import MAX_VERTICES, mask_members
 
 # all_minimal_transversals_have_size_k dualizes its whole depth-k family, and
 # that family grows exponentially with k (6 disjoint copies of K4 have 6**6 =
@@ -36,9 +36,9 @@ class SpernerFamily:
     """An antichain of nonempty edges (bitmasks), sorted ascending.
 
     A zero-edge family is representable only so that enumeration with a
-    size bound can report "nothing within the bound"; the constructors
-    that model graphs (`minimize_family`, `neighborhood_hypergraph`) and all
-    transversal consumers reject it.
+    size bound can report "nothing within the bound"; `minimize_family`
+    (and so `domination.neighborhood_hypergraph`) and all transversal
+    consumers reject it.
 
     Every construction checks the whole family: ground size, nonempty and
     ascending in-ground edges, and the antichain property, in time
@@ -122,26 +122,6 @@ def minimize_family(ground: int, raw: Iterable[int]) -> SpernerFamily:
     return SpernerFamily(ground, tuple(kept))
 
 
-def require_total_domination(g: Graph) -> None:
-    """Raise DominationUndefinedError unless g has vertices and none is isolated."""
-    if g.n == 0:
-        raise DominationUndefinedError("total domination undefined: graph has no vertices")
-    if 0 in g.adj:
-        raise DominationUndefinedError(
-            f"total domination undefined: vertex {g.label(g.adj.index(0))} is isolated"
-        )
-
-
-def neighborhood_hypergraph(g: Graph) -> SpernerFamily:
-    """Minimized family of open neighborhoods {N(v) : v in V(g)}.
-
-    Total dominating sets of g are exactly the transversals of this family,
-    and minimizing preserves the minimal ones.
-    """
-    require_total_domination(g)
-    return minimize_family(g.n, g.adj)
-
-
 def is_transversal(mask: int, edges: Sequence[int]) -> bool:
     return all(mask & e for e in edges)
 
@@ -155,41 +135,6 @@ def greedy_minimize_transversal(mask: int, edges: Sequence[int]) -> int:
         if is_transversal(without, edges):
             mask = without
     return mask
-
-
-def _mmcs(
-    edges: Sequence[int], max_size: int = MAX_VERTICES, max_count: int | None = None
-) -> list[int]:
-    """Minimal transversals of size <= max_size, each exactly once (MMCS search).
-
-    edges must be nonempty and max_size at least 1; the one public entry
-    point, enumerate_minimal_transversals, checks both.
-
-    A branch keeps, for every chosen vertex, the set of edges it hits alone
-    ("critical" edges); a branch dies as soon as a chosen vertex loses its
-    last critical edge, so every completed leaf is inclusion-minimal.
-    Candidates consumed by earlier siblings are re-admitted afterwards, which
-    makes each minimal transversal appear in exactly one branch.
-
-    A branch only ever adds members of the transversal it ends in, so
-    cutting branches that hold max_size vertices with edges still uncovered
-    loses exactly the larger transversals; the cut search has at most
-    (largest edge size)**max_size leaves.  With ``max_count``, the search
-    raises CapabilityError as soon as it finds more than that many.
-    """
-    m = len(edges)
-    containing = [0] * MAX_VERTICES
-    cand0 = 0
-    for i, e in enumerate(edges):
-        cand0 |= e
-        bit = 1 << i
-        while e:
-            low = e & -e
-            containing[low.bit_length() - 1] |= bit
-            e ^= low
-    out: list[int] = []
-    _mmcs_branch(edges, containing, max_size, max_count, out, 0, cand0, [], (1 << m) - 1)
-    return sorted(out)
 
 
 def _mmcs_branch(
@@ -273,19 +218,44 @@ def _mmcs_branch(
 def enumerate_minimal_transversals(
     h: SpernerFamily, max_count: int | None = None, max_size: int | None = None
 ) -> SpernerFamily:
-    """Exactly the inclusion-minimal hitting sets of h, ascending by bitmask.
+    """Exactly the inclusion-minimal hitting sets of h, ascending by bitmask,
+    each found once by an MMCS search.
 
-    With ``max_size``, only those of at most that many members: the search
-    cut at that depth, so the leaf count is bounded by (largest edge
-    size)**max_size, and the result may be empty.  With ``max_count``,
-    raise CapabilityError once more than that many turn up, before
-    enumerating the rest.
+    A branch keeps, for every chosen vertex, the set of edges it hits alone
+    ("critical" edges); a branch dies as soon as a chosen vertex loses its
+    last critical edge, so every completed leaf is inclusion-minimal.
+    Candidates consumed by earlier siblings are re-admitted afterwards, which
+    makes each minimal transversal appear in exactly one branch.
+
+    With ``max_size``, only those of at most that many members.  A branch
+    only ever adds members of the transversal it ends in, so cutting
+    branches that hold max_size vertices with edges still uncovered loses
+    exactly the larger transversals; the cut search has at most (largest
+    edge size)**max_size leaves, and the result may be empty.  With
+    ``max_count``, raise CapabilityError once more than that many turn up,
+    before enumerating the rest.
     """
-    if not h.edges:
+    edges = h.edges
+    if not edges:
         raise ValueError("transversals of an empty family are not defined here")
     if max_size is not None and max_size < 1:
         raise ValueError(f"size bound must be at least 1, got {max_size}")
-    return SpernerFamily(h.ground, tuple(_mmcs(h.edges, max_size or MAX_VERTICES, max_count)))
+    containing = [0] * MAX_VERTICES
+    cand = 0
+    for i, e in enumerate(edges):
+        cand |= e
+        bit = 1 << i
+        while e:
+            low = e & -e
+            containing[low.bit_length() - 1] |= bit
+            e ^= low
+    out: list[int] = []
+    _mmcs_branch(
+        edges, containing, max_size or MAX_VERTICES, max_count, out,
+        0, cand, [], (1 << len(edges)) - 1,
+    )
+    out.sort()
+    return SpernerFamily(h.ground, tuple(out))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .graphs import (
     neighbors,
     vertex_mask,
 )
-from .graphio import _parse_edge_list, _serialize_edge_list
+from .graphio import EDGE_LIST, parse_graph, serialize_graph
 from .domination import (
     dominating_edge_subgraph,
     minimal_vertex_covers,
@@ -291,7 +291,7 @@ def parse_recipe(text: str) -> W2Recipe:
         raise ParseError("missing H: section")
     if "MVC:" not in sections:
         raise ParseError("missing MVC: section")
-    h = _parse_edge_list("\n".join(sections["H:"]))
+    h = parse_graph("\n".join(sections["H:"]), EDGE_LIST)
 
     mvc_pairs = []
     for line in sections["MVC:"]:
@@ -311,7 +311,7 @@ def parse_recipe(text: str) -> W2Recipe:
     step3 = [_parse_pair(line, "STEP3") for line in sections.get("STEP3:", [])]
     h_prime = None
     if "HPRIME:" in sections:
-        h_prime = _parse_edge_list("\n".join(sections["HPRIME:"]))
+        h_prime = parse_graph("\n".join(sections["HPRIME:"]), EDGE_LIST)
         if h_prime.n == 0:
             h_prime = None
     step4 = [_parse_pair(line, "STEP4") for line in sections.get("STEP4:", [])]
@@ -338,7 +338,7 @@ def _parse_pair(line: str, section: str) -> tuple[int, int]:
 
 
 def serialize_recipe(recipe: W2Recipe) -> str:
-    out = ["H:", _serialize_edge_list(recipe.h).rstrip("\n")]
+    out = ["H:", serialize_graph(recipe.h, EDGE_LIST).rstrip("\n")]
     out.append("MVC:")
     for cover, fresh in sorted(recipe.mvc_vertices):
         out.append(",".join(str(v) for v in mask_members(cover)) + f" -> {fresh}")
@@ -346,7 +346,7 @@ def serialize_recipe(recipe: W2Recipe) -> str:
     out.extend(f"{u} {v}" for u, v in recipe.step3_edges)
     if recipe.h_prime is not None:
         out.append("HPRIME:")
-        out.append(_serialize_edge_list(recipe.h_prime).rstrip("\n"))
+        out.append(serialize_graph(recipe.h_prime, EDGE_LIST).rstrip("\n"))
         out.append("STEP4:")
         out.extend(f"{w} {u}" for w, u in recipe.step4_edges)
     return "\n".join(out) + "\n"

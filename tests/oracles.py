@@ -7,9 +7,9 @@ shared ideas with the library's algorithms, so agreement is meaningful.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
-from totaldom import Graph
+from totaldom import Graph, canonical_form
 
 
 # ---------------------------------------------------------------------------
@@ -350,3 +350,73 @@ def _linked(g: Graph, pairs, free: set) -> bool:
         return False
 
     return walk(u, free)
+
+
+# ---------------------------------------------------------------------------
+# the four-step W2 recipe, built from its steps alone
+
+
+def _bipartite_without_isolated(k: int) -> list[Graph]:
+    """One graph per class of the bipartite graphs on k vertices without an
+    isolated vertex: every edge set between parts 0..a-1 and a..k-1."""
+    found: dict[bytes, Graph] = {}
+    for a in range(1, k // 2 + 1):
+        pairs = [(u, v) for u in range(a) for v in range(a, k)]
+        for mask in range(1 << len(pairs)):
+            g = Graph.from_edges(k, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            if 0 not in g.adj:
+                found.setdefault(canonical_form(g), g)
+    return list(found.values())
+
+
+def w2_recipe_graphs(n_max: int):
+    """Yield every graph of the four-step recipe with at most n_max vertices,
+    some classes more than once, with vertices h, covers, then h'.
+
+    1. h is bipartite without isolated vertices, one per class.  Each of its
+       (at least two) minimal vertex covers costs a vertex, so it has at
+       most n_max - 2 vertices.
+    2. One fresh vertex per minimal vertex cover of h, joined to exactly
+       that cover.
+    3. Every set of non-edges inside V(h) after which each h-vertex is
+       adjacent to an endpoint of every h-edge.
+    4. Every h' (one per class, the empty graph included) whose vertices
+       each get a vertex cover of h, of any size, as their neighbourhood
+       in V(h).
+    """
+    h_primes = {m: all_graphs_up_to_iso(m) for m in range(max(n_max - 3, 0))}
+    for k in range(2, n_max - 1):
+        full = (1 << k) - 1
+        for h in _bipartite_without_isolated(k):
+            h_edges = [(1 << u) | (1 << v) for u, v in h.edges()]
+            minimal = brute_minimal_transversals(k, h_edges)
+            base = k + len(minimal)
+            if base > n_max:
+                continue
+            covers = [s for s in range(1, full + 1) if all(s & e for e in h_edges)]
+            adj = list(h.adj) + minimal
+            for i, cover in enumerate(minimal):
+                for v in range(k):
+                    if cover >> v & 1:
+                        adj[v] |= 1 << (k + i)
+            non_edges = [(u, v) for u, v in combinations(range(k), 2) if not h.adj[u] >> v & 1]
+            for chosen in range(1 << len(non_edges)):
+                core = list(adj)
+                for i, (u, v) in enumerate(non_edges):
+                    if chosen >> i & 1:
+                        core[u] |= 1 << v
+                        core[v] |= 1 << u
+                if any((core[u] | core[v]) & full != full for u, v in h.edges()):
+                    continue
+                for m, graphs in h_primes.items():
+                    if base + m > n_max:
+                        break
+                    for hp in graphs:
+                        for touched in product(covers, repeat=m):
+                            g_adj = core + [0] * m
+                            for w, cover in enumerate(touched):
+                                g_adj[base + w] = hp.adj[w] << base | cover
+                                for v in range(k):
+                                    if cover >> v & 1:
+                                        g_adj[v] |= 1 << (base + w)
+                            yield Graph(base + m, tuple(g_adj))

@@ -226,7 +226,11 @@ class TestTransversals:
             branch(edges, containing, max_size, max_count, out, chosen, cand, crit, uncov)
 
         monkeypatch.setattr(td.hypergraph, "_mmcs_branch", watched)
-        mmcs = td.hypergraph._mmcs
+
+        def mmcs(ground, edges, max_count=None, max_size=None):
+            family = td.SpernerFamily(ground, edges)
+            return list(td.enumerate_minimal_transversals(family, max_count, max_size).edges)
+
         rng = random.Random(22)
         for _ in range(300):
             ground = rng.randint(4, 9)
@@ -236,12 +240,12 @@ class TestTransversals:
             ]
             edges = td.minimize_family(ground, raw).edges
             brute = brute_minimal_transversals(ground, edges)
-            assert mmcs(edges) == brute
+            assert mmcs(ground, edges) == brute
             k = rng.randint(1, ground)
-            assert mmcs(edges, k) == [t for t in brute if t.bit_count() <= k]
+            assert mmcs(ground, edges, max_size=k) == [t for t in brute if t.bit_count() <= k]
             with pytest.raises(td.CapabilityError):
-                mmcs(edges, max_count=len(brute) - 1)
-            assert mmcs(edges, max_count=len(brute)) == brute
+                mmcs(ground, edges, max_count=len(brute) - 1)
+            assert mmcs(ground, edges, max_count=len(brute)) == brute
         assert widths[0] == 0 and min(widths[1:]) > 100, widths
 
     def test_is_transversal_and_greedy_minimize(self):

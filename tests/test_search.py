@@ -72,7 +72,7 @@ class TestSearchFilter:
     @pytest.mark.parametrize(
         "restriction, accepted, count, sequence",
         [
-            ({"planar_only": True}, 9, "1,131,438", "A003094"),
+            ({"planar_only": True}, 9, "11,989,763", "A001349"),
             ({"triangle_free_only": True}, 11, "1,246,471", "A024607"),
             ({"planar_only": True, "triangle_free_only": True}, 11, "1,246,471", "A024607"),
         ],
@@ -91,11 +91,26 @@ class TestSearchFilter:
         # these orders; the rest of each table is cited from OEIS
         for table, counts in [
             (td.search.CONNECTED_CLASSES, A001349),
-            (td.search.CONNECTED_PLANAR, A003094),
             (td.search.CONNECTED_TRIANGLE_FREE, A024607),
         ]:
             assert len(table) == td.CANONICAL_BOUND + 1
             assert {n: table[n] for n in counts} == counts
+
+    def test_planar_budget_decides_as_a003094_would(self):
+        # a planar search is budgeted by all connected classes (A001349), as
+        # it also keys non-planar children; it accepts exactly the n_max
+        # whose connected planar classes (OEIS A003094, n = 2..12) fit
+        planar = (1, 2, 6, 20, 99, 646, 5974, 71885, 1052805, 17449299, 313372298)
+        assert {n: planar[n - 2] for n in A003094} == A003094
+        assert td.CANONICAL_BOUND == 12
+        for n_max in range(2, 13):
+            fits = sum(planar[: n_max - 1]) <= td.search.SEARCH_BUDGET
+            try:
+                td.SearchFilter(n_max=n_max, planar_only=True)
+            except td.CapabilityError:
+                assert not fits, n_max
+            else:
+                assert fits, n_max
 
     def test_min_degree_sign(self):
         with pytest.raises(ValueError):

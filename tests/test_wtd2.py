@@ -10,6 +10,7 @@ from oracles import (
     cycle_graph,
     path_graph,
     random_relabel,
+    w2_recipe_graphs,
 )
 
 
@@ -393,6 +394,23 @@ class TestTriangleFreeRecognizer:
                 continue
             rep = td.report(g)
             assert got == (rep.is_wtd and rep.gamma_t == 2)
+
+
+class TestW2Census:
+    def test_recipe_graphs_are_the_catalog_w2_classes(self):
+        # both directions of the characterization at each order n <= 8: the
+        # four-step recipe, built by the oracle from its steps alone, yields
+        # exactly the catalog's classes with uniform size 2 and packing 2
+        built: dict[int, set[str]] = {}
+        for g in w2_recipe_graphs(8):
+            built.setdefault(g.n, set()).add(td.canonical_form(g).hex())
+        entries, _ = td.run_search(td.SearchFilter(n_max=8), ["all"])
+        catalog: dict[int, set[str]] = {}
+        for e in entries:
+            if e.is_wtd and e.gamma_t == 2 and e.rho == 2:
+                catalog.setdefault(e.n, set()).add(e.canonical_key)
+        assert built == catalog
+        assert {n: len(keys) for n, keys in catalog.items()} == {4: 1, 5: 4, 6: 23, 7: 134, 8: 1036}
 
 
 class TestRecipeText:

@@ -6,9 +6,8 @@ is single-word arithmetic for the n <= 64 graphs this library targets.
 Two primitives carry every traversal that needs no per-vertex state:
 neighbors(adj, mask) is the union of the neighborhoods of a mask, and
 component(adj, start, within) grows the vertices reachable from a mask.
-Planarity runs on the same masks: after a series reduction, each
-biconnected block is tested on its own, first against Euler's bound and
-then by path addition, with no dependency beyond the standard library.
+Planarity runs on the same masks: each biconnected block is tested on its
+own by path addition, with no dependency beyond the standard library.
 The search behind canonical keys also yields generators of the
 automorphism group (canonical_key's generators list), which the exhaustive
 search uses to try one neighbourhood per orbit of a parent.
@@ -301,48 +300,12 @@ def bipartition(g: Graph) -> tuple[int, int] | None:
 def is_planar(g: Graph) -> bool:
     """Exact planarity, on bitmasks.
 
-    Vertices of degree at most 1 are deleted and each vertex of degree 2 is
-    replaced by an edge between its two neighbours (or just deleted when
-    they are already adjacent), until every vertex left has degree at least
-    3; both steps preserve planarity.  At most five vertices are then
-    non-planar only as K5.  A larger graph is planar exactly when each of
-    its biconnected blocks is, so each block is tested on its own: one of
-    at most four vertices is planar, one with more than 3n - 6 edges is not
-    (Euler's bound), and path addition (_embeds) decides the rest.
+    A graph is planar exactly when each of its biconnected blocks is.  A
+    block of two vertices is a bridge, which is planar; path addition
+    (_embeds) decides every block of three or more.
     """
-    n = g.n
-    adj = list(g.adj)
-    stack = [v for v in range(n) if adj[v].bit_count() <= 2]
-    while stack:
-        v = stack.pop()  # still of degree <= 2: no step raises a degree
-        nb = adj[v]
-        adj[v] = 0
-        x = nb
-        while x:
-            low = x & -x
-            u = low.bit_length() - 1
-            adj[u] ^= 1 << v
-            if nb != low:
-                adj[u] |= nb ^ low  # the other neighbour, when there are two
-            if adj[u].bit_count() <= 2:
-                stack.append(u)
-            x ^= low
-    degrees = [a.bit_count() for a in adj if a]
-    if len(degrees) <= 5:
-        return sum(degrees) < 20
-    for block in _blocks(adj):
-        order = block.bit_count()
-        if order <= 4:
-            continue
-        twice_size = 0
-        x = block
-        while x:
-            low = x & -x
-            twice_size += (adj[low.bit_length() - 1] & block).bit_count()
-            x ^= low
-        if twice_size > 6 * order - 12 or not _embeds(adj, block):
-            return False
-    return True
+    adj = g.adj
+    return all(block.bit_count() < 3 or _embeds(adj, block) for block in _blocks(adj))
 
 
 def _blocks(adj: Sequence[int]) -> list[int]:
@@ -404,6 +367,9 @@ def _lowpoint(
 
 def _embeds(adj: Sequence[int], block: int) -> bool:
     """Whether the biconnected block (a vertex mask of adj) is planar.
+
+    The block must have at least three vertices: a bridge holds no cycle,
+    and the first _path call raises on one.
 
     Path addition of Demoucron, Malgrange and Pertuiset (Gibbons,
     Algorithmic Graph Theory, 7.4).  A plane subgraph H grows from a cycle;

@@ -28,7 +28,6 @@ from .graphs import (
     girth,
     graph_from_canonical,
     is_planar,
-    is_triangle_free,
     max_matching_of_edges,
     neighbors,
     vertex_mask,
@@ -240,7 +239,8 @@ def _classify_block(block: list[tuple]) -> list[CatalogEntry]:
     """The catalog record of each class in a block of enumerate_graphs
     payloads (canonical key, adjacency, planar), one kernel at a time over
     the block.  The Graphs are built here (in the worker, under a pool);
-    a planar of None is decided by is_planar.
+    a planar of None is decided by is_planar.  triangle_free is read off
+    the girth: a forest (girth None) or a girth of 4 or more has no triangle.
     """
     keys, adjs, planars = zip(*block)
     graphs = [Graph(len(adj), adj) for adj in adjs]
@@ -250,11 +250,8 @@ def _classify_block(block: list[tuple]) -> list[CatalogEntry]:
         for p in profiles
     ]
     planars = [is_planar(g) if planar is None else planar for g, planar in zip(graphs, planars)]
-    triangle_free = [is_triangle_free(g) for g in graphs]
     entries = []
-    for g, key, prof, nu, planar, tf in zip(
-        graphs, keys, profiles, matchings, planars, triangle_free
-    ):
+    for g, key, prof, nu, planar in zip(graphs, keys, profiles, matchings, planars):
         rep = prof.report
         entries.append(
             CatalogEntry(
@@ -270,7 +267,7 @@ def _classify_block(block: list[tuple]) -> list[CatalogEntry]:
                 girth=prof.girth,
                 nu_gde=nu,
                 planar=planar,
-                triangle_free=tf,
+                triangle_free=prof.girth != 3,
             )
         )
     return entries
@@ -397,8 +394,7 @@ def _orbit_labels(n: int, gens: list[tuple[int, ...]]) -> list[int] | None:
 def _fits_in_a_face(adj: tuple[int, ...], nb: int) -> bool:
     """Whether a new vertex joined to nb keeps a planar graph planar because
     it has degree 1, or degree 2 with adjacent neighbours: it then fits in a
-    face beside its neighbour or beside that edge.  is_planar deletes such
-    vertices by the same rule.
+    face beside its neighbour or beside that edge.
     """
     low = nb & -nb
     rest = nb ^ low

@@ -251,14 +251,20 @@ class TestMetricsAgainstOracles:
         for base in (k5, k33):
             assert not td.is_planar(subdivided_with_trees(base))
         assert td.is_planar(subdivided_with_trees(td.Graph.from_edges(5, k5.edges()[1:])))
-        # a degree-2 vertex on the already adjacent 2 and 3 of K5 - {0,1}:
-        # suppressing it only deletes it, and the rest stays planar
+        # K5 - {0,1} with a degree-2 vertex joined to the adjacent 2 and 3:
+        # it closes a triangle on that edge, and the graph stays planar
         edges = [e for e in k5.edges() if e != (0, 1)]
         assert td.is_planar(td.Graph.from_edges(6, edges + [(2, 5), (3, 5)]))
-        # on 0 and 1 instead it restores the missing edge: a subdivided K5
+        # joined to 0 and 1 instead it is a path for the missing edge: a
+        # subdivision of K5
         assert not td.is_planar(td.Graph.from_edges(6, edges + [(0, 5), (1, 5)]))
-        # K5 plus a degree-2 vertex on an existing edge
+        # K5 plus a degree-2 vertex joined to both ends of one of its edges
         assert not td.is_planar(td.Graph.from_edges(6, k5.edges() + ((0, 5), (1, 5))))
+        # no blocks, or bridges only: the empty graph, K1 and a forest
+        assert td.is_planar(td.Graph.from_edges(0, []))
+        assert td.is_planar(td.Graph.from_edges(1, []))
+        forest = [(0, 1), (1, 2), (1, 3), (3, 4), (5, 6), (6, 7)]
+        assert td.is_planar(td.Graph.from_edges(9, forest))
 
     def test_planarity_of_blocks_and_large_graphs(self):
         k4, k5, k33 = complete_graph(4), complete_graph(5), complete_bipartite(3, 3)

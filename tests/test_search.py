@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +20,8 @@ from totaldom.search import (
 from oracles import (
     _connected,
     all_graphs_up_to_iso,
+    brute_diameter,
+    brute_girth,
     brute_matching_number,
     brute_minimal_tds,
     brute_packing_number,
@@ -26,6 +29,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     path_graph,
+    petersen_graph,
     random_relabel,
     relabel,
 )
@@ -360,7 +364,9 @@ class TestCanonicalParent:
 
     def test_classify_matches_oracles(self, graphs):
         checked = 0
-        for g in graphs:
+        triangle_free = set()
+        # the Petersen graph: triangle-free, with cycles
+        for g in graphs + [petersen_graph()]:
             e = td.classify(g)
             minimal = set(brute_minimal_tds(g))
             sizes = {s.bit_count() for s in minimal}
@@ -368,6 +374,14 @@ class TestCanonicalParent:
             assert e.is_wtd == (len(sizes) == 1)
             assert e.rho == brute_packing_number(g)
             assert e.planar == brute_planar(g)
+            assert (e.girth, e.diameter) == (brute_girth(g), brute_diameter(g)), g.edges()
+            # a scan of vertex triples, which does not read the girth
+            triangles = (
+                g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w)
+                for u, v, w in combinations(range(g.n), 3)
+            )
+            assert e.triangle_free == (not any(triangles)), g.edges()
+            triangle_free.add(e.triangle_free)
             # edges whose two endpoints form a (necessarily minimal) TDS
             dominating = [(u, v) for u, v in g.edges() if (1 << u) | (1 << v) in minimal]
             if e.gamma_t == 2:
@@ -377,6 +391,7 @@ class TestCanonicalParent:
             else:
                 assert e.nu_gde is None and not dominating
         assert checked > 0
+        assert triangle_free == {False, True}
 
 
 class TestClassify:

@@ -48,9 +48,13 @@ CONNECTED_CLASSES = (
 CONNECTED_TRIANGLE_FREE = (1, 1, 1, 1, 3, 6, 19, 59, 267, 1380, 9832, 90842, 1144061)
 # The most classes, summed over orders 2..n_max, that a search may key.  n <=
 # 10 holds 11,989,763 connected classes, whose order-10 level dict alone
-# would need about 8 GB.  A triangle-free search drops children with a
-# triangle before keying them, so A024607 bounds its keys.  A planar search
-# also keys the non-planar children of planar parents, so A001349 bounds it.
+# would need about 5 GB: 11,716,571 records of about 416 B each (record and
+# dict slot by sys.getsizeof, measured on the children of 3,000 random
+# order-9 classes; an order-9 record takes 315 B, as the n <= 9
+# enumeration's peak RSS of about 350 B per class agrees).  A triangle-free
+# search drops children with a triangle before keying them, so A024607
+# bounds its keys.  A planar search also keys the non-planar children of
+# planar parents, so A001349 bounds it.
 SEARCH_BUDGET = 1_000_000
 
 
@@ -228,10 +232,10 @@ def classify(g: Graph) -> CatalogEntry:
     return _classify_block([(canonical_form(g), g.adj, None)])[0]
 
 
-# run_search classifies fresh classes in blocks of this many: each kernel
-# runs over the whole block before the next one starts, and the block's
-# catalog lines go out in one write, so an interrupted run classifies at
-# most one block again.
+# enumerate_graphs expands each level's parents, and run_search classifies
+# fresh classes, in blocks of this many: each kernel runs over the whole
+# block before the next one starts.  A search block's catalog lines go out
+# in one write, so an interrupted run classifies at most one block again.
 BLOCK = 256
 
 
@@ -403,6 +407,50 @@ def _fits_in_a_face(adj: tuple[int, ...], nb: int) -> bool:
     return rest & (rest - 1) == 0 and (adj[low.bit_length() - 1] & rest) != 0
 
 
+def _children(n: int, parents: list[tuple], triangle_free: bool) -> list[tuple]:
+    """The unkeyed children of a block of order-n parents, each parent an
+    (adjacency, planar, generators) record, as (child adjacency, planar
+    fact) pairs in parent order, then neighbourhood-mask order.
+
+    Each parent table (_orbit_labels, _below, _parts_without,
+    _neighbour_degree_sums, _degree_cap) is built for the whole block
+    before the candidate loop runs.  A parent tries the least mask of each
+    orbit of masks with at most _degree_cap members, and keeps it when it
+    passes _new_vertex_is_least and, if triangle_free is set, no two of
+    its members are adjacent.  The fact is
+    False under a non-planar parent, True when the new vertex fits in a
+    face of a planar one (_fits_in_a_face), and None otherwise.
+    """
+    adjs = [adj for adj, _, _ in parents]
+    orbits = [_orbit_labels(n, gens) for _, _, gens in parents]
+    belows = [_below(n, adj) for adj in adjs]
+    partss = [_parts_without(n, adj) for adj in adjs]
+    sumss = list(map(_neighbour_degree_sums, adjs))
+    caps = list(map(_degree_cap, adjs, partss))
+    out = []
+    for (adj, planar, _), orbit, below, parts, sums, cap in zip(
+        parents, orbits, belows, partss, sumss, caps
+    ):
+        for nb in range(1, 1 << n):
+            if nb.bit_count() > cap:
+                continue
+            if orbit is not None and orbit[nb] != nb:
+                continue  # an isomorphic child comes from the orbit's least mask
+            if triangle_free and neighbors(adj, nb) & nb:
+                continue
+            if not _new_vertex_is_least(nb, adj, below, parts, sums):
+                continue
+            child = tuple(row | ((nb >> i & 1) << n) for i, row in enumerate(adj)) + (nb,)
+            if not planar:
+                fact = False
+            elif _fits_in_a_face(adj, nb):
+                fact = True
+            else:
+                fact = None
+            out.append((child, fact))
+    return out
+
+
 def enumerate_graphs(filt: SearchFilter):
     """Yield (canonical key, adjacency, planar) per isomorphism class, by
     level then key.
@@ -443,12 +491,16 @@ def enumerate_graphs(filt: SearchFilter):
 
     Each level is one dict, key -> (adjacency, planar, generators), holding
     the record of each class from the moment its key is first reached, and
-    is walked once in key order: each class is yielded, then expanded.
-    generators are those of the adjacency kept, and None on the last
-    level, which is not expanded.  planar is inherited in both directions,
-    from whichever parent that generates the child shows it: False when the
-    parent is non-planar, since it is an induced subgraph, and True when
-    the parent is planar and the new vertex fits in a face
+    is walked once in key order, BLOCK classes at a time.  Each block's
+    classes are yielded first; then the block is expanded by _children,
+    every child of the block is keyed in one pass, and the keyed children
+    are merged into the next level's dict in parent order, then mask
+    order, so each key keeps the child it would keep with one parent at a
+    time.  generators are those of the adjacency kept, and None on the
+    last level, which is not expanded.  planar is inherited in both
+    directions, from whichever parent that generates the child shows it:
+    False when the parent is non-planar, since it is an induced subgraph,
+    and True when the parent is planar and the new vertex fits in a face
     (_fits_in_a_face).  A planar still None is decided by is_planar, once
     per class, when its level is expanded further or filtered on
     planarity; on the last level planar is None unless inherited, and
@@ -461,46 +513,32 @@ def enumerate_graphs(filt: SearchFilter):
         deepen = n < filt.n_max
         keep_gens = n + 1 < filt.n_max
         nxt: dict[bytes, tuple] = {}
-        for key in sorted(level):
-            adj, planar, gens = level[key]
-            if planar is None and (deepen or filt.planar_only):
-                planar = is_planar(Graph(n, adj))
-            if filt.planar_only and not planar:
-                continue
-            if n >= filt.n_min and (
-                filt.min_degree is None or min(row.bit_count() for row in adj) >= filt.min_degree
-            ):
-                yield key, adj, planar
-            if not deepen:
-                continue
-            orbit = _orbit_labels(n, gens)
-            below = _below(n, adj)
-            parts = _parts_without(n, adj)
-            sums = _neighbour_degree_sums(adj)
-            cap = _degree_cap(adj, parts)
-            for nb in range(1, 1 << n):
-                if nb.bit_count() > cap:
+        keys = sorted(level)
+        for start in range(0, len(keys), BLOCK):
+            parents = []
+            for key in keys[start : start + BLOCK]:
+                adj, planar, gens = level[key]
+                if planar is None and (deepen or filt.planar_only):
+                    planar = is_planar(Graph(n, adj))
+                if filt.planar_only and not planar:
                     continue
-                if orbit is not None and orbit[nb] != nb:
-                    continue  # an isomorphic child comes from the orbit's least mask
-                if filt.triangle_free_only and neighbors(adj, nb) & nb:
-                    continue
-                if not _new_vertex_is_least(nb, adj, below, parts, sums):
-                    continue
-                child = tuple(
-                    row | ((nb >> i & 1) << n) for i, row in enumerate(adj)
-                ) + (nb,)
-                child_gens = [] if keep_gens else None
-                child_key = canonical_key(n + 1, child, child_gens)
-                if not planar:
-                    fact = False
-                elif _fits_in_a_face(adj, nb):
-                    fact = True
-                else:
-                    fact = None
+                if n >= filt.n_min and (
+                    filt.min_degree is None
+                    or min(row.bit_count() for row in adj) >= filt.min_degree
+                ):
+                    yield key, adj, planar
+                if deepen:
+                    parents.append((adj, planar, gens))
+            children = _children(n, parents, filt.triangle_free_only)
+            child_gens = [[] if keep_gens else None for _ in children]
+            child_keys = [
+                canonical_key(n + 1, child, gens)
+                for (child, _), gens in zip(children, child_gens)
+            ]
+            for child_key, (child, fact), gens in zip(child_keys, children, child_gens):
                 record = nxt.get(child_key)
                 if record is None:
-                    nxt[child_key] = (child, fact, child_gens)
+                    nxt[child_key] = (child, fact, gens)
                 elif record[1] is None and fact is not None:
                     nxt[child_key] = (record[0], fact, record[2])
         level = nxt

@@ -73,6 +73,14 @@ class TestKernels:
 
 
 class TestSearch:
+    def test_enumeration(self):
+        # the block expansion alone, without classification or a catalog
+        def enumerate7():
+            for _ in td.enumerate_graphs(td.SearchFilter(n_max=7)):
+                pass
+
+        assert leftover(enumerate7) == 0
+
     def test_fresh_then_resumed(self, tmp_path):
         out = str(tmp_path / "cat.jsonl")
 

@@ -291,6 +291,53 @@ class TestEnumeration:
             assert td.canonical_form(g) == key
 
 
+# stream_digest of SearchFilter(n_max=7)
+N7_STREAM = "199f0739eb85862654af777bb17d50ac671e069d199996e2ab05d11a43b16c54"
+
+
+def stream_digest(filt):
+    """sha256 of repr((key, adjacency, planar)) over enumerate_graphs(filt)."""
+    h = hashlib.sha256()
+    for item in td.enumerate_graphs(filt):
+        h.update(repr(item).encode())
+    return h.hexdigest()
+
+
+class TestEnumerationStream:
+    # The whole stream is pinned, not only its keys: the adjacency a key
+    # yields is the first labelled child that reached it, so it moves with
+    # the order in which children are keyed and merged, and planar moves
+    # with which parents' facts are merged.
+    @pytest.mark.parametrize(
+        "filt, digest",
+        [
+            (td.SearchFilter(n_max=7), N7_STREAM),
+            (
+                td.SearchFilter(n_max=8, planar_only=True),
+                "d57e000a5e03c123db8b2a8aeb5a36da4f32af141429bbb51a1b374bc688ac2c",
+            ),
+            (
+                td.SearchFilter(n_max=8, triangle_free_only=True),
+                "13b6a1de8c4bfba723019fd997959d30b4b64543cf061161d875c521039daec7",
+            ),
+            (
+                td.SearchFilter(n_max=8, min_degree=3),
+                "2ea435d66643189c6ab7a4998e25bd176ac8efb26f427d14fef40eef625eba87",
+            ),
+        ],
+        ids=["n7", "planar8", "triangle_free8", "min_degree3_8"],
+    )
+    def test_stream_frozen(self, filt, digest):
+        assert stream_digest(filt) == digest
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_stream_does_not_depend_on_block_size(self, monkeypatch, block):
+        # a level is expanded BLOCK parents at a time; every block size
+        # keys and merges the children in the same order
+        monkeypatch.setattr(td.search, "BLOCK", block)
+        assert stream_digest(td.SearchFilter(n_max=7)) == N7_STREAM
+
+
 def random_connected_graph(rng, n):
     while True:
         p = rng.uniform(0.25, 0.6)

@@ -212,8 +212,7 @@ def _cmd_search(args) -> tuple[int, dict]:
         planar_only=args.planar,
         triangle_free_only=args.triangle_free,
     )
-    ids = args.assertions.split(",")
-    _, search_report = run_search(filt, ids, out_path=args.out, jobs=args.jobs)
+    search_report = run_search(filt, out_path=args.out, jobs=args.jobs)
     violated = any(
         block["violations"] for block in search_report["assertions"].values()
     )
@@ -295,12 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--planar", action="store_true", help="planar graphs only")
     sub.add_argument(
         "--triangle-free", action="store_true", help="triangle-free graphs only"
-    )
-    sub.add_argument(
-        "--assert",
-        dest="assertions",
-        default="all",
-        help="comma-separated assertion ids (default: all)",
     )
     sub.add_argument("--out", default=None, help="append results to this JSONL catalog")
     sub.add_argument("--jobs", type=int, default=1, help="parallel classification workers")

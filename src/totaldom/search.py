@@ -15,7 +15,7 @@ import os
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .errors import CapabilityError, DominationUndefinedError
 from .graphs import (
@@ -628,25 +628,6 @@ def _t11_agrees(entry: CatalogEntry) -> bool:
     return recognize_triangle_free_wtd2(g) == _wtd2(entry)
 
 
-def resolve_assertion_ids(ids) -> tuple[str, ...]:
-    """Normalize user-supplied assertion names, each once in order of first
-    mention; 'all' selects everything."""
-    chosen: dict[str, None] = {}
-    for raw in ids:
-        name = raw.strip().upper()
-        if name == "ALL":
-            chosen.update(dict.fromkeys(ASSERTIONS))
-        elif name in ASSERTIONS:
-            chosen[name] = None
-        elif name:
-            raise ValueError(
-                f"unknown assertion id {raw!r}; known ids: {', '.join(ASSERTIONS)} (or 'all')"
-            )
-    if not chosen:
-        raise ValueError("no assertion ids given")
-    return tuple(chosen)
-
-
 def _load_existing(path: str) -> dict[str, CatalogEntry]:
     """Read a catalog.  A final line without its newline is the tail of an
     interrupted write: it is cut off (even if it parses, as the next record
@@ -682,22 +663,20 @@ def _load_existing(path: str) -> dict[str, CatalogEntry]:
     return entries
 
 
-def run_search(
-    filt: SearchFilter,
-    assertion_ids,
-    out_path: str | None = None,
-    jobs: int = 1,
-):
-    """Enumerate, classify, persist, and check assertions.
+def run_search(filt: SearchFilter, *, out_path: str | None = None, jobs: int = 1) -> dict:
+    """Enumerate, classify, persist, and check every assertion in ASSERTIONS.
 
-    Returns (entries, report).  ``report`` maps each requested assertion id
-    to how many entries it applied to and which canonical keys violate it,
-    and carries a frontier note: the largest classified instance that is
-    planar with uniform size 2 and minimum degree 3 (the open range for the
-    size bounds), if any showed up.  ``jobs`` must be at least 1; more
-    workers than CPUs are clamped to the CPU count.
+    Returns the report: for each assertion, in ASSERTIONS order, how many
+    classes it applied to, which canonical keys violate it (in enumeration
+    order) and whether n_max reaches its smallest order; and a frontier
+    note, the first enumerated class of the largest order that is planar
+    with uniform size 2 and minimum degree 3 (the open range for the size
+    bounds), if any showed up.  Each class is folded into the report as it
+    is reached, and a fresh one is dropped once its catalog line is
+    written; a resume holds the catalogued records it loaded.  ``jobs``
+    must be at least 1; more workers than CPUs are clamped to the CPU
+    count.
     """
-    ids = resolve_assertion_ids(assertion_ids)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
@@ -705,19 +684,43 @@ def run_search(
     if out_path is not None and os.path.exists(out_path):
         existing = _load_existing(out_path)
 
-    order: list[str] = []
+    checks = {
+        name: {"checked": 0, "violations": [], "falsifiable": filt.n_max >= smallest}
+        for name, (_, smallest, _, _) in ASSERTIONS.items()
+    }
+    classified = 0
+    frontier = None  # (-n, key) of the frontier so far
+
+    def fold(entries: list[CatalogEntry]) -> None:
+        """Count a block of classes into the report."""
+        nonlocal classified, frontier
+        classified += len(entries)
+        for (_, _, applies, holds), check in zip(ASSERTIONS.values(), checks.values()):
+            hits = list(filter(applies, entries))
+            check["checked"] += len(hits)
+            check["violations"] += [e.canonical_key for e in hits if not holds(e)]
+        candidates = [(-e.n, e.canonical_key) for e in filter(_planar_wtd2_min_degree3, entries)]
+        if frontier is not None:
+            candidates.append(frontier)
+        frontier = min(candidates, default=None)
 
     def fresh():
-        """The payloads of the classes the catalog lacks, BLOCK at a time."""
-        block = []
+        """The payloads of the classes the catalog lacks, BLOCK at a time;
+        the catalogued classes are folded BLOCK at a time on the way."""
+        block, stored = [], []
         for payload in enumerate_graphs(filt):
-            hexkey = payload[0].hex()
-            order.append(hexkey)
-            if hexkey not in existing:
+            entry = existing.get(payload[0].hex())
+            if entry is None:
                 block.append(payload)
                 if len(block) == BLOCK:
                     yield block
                     block = []
+            else:
+                stored.append(entry)
+                if len(stored) == BLOCK:
+                    fold(stored)
+                    stored = []
+        fold(stored)
         if block:
             yield block
 
@@ -725,8 +728,9 @@ def run_search(
     # go to the catalog in one write, so an interrupted run leaves a usable
     # prefix behind and classifies at most one block again (fresh payloads
     # arrive in ascending canonical-key order, keeping the file sorted per
-    # run).  The catalog opens before enumeration, so an unwritable path
-    # fails at once.  A serial run classifies each block as soon as it is
+    # run); a block is folded into the report once written, and dropped.
+    # The catalog opens before enumeration, so an unwritable path fails at
+    # once.  A serial run classifies each block as soon as it is
     # enumerated.  A pool's workers start with its first block, but
     # Executor.map submits the whole enumeration before it yields a result;
     # with no fresh class nothing is submitted and no worker starts.
@@ -743,39 +747,30 @@ def run_search(
         else:
             computed = map(_classify_block, fresh())
         for block in computed:
-            for entry in block:
-                existing[entry.canonical_key] = entry
             if sink is not None:
                 sink.write("".join([
                     _catalog_line(entry, graph6_from_key(bytes.fromhex(entry.canonical_key)))
                     for entry in block
                 ]))
                 sink.flush()
-    entries = [existing[h] for h in order]
+            fold(block)
 
-    assertion_report: dict[str, dict] = {}
-    for name in ids:
-        _, smallest, applies, holds = ASSERTIONS[name]
-        checked = list(filter(applies, entries))
-        assertion_report[name] = {
-            "checked": len(checked),
-            "violations": [e.canonical_key for e in checked if not holds(e)],
-            "falsifiable": filt.n_max >= smallest,
-        }
-
-    frontier_entry = max(
-        filter(_planar_wtd2_min_degree3, entries), key=attrgetter("n"), default=None
-    )
-    search_report = {
-        "classified": len(entries),
-        "assertions": assertion_report,
+    # A resume folds catalogued blocks as the enumeration reaches them and
+    # fresh ones as they come back, so blocks fold out of enumeration order,
+    # the more so under a pool, which takes the whole enumeration first.
+    # The enumeration ascends by key (a key's first byte is n, and each
+    # level is walked in sorted order), so sorting restores its order, and
+    # the frontier, the least key of the largest n, is the first class of
+    # that order the enumeration reached.
+    for check in checks.values():
+        check["violations"].sort()
+    return {
+        "classified": classified,
+        "assertions": checks,
         "frontier": {
             "n_max": filt.n_max,
             "largest_planar_wtd2_min_degree3": (
-                None
-                if frontier_entry is None
-                else {"canonical_key": frontier_entry.canonical_key, "n": frontier_entry.n}
+                None if frontier is None else {"canonical_key": frontier[1], "n": -frontier[0]}
             ),
         },
     }
-    return entries, search_report

@@ -493,7 +493,7 @@ class TestReduce:
 
 class TestSearch:
     def test_small_run(self, capsys):
-        code, out, _ = run_cli(capsys, "search", "--n-max", "4", "--assert", "DIAM3")
+        code, out, _ = run_cli(capsys, "search", "--n-max", "4")
         assert code == 0
         payload = json.loads(out)
         assert payload["classified"] == 9
@@ -502,7 +502,7 @@ class TestSearch:
     def test_violation_exits_3(self, capsys, monkeypatch):
         never = ("always violated", 2, lambda e: True, lambda e: False)
         monkeypatch.setitem(td.search.ASSERTIONS, "NEVER", never)
-        code, out, err = run_cli(capsys, "search", "--n-max", "3", "--assert", "NEVER")
+        code, out, err = run_cli(capsys, "search", "--n-max", "3")
         assert code == 3 and err == ""
         assert len(json.loads(out)["assertions"]["NEVER"]["violations"]) == 3
 
@@ -516,34 +516,17 @@ class TestSearch:
         assert code == 4 and out == ""
         assert err == "internal error: boom\n"
 
-    def test_unknown_assertion(self, capsys):
-        code, _, err = run_cli(capsys, "search", "--n-max", "4", "--assert", "T99")
-        assert code == 2
-        assert "unknown assertion id" in err
-
     def test_catalog_out(self, capsys, tmp_path):
         out_path = tmp_path / "cat.jsonl"
-        code, out, _ = run_cli(
-            capsys, "search", "--n-max", "4", "--assert", "all", "--out", str(out_path)
-        )
+        code, out, _ = run_cli(capsys, "search", "--n-max", "4", "--out", str(out_path))
         assert code == 0
         assert len(out_path.read_text().splitlines()) == 9
 
     def test_filters(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "search",
-            "--n-max",
-            "6",
-            "--min-degree",
-            "3",
-            "--planar",
-            "--assert",
-            "T12,L12b",
-        )
+        code, out, _ = run_cli(capsys, "search", "--n-max", "6", "--min-degree", "3", "--planar")
         assert code == 0
         payload = json.loads(out)
-        assert set(payload["assertions"]) == {"T12", "L12B"}
+        assert tuple(payload["assertions"]) == tuple(td.ASSERTIONS)
 
     @pytest.mark.parametrize("cut", [1, 40])
     def test_resume_after_torn_final_line(self, capsys, tmp_path, cut):
@@ -751,7 +734,7 @@ class TestSearch:
         proc = run_python(
             "-c",
             "import sys, totaldom\n"
-            "totaldom.run_search(totaldom.SearchFilter(n_max=4), ['all'])\n"
+            "totaldom.run_search(totaldom.SearchFilter(n_max=4))\n"
             "print('concurrent.futures.process' in sys.modules)\n",
         )
         assert proc.returncode == 0, proc.stderr

@@ -85,7 +85,7 @@ class TestSearch:
         out = str(tmp_path / "cat.jsonl")
 
         def search():
-            td.run_search(td.SearchFilter(n_max=6), ["all"], out_path=out)
+            td.run_search(td.SearchFilter(n_max=6), out_path=out)
 
         assert leftover(search) == 0
         assert leftover(search) == 0  # from the complete catalog

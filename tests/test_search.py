@@ -291,14 +291,24 @@ class TestEnumeration:
             assert td.canonical_form(g) == key
 
 
+def catalog_entries_of(path):
+    """The CatalogEntry of each line of a catalog, in file order."""
+    return list(td.search._load_existing(str(path)).values())
+
+
 # stream_digest of SearchFilter(n_max=7)
 N7_STREAM = "199f0739eb85862654af777bb17d50ac671e069d199996e2ab05d11a43b16c54"
 
 
 def stream_digest(filt):
-    """sha256 of repr((key, adjacency, planar)) over enumerate_graphs(filt)."""
+    """sha256 of repr((key, adjacency, planar)) over enumerate_graphs(filt),
+    which must strictly ascend by key: run_search sorts its violation lists
+    and picks its frontier on that order."""
     h = hashlib.sha256()
+    last = b""
     for item in td.enumerate_graphs(filt):
+        assert item[0] > last
+        last = item[0]
         h.update(repr(item).encode())
     return h.hexdigest()
 
@@ -479,11 +489,13 @@ class TestClassify:
         for _ in range(10):
             assert td.classify(random_relabel(figure1, rng)) == base
 
-    def test_matches_search_records_to_6(self):
+    def test_matches_search_records_to_6(self, tmp_path):
         # classify keys the graph and decides its planarity itself, so a
         # relabelled copy of each class gets the record the search wrote
         rng = random.Random(23)
-        entries, _ = td.run_search(td.SearchFilter(n_max=6), ["DIAM3"])
+        out = tmp_path / "catalog.jsonl"
+        td.run_search(td.SearchFilter(n_max=6), out_path=str(out))
+        entries = catalog_entries_of(out)
         assert len(entries) == 142
         for entry in entries:
             g = td.graph_from_canonical(bytes.fromhex(entry.canonical_key))
@@ -500,30 +512,6 @@ class TestClassify:
 
 
 class TestAssertionIds:
-    def test_all(self):
-        assert td.resolve_assertion_ids(["all"]) == tuple(td.ASSERTIONS)
-
-    def test_case_insensitive_and_dedup(self):
-        assert td.resolve_assertion_ids(["t12", "l12a", "T12"]) == ("T12", "L12A")
-
-    @pytest.mark.parametrize("name", ["t12", "diam3"])
-    def test_first_mention_order_with_all(self, name):
-        first = name.upper()
-        rest = tuple(known for known in td.ASSERTIONS if known != first)
-        assert td.resolve_assertion_ids([name, "all"]) == (first,) + rest
-        assert td.resolve_assertion_ids(["all", name]) == tuple(td.ASSERTIONS)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError) as err:
-            td.resolve_assertion_ids(["T99"])
-        assert "unknown assertion id" in str(err.value)
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            td.resolve_assertion_ids([])
-        with pytest.raises(ValueError):
-            td.resolve_assertion_ids(["", "  "])
-
     def test_diam3_reports_violation(self):
         # P4 has gamma_t 2, diameter 3 and rho 2; a catalog entry whose rho
         # disagrees with its diameter must count as a DIAM3 violation
@@ -534,9 +522,12 @@ class TestAssertionIds:
 
 
 class TestRunSearch:
-    def test_no_violations_up_to_6(self):
-        entries, rep = td.run_search(td.SearchFilter(n_max=6), ["all"])
+    def test_no_violations_up_to_6(self, tmp_path):
+        out = tmp_path / "catalog.jsonl"
+        rep = td.run_search(td.SearchFilter(n_max=6), out_path=str(out))
+        entries = catalog_entries_of(out)
         assert rep["classified"] == 142 == len(entries)
+        assert tuple(rep["assertions"]) == tuple(td.ASSERTIONS)
         for name, data in rep["assertions"].items():
             assert data["violations"] == [], name
         # sanity on applicability counts
@@ -554,19 +545,21 @@ class TestRunSearch:
     def test_falsifiable_at_8(self):
         # only n_max decides falsifiability; the filter keeps the run small
         filt = td.SearchFilter(n_max=8, n_min=8, min_degree=3, triangle_free_only=True)
-        _, rep = td.run_search(filt, ["all"])
+        rep = td.run_search(filt)
         falsifiable = {name for name, data in rep["assertions"].items() if data["falsifiable"]}
         assert falsifiable == {"L12B", "DIAM3", "T11EQ"}
 
     def test_planar_min_degree_slice(self):
         filt = td.SearchFilter(n_max=7, min_degree=3, planar_only=True)
-        entries, rep = td.run_search(filt, ["T14", "L12b"])
-        assert set(rep["assertions"]) == {"T14", "L12B"}
+        rep = td.run_search(filt)
+        assert tuple(rep["assertions"]) == tuple(td.ASSERTIONS)
         for data in rep["assertions"].values():
             assert data["violations"] == []
 
-    def test_frontier(self):
-        entries, rep = td.run_search(td.SearchFilter(n_max=6), ["T12"])
+    def test_frontier(self, tmp_path):
+        out = tmp_path / "catalog.jsonl"
+        rep = td.run_search(td.SearchFilter(n_max=6), out_path=str(out))
+        entries = catalog_entries_of(out)
         frontier = rep["frontier"]
         assert frontier["n_max"] == 6
         qualifying = [
@@ -581,9 +574,9 @@ class TestRunSearch:
     def test_catalog_persistence(self, tmp_path):
         out = tmp_path / "catalog.jsonl"
         filt = td.SearchFilter(n_max=4)
-        entries, _ = td.run_search(filt, ["DIAM3"], out_path=str(out))
+        rep = td.run_search(filt, out_path=str(out))
         lines = out.read_text().splitlines()
-        assert len(lines) == len(entries) == 9
+        assert len(lines) == rep["classified"] == 9
         field_names = set(td.CatalogEntry.__dataclass_fields__)
         keys_in_file = []
         for line in lines:
@@ -597,14 +590,14 @@ class TestRunSearch:
         assert keys_in_file == sorted(keys_in_file)
 
         # a second run reuses every stored entry instead of recomputing
-        again, _ = td.run_search(filt, ["DIAM3"], out_path=str(out))
-        assert again == entries
+        again = td.run_search(filt, out_path=str(out))
+        assert again == rep
         assert out.read_text().splitlines() == lines
 
     def test_catalog_bytes_frozen(self, tmp_path):
         # every byte of the n <= 6 catalog: fields, graph6 strings and order
         out = tmp_path / "catalog.jsonl"
-        td.run_search(td.SearchFilter(n_max=6), ["DIAM3"], out_path=str(out))
+        td.run_search(td.SearchFilter(n_max=6), out_path=str(out))
         data = out.read_bytes()
         assert data.count(b"\n") == 142
         assert hashlib.sha256(data).hexdigest() == (
@@ -614,25 +607,24 @@ class TestRunSearch:
     def test_catalog_restart_completes_prefix(self, tmp_path):
         out = tmp_path / "catalog.jsonl"
         filt = td.SearchFilter(n_max=4)
-        entries, _ = td.run_search(filt, ["DIAM3"], out_path=str(out))
-        full = out.read_text().splitlines()
+        rep = td.run_search(filt, out_path=str(out))
+        data = out.read_bytes()
+        full = data.decode().splitlines()
         out.write_text(full[0] + "\n" + full[1] + "\n")
-        resumed, _ = td.run_search(filt, ["DIAM3"], out_path=str(out))
-        assert resumed == entries
-        assert len(out.read_text().splitlines()) == len(full)
+        assert td.run_search(filt, out_path=str(out)) == rep
+        assert out.read_bytes() == data
 
     def test_catalog_blank_line_resumes(self, tmp_path, classified):
         out = tmp_path / "catalog.jsonl"
         filt = td.SearchFilter(n_max=4)
-        entries, _ = td.run_search(filt, ["DIAM3"], out_path=str(out))
-        assert len(classified) == len(entries) == 9
+        rep = td.run_search(filt, out_path=str(out))
+        assert len(classified) == rep["classified"] == 9
         full = out.read_text().splitlines(keepends=True)
         text = "".join(full[:3]) + "\n" + "".join(full[3:])
         out.write_text(text)
         classified.clear()
-        resumed, _ = td.run_search(filt, ["DIAM3"], out_path=str(out))
+        assert td.run_search(filt, out_path=str(out)) == rep
         assert classified == [], "a stored class was classified again"
-        assert resumed == entries
         assert out.read_text() == text
 
     def test_full_resume_builds_no_graph_per_class(self, tmp_path, monkeypatch, classified):
@@ -641,8 +633,9 @@ class TestRunSearch:
         # the yield, and no classification for a catalogued class
         out = tmp_path / "catalog.jsonl"
         filt = td.SearchFilter(n_max=6)
-        entries, _ = td.run_search(filt, ["all"], out_path=str(out))
-        assert len(classified) == len(entries) == 142
+        rep = td.run_search(filt, out_path=str(out))
+        data = out.read_bytes()
+        assert len(classified) == rep["classified"] == 142
         classified.clear()
         counts = {"graphs": 0, "is_planar": 0, "graph_from_canonical": 0}
 
@@ -657,27 +650,46 @@ class TestRunSearch:
         monkeypatch.setattr(td.Graph, "__post_init__", counting("graphs", real_post_init))
         for name in ("is_planar", "graph_from_canonical"):
             monkeypatch.setattr(td.search, name, counting(name, getattr(td.search, name)))
-        resumed, _ = td.run_search(filt, ["all"], out_path=str(out))
+        assert td.run_search(filt, out_path=str(out)) == rep
         assert classified == [], "a catalogued class was classified again"
-        assert resumed == entries
+        assert out.read_bytes() == data
         assert counts["is_planar"] > 0 and counts["graph_from_canonical"] > 0
         assert counts["graphs"] == counts["is_planar"] + counts["graph_from_canonical"]
-        assert counts["graphs"] < len(entries)
+        assert counts["graphs"] < rep["classified"]
 
     def test_corrupt_catalog_line(self, tmp_path):
         out = tmp_path / "catalog.jsonl"
         out.write_text("not json\n")
         with pytest.raises(ValueError) as err:
-            td.run_search(td.SearchFilter(n_max=4), ["DIAM3"], out_path=str(out))
+            td.run_search(td.SearchFilter(n_max=4), out_path=str(out))
         assert "unreadable catalog line" in str(err.value)
         assert ":1:" in str(err.value)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, tmp_path):
         filt = td.SearchFilter(n_max=5)
-        serial, rep1 = td.run_search(filt, ["all"])
-        parallel, rep2 = td.run_search(filt, ["all"], jobs=2)
-        assert serial == parallel
+        serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+        rep1 = td.run_search(filt, out_path=str(serial))
+        rep2 = td.run_search(filt, out_path=str(parallel), jobs=2)
+        assert serial.read_bytes() == parallel.read_bytes()
         assert rep1 == rep2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_gapped_resume_reports_in_enumeration_order(self, tmp_path, monkeypatch, jobs):
+        # a resume from every other line folds catalogued and fresh blocks
+        # out of enumeration order; the report must not show it
+        never = ("always violated", 2, lambda e: True, lambda e: False)
+        monkeypatch.setitem(td.search.ASSERTIONS, "NEVER", never)
+        filt = td.SearchFilter(n_max=7)
+        out = tmp_path / "catalog.jsonl"
+        fresh = td.run_search(filt, out_path=str(out))
+        keys = list(td.search._load_existing(str(out)))
+        lines = out.read_text().splitlines(keepends=True)
+        out.write_text("".join(lines[::2]))
+        resumed = td.run_search(filt, out_path=str(out), jobs=jobs)
+        assert resumed["assertions"]["NEVER"]["violations"] == keys
+        assert resumed["frontier"] == fresh["frontier"]
+        assert resumed["frontier"]["largest_planar_wtd2_min_degree3"] is not None
+        assert resumed == fresh
 
 
 # a strategy for each field type of CatalogEntry, by its annotation

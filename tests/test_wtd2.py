@@ -397,16 +397,17 @@ class TestTriangleFreeRecognizer:
 
 
 class TestW2Census:
-    def test_recipe_graphs_are_the_catalog_w2_classes(self):
+    def test_recipe_graphs_are_the_catalog_w2_classes(self, tmp_path):
         # both directions of the characterization at each order n <= 8: the
         # four-step recipe, built by the oracle from its steps alone, yields
         # exactly the catalog's classes with uniform size 2 and packing 2
         built: dict[int, set[str]] = {}
         for g in w2_recipe_graphs(8):
             built.setdefault(g.n, set()).add(td.canonical_form(g).hex())
-        entries, _ = td.run_search(td.SearchFilter(n_max=8), ["all"])
+        out = str(tmp_path / "catalog.jsonl")
+        td.run_search(td.SearchFilter(n_max=8), out_path=out)
         catalog: dict[int, set[str]] = {}
-        for e in entries:
+        for e in td.search._load_existing(out).values():
             if e.is_wtd and e.gamma_t == 2 and e.rho == 2:
                 catalog.setdefault(e.n, set()).add(e.canonical_key)
         assert built == catalog

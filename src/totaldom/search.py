@@ -14,6 +14,7 @@ import json
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -92,6 +93,17 @@ class SearchFilter:
         if self.min_degree is not None and self.min_degree < 0:
             raise ValueError("min_degree must be nonnegative")
 
+    def admits(self, entry: CatalogEntry) -> bool:
+        """Whether enumerate_graphs(self) yields entry's class, exact for any
+        catalog run_search wrote: a resume holds only catalogued keys, folds
+        the lines this admits, and refuses a class it reads twice."""
+        return (
+            self.n_min <= entry.n <= self.n_max
+            and (self.min_degree is None or entry.min_degree >= self.min_degree)
+            and (entry.planar or not self.planar_only)
+            and (entry.triangle_free or not self.triangle_free_only)
+        )
+
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -118,9 +130,8 @@ class CatalogEntry:
     triangle_free: bool
 
 
-_FIELDS = tuple(f.name for f in fields(CatalogEntry))
 # a parsed catalog line's fields in CatalogEntry's positional order
-_entry_fields = itemgetter(*_FIELDS)
+_entry_fields = itemgetter(*(f.name for f in fields(CatalogEntry)))
 # parses one JSON value at the start of a str: (value, end index)
 _decode = json.JSONDecoder().raw_decode
 
@@ -232,10 +243,10 @@ def classify(g: Graph) -> CatalogEntry:
     return _classify_block([(canonical_form(g), g.adj, None)])[0]
 
 
-# enumerate_graphs expands each level's parents, and run_search classifies
-# fresh classes, in blocks of this many: each kernel runs over the whole
-# block before the next one starts.  A search block's catalog lines go out
-# in one write, so an interrupted run classifies at most one block again.
+# enumerate_graphs expands parents, and run_search folds catalogued classes
+# and classifies fresh ones, in blocks of this many: each kernel runs over
+# the whole block before the next one starts.  A search block's catalog
+# lines go out in one write, so an interrupted run redoes at most one block.
 BLOCK = 256
 
 
@@ -275,6 +286,13 @@ def _classify_block(block: list[tuple]) -> list[CatalogEntry]:
             )
         )
     return entries
+
+
+def _batches(items):
+    """The items of an iterable in lists of BLOCK, the last one shorter."""
+    items = iter(items)
+    while block := list(islice(items, BLOCK)):
+        yield block
 
 
 def _parts_without(n: int, adj: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -628,10 +646,12 @@ def _t11_agrees(entry: CatalogEntry) -> bool:
     return recognize_triangle_free_wtd2(g) == _wtd2(entry)
 
 
-def _load_existing(path: str) -> dict[str, CatalogEntry]:
-    """Read a catalog.  A final line without its newline is the tail of an
-    interrupted write: it is cut off (even if it parses, as the next record
-    would join it) and its class classified again.  Other bad lines raise.
+def _read_catalog(path: str, done: set[bytes]):
+    """Yield the CatalogEntry of each catalog line, one line read at a time,
+    and add its key to done as bytes.  A final line without its newline is
+    an interrupted write's tail: it is cut off (even if it parses, as the
+    next record would join it) and its class classified again.  Other bad
+    lines, keys not in lowercase hex and repeated classes raise ValueError.
 
     Each stripped line is decoded from UTF-8 once and parsed by one
     raw_decode, which must consume all of it: trailing data is rejected as
@@ -639,28 +659,29 @@ def _load_existing(path: str) -> dict[str, CatalogEntry]:
     json.loads(bytes) would sniff as UTF-16 or UTF-32, or that starts with
     a byte-order mark, is unreadable.
     """
-    entries: dict[str, CatalogEntry] = {}
-    with open(path, "rb") as fh:
-        data = fh.read()
-    lines = data.split(b"\n")
-    torn = lines.pop()
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            text = line.decode("utf-8", "surrogatepass")  # as json.loads decodes UTF-8
-            record, end = _decode(text)
-            if end != len(text):
-                raise json.JSONDecodeError("Extra data", text, end)
-            entry = CatalogEntry(*_entry_fields(record))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"{path}:{lineno}: unreadable catalog line ({exc})") from exc
-        entries[entry.canonical_key] = entry
-    if torn:
-        with open(path, "rb+") as fh:
-            fh.truncate(len(data) - len(torn))
-    return entries
+    with open(path, "rb+") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.endswith(b"\n"):  # the torn tail; no other line lacks it
+                fh.truncate(fh.tell() - len(line))
+                break
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                text = line.decode("utf-8", "surrogatepass")  # as json.loads decodes UTF-8
+                record, end = _decode(text)
+                if end != len(text):
+                    raise json.JSONDecodeError("Extra data", text, end)
+                entry = CatalogEntry(*_entry_fields(record))
+                key = bytes.fromhex(entry.canonical_key)
+                if key.hex() != entry.canonical_key:
+                    raise ValueError(f"key {entry.canonical_key!r} is not lowercase hex")
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: unreadable catalog line ({exc})") from exc
+            if key in done:
+                raise ValueError(f"{path}:{lineno}: repeated class {entry.canonical_key}")
+            done.add(key)
+            yield entry
 
 
 def run_search(filt: SearchFilter, *, out_path: str | None = None, jobs: int = 1) -> dict:
@@ -672,17 +693,15 @@ def run_search(filt: SearchFilter, *, out_path: str | None = None, jobs: int = 1
     note, the first enumerated class of the largest order that is planar
     with uniform size 2 and minimum degree 3 (the open range for the size
     bounds), if any showed up.  Each class is folded into the report as it
-    is reached, and a fresh one is dropped once its catalog line is
-    written; a resume holds the catalogued records it loaded.  ``jobs``
-    must be at least 1; more workers than CPUs are clamped to the CPU
-    count.
+    is reached and dropped.  A resume holds only the catalogued keys: it
+    folds the lines that filt.admits as it reads them, then classifies the
+    enumerated classes whose key it lacks; a repeated class is refused.
+    ``jobs`` must be at least 1; more workers than CPUs are clamped to the
+    CPU count.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
-    existing: dict[str, CatalogEntry] = {}
-    if out_path is not None and os.path.exists(out_path):
-        existing = _load_existing(out_path)
 
     checks = {
         name: {"checked": 0, "violations": [], "falsifiable": filt.n_max >= smallest}
@@ -704,48 +723,31 @@ def run_search(filt: SearchFilter, *, out_path: str | None = None, jobs: int = 1
             candidates.append(frontier)
         frontier = min(candidates, default=None)
 
-    def fresh():
-        """The payloads of the classes the catalog lacks, BLOCK at a time;
-        the catalogued classes are folded BLOCK at a time on the way."""
-        block, stored = [], []
-        for payload in enumerate_graphs(filt):
-            entry = existing.get(payload[0].hex())
-            if entry is None:
-                block.append(payload)
-                if len(block) == BLOCK:
-                    yield block
-                    block = []
-            else:
-                stored.append(entry)
-                if len(stored) == BLOCK:
-                    fold(stored)
-                    stored = []
-        fold(stored)
-        if block:
-            yield block
+    done: set[bytes] = set()  # the keys of the catalogued classes
+    if out_path is not None and os.path.exists(out_path):
+        for block in _batches(filter(filt.admits, _read_catalog(out_path, done))):
+            fold(block)
 
-    # Fresh classes are classified a block at a time and each block's lines
-    # go to the catalog in one write, so an interrupted run leaves a usable
-    # prefix behind and classifies at most one block again (fresh payloads
-    # arrive in ascending canonical-key order, keeping the file sorted per
-    # run); a block is folded into the report once written, and dropped.
-    # The catalog opens before enumeration, so an unwritable path fails at
-    # once.  A serial run classifies each block as soon as it is
-    # enumerated.  A pool's workers start with its first block, but
-    # Executor.map submits the whole enumeration before it yields a result;
-    # with no fresh class nothing is submitted and no worker starts.
+    # Each fresh block's lines go to the catalog in one write (fresh payloads
+    # arrive in ascending key order, keeping the file sorted per run), then
+    # the block is folded and dropped.  The catalog opens before enumeration,
+    # so an unwritable path fails at once.  A pool's workers start with its
+    # first block, but Executor.map submits the whole enumeration before it
+    # yields a result; with no fresh class nothing is submitted and no
+    # worker starts.
     with ExitStack() as stack:
         sink = None
         if out_path is not None:
             sink = stack.enter_context(open(out_path, "a", encoding="utf-8"))
+        fresh = _batches(payload for payload in enumerate_graphs(filt) if payload[0] not in done)
         if jobs > 1:
             # imported here: serial runs and the per-graph commands never pay for it
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            computed = pool.map(_classify_block, fresh())
+            computed = pool.map(_classify_block, fresh)
         else:
-            computed = map(_classify_block, fresh())
+            computed = map(_classify_block, fresh)
         for block in computed:
             if sink is not None:
                 sink.write("".join([
@@ -755,13 +757,11 @@ def run_search(filt: SearchFilter, *, out_path: str | None = None, jobs: int = 1
                 sink.flush()
             fold(block)
 
-    # A resume folds catalogued blocks as the enumeration reaches them and
-    # fresh ones as they come back, so blocks fold out of enumeration order,
-    # the more so under a pool, which takes the whole enumeration first.
-    # The enumeration ascends by key (a key's first byte is n, and each
-    # level is walked in sorted order), so sorting restores its order, and
-    # the frontier, the least key of the largest n, is the first class of
-    # that order the enumeration reached.
+    # A resume folds catalogued classes before fresh ones, out of enumeration
+    # order.  The enumeration ascends by key (a key's first byte is n, each
+    # level is walked in sorted order, and lowercase hex sorts as the bytes
+    # do), so sorting restores its order, and the frontier, the least key of
+    # the largest n, is the first class of that order the enumeration reached.
     for check in checks.values():
         check["violations"].sort()
     return {

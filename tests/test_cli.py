@@ -589,6 +589,15 @@ class TestSearch:
                 lambda line: line.replace(b'"graph6": "', b'"graph6": "\xff', 1),
                 id="non-utf8",
             ),
+            pytest.param(
+                lambda line: line.replace(b'"canonical_key": "', b'"canonical_key": "x', 1),
+                id="key-not-hex",
+            ),
+            pytest.param(
+                # bytes.fromhex skips the space, so the key must read back as written
+                lambda line: line.replace(b'"canonical_key": "05', b'"canonical_key": "05 ', 1),
+                id="key-spaced-hex",
+            ),
         ],
     )
     def test_unreadable_line_exits_2(self, capsys, tmp_path, damage):
@@ -602,6 +611,21 @@ class TestSearch:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert "cat.jsonl:11: unreadable catalog line" in err
+        assert out_path.read_bytes() == damaged
+
+    def test_repeated_class_exits_2(self, capsys, tmp_path):
+        # one run never writes a class twice, so a repeated class is refused,
+        # not read as whichever of its records came last
+        out_path = tmp_path / "cat.jsonl"
+        argv = ("search", "--n-max", "5", "--out", str(out_path))
+        assert run_cli(capsys, *argv)[0] == 0
+        lines = out_path.read_bytes().splitlines(keepends=True)
+        damaged = b"".join(lines[:21] + [lines[10]] + lines[21:])
+        out_path.write_bytes(damaged)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        key = json.loads(lines[10])["canonical_key"]
+        assert f"cat.jsonl:22: repeated class {key}" in err
         assert out_path.read_bytes() == damaged
 
     def test_crlf_catalog_resumes(self, capsys, tmp_path, classified):

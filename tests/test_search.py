@@ -293,7 +293,7 @@ class TestEnumeration:
 
 def catalog_entries_of(path):
     """The CatalogEntry of each line of a catalog, in file order."""
-    return list(td.search._load_existing(str(path)).values())
+    return list(td.search._read_catalog(str(path), set()))
 
 
 # stream_digest of SearchFilter(n_max=7)
@@ -682,7 +682,7 @@ class TestRunSearch:
         filt = td.SearchFilter(n_max=7)
         out = tmp_path / "catalog.jsonl"
         fresh = td.run_search(filt, out_path=str(out))
-        keys = list(td.search._load_existing(str(out)))
+        keys = [e.canonical_key for e in td.search._read_catalog(str(out), set())]
         lines = out.read_text().splitlines(keepends=True)
         out.write_text("".join(lines[::2]))
         resumed = td.run_search(filt, out_path=str(out), jobs=jobs)
@@ -690,6 +690,60 @@ class TestRunSearch:
         assert resumed["frontier"] == fresh["frontier"]
         assert resumed["frontier"]["largest_planar_wtd2_min_degree3"] is not None
         assert resumed == fresh
+
+
+# the filters a resume must fold under, each against the n <= 7 catalog
+RESTRICTIONS_7 = [
+    pytest.param({"n_max": 6}, id="n-max-6"),
+    pytest.param({"planar_only": True}, id="planar"),
+    pytest.param({"triangle_free_only": True}, id="triangle-free"),
+    pytest.param({"min_degree": 2}, id="min-degree-2"),
+    pytest.param({"n_min": 5}, id="n-min-5"),
+    pytest.param({"planar_only": True, "min_degree": 3}, id="planar-min-degree-3"),
+]
+
+
+@pytest.fixture(scope="module")
+def catalog7(tmp_path_factory):
+    """The bytes of the complete n <= 7 catalog, and its search report."""
+    out = tmp_path_factory.mktemp("catalog7") / "catalog.jsonl"
+    rep = td.run_search(td.SearchFilter(n_max=7), out_path=str(out))
+    return out.read_bytes(), rep
+
+
+class TestCrossFilterResume:
+    # a resume folds the catalogued records its filter admits and classifies
+    # the enumerated classes the catalog lacks, whatever filter wrote the
+    # catalog; so admits must accept exactly what the enumeration yields
+    @pytest.mark.parametrize("restriction", RESTRICTIONS_7)
+    def test_admits_what_the_enumeration_yields(self, tmp_path, catalog7, restriction):
+        out = tmp_path / "catalog.jsonl"
+        out.write_bytes(catalog7[0])
+        filt = td.SearchFilter(**{"n_max": 7, **restriction})
+        entries = list(td.search._read_catalog(str(out), set()))
+        admitted = [e.canonical_key for e in entries if filt.admits(e)]
+        assert 0 < len(admitted) < len(entries)
+        assert admitted == [key.hex() for key, _, _ in td.enumerate_graphs(filt)]
+
+    @pytest.mark.parametrize("restriction", RESTRICTIONS_7)
+    def test_resume_reports_as_fresh(self, tmp_path, catalog7, classified, restriction):
+        filt = td.SearchFilter(**{"n_max": 7, **restriction})
+        fresh = td.run_search(filt)
+        out = tmp_path / "catalog.jsonl"
+        out.write_bytes(catalog7[0])
+        classified.clear()
+        assert td.run_search(filt, out_path=str(out)) == fresh
+        assert classified == [], "a catalogued class was classified again"
+        assert out.read_bytes() == catalog7[0]
+
+    def test_planar_catalog_resumed_unrestricted(self, tmp_path, catalog7, classified):
+        out = tmp_path / "catalog.jsonl"
+        planar = td.run_search(td.SearchFilter(n_max=7, planar_only=True), out_path=str(out))
+        classified.clear()
+        assert td.run_search(td.SearchFilter(n_max=7), out_path=str(out)) == catalog7[1]
+        assert len(classified) == catalog7[1]["classified"] - planar["classified"] > 0
+        # the same records as the unrestricted run's, each once
+        assert sorted(out.read_bytes().splitlines()) == sorted(catalog7[0].splitlines())
 
 
 # a strategy for each field type of CatalogEntry, by its annotation

@@ -407,7 +407,7 @@ class TestW2Census:
         out = str(tmp_path / "catalog.jsonl")
         td.run_search(td.SearchFilter(n_max=8), out_path=out)
         catalog: dict[int, set[str]] = {}
-        for e in td.search._load_existing(out).values():
+        for e in td.search._read_catalog(out, set()):
             if e.is_wtd and e.gamma_t == 2 and e.rho == 2:
                 catalog.setdefault(e.n, set()).add(e.canonical_key)
         assert built == catalog

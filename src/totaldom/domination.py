@@ -4,6 +4,13 @@ A set S totally dominates g when every vertex (including members of S) has a
 neighbor in S; equivalently S hits every open neighborhood.  Everything here
 routes through that correspondence: minimal total dominating sets are the
 minimal transversals of the open-neighborhood hypergraph.
+
+`mtds` runs the MMCS search on the neighborhoods as they are, indexed by
+vertex: edge u is N(u), the vertices that dominate u.  By symmetry the edges
+that hold v are then N(v) too, so the search's vertex-to-edge incidence is
+the adjacency itself, a chosen vertex's critical edges are its private
+neighbors, and the uncovered edges are the vertices not yet dominated.
+Only `recognize_wtd_k` minimizes the neighborhoods into a SpernerFamily.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from .hypergraph import (
     all_minimal_transversals_have_size_k,
     enumerate_minimal_transversals,
     minimize_family,
+    mmcs,
 )
 
 CORE_COMPLETE = "complete"
@@ -41,7 +49,9 @@ def neighborhood_hypergraph(g: Graph) -> SpernerFamily:
     """Minimized family of open neighborhoods {N(v) : v in V(g)}.
 
     Total dominating sets of g are exactly the transversals of this family,
-    and minimizing preserves the minimal ones.
+    and minimizing preserves the minimal ones.  `mtds` does without it;
+    `recognize_wtd_k` needs it, because its double dualization certifies
+    completeness by comparing Tr(g) with this antichain edge for edge.
     """
     require_total_domination(g)
     return minimize_family(g.n, g.adj)
@@ -65,10 +75,16 @@ def is_minimal_tds(g: Graph, s: int) -> bool:
 def mtds(g: Graph, max_count: int | None = None) -> SpernerFamily:
     """The family of all minimal total dominating sets of g.
 
+    One MMCS search on the open neighborhoods, not minimized, with edges
+    indexed by vertex: ``containing`` is g.adj itself, and a chosen vertex's
+    critical edges are its private neighbors.  The search is exact though
+    the list need not be an antichain (see hypergraph._mmcs_branch).
+
     With ``max_count``, raise CapabilityError once more than that many turn
     up, before enumerating the rest.
     """
-    return enumerate_minimal_transversals(neighborhood_hypergraph(g), max_count)
+    require_total_domination(g)
+    return mmcs(g.n, g.adj, g.adj, max_count)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Sperner families and minimal-transversal machinery.
 
-A hypergraph here is always an antichain of nonempty vertex sets (bitmasks)
-over a ground set 0..ground-1.  Minimal transversals (inclusion-minimal
-hitting sets) are the workhorse: total domination reduces to them via the
-open-neighborhood hypergraph, which `domination` builds.
+A hypergraph here is an antichain of nonempty vertex sets (bitmasks) over a
+ground set 0..ground-1.  Minimal transversals (inclusion-minimal hitting
+sets) are the workhorse: total domination reduces to them via the open
+neighborhoods.  The MMCS search (`mmcs`) also runs on any list of nonempty
+edges, and `domination.mtds` hands it the neighborhoods as they are.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def greedy_minimize_transversal(mask: int, edges: Sequence[int]) -> int:
 
 def _mmcs_branch(
     edges: Sequence[int],
-    containing: list[int],
+    containing: Sequence[int],
     max_size: int,
     max_count: int | None,
     out: list[int],
@@ -162,6 +163,17 @@ def _mmcs_branch(
     search's state comes in as arguments rather than through a closure over
     a nested function, so a call leaves no function-cell reference cycle
     behind.
+
+    The branch is exact on any list of nonempty edges, antichain or not, so
+    `mmcs` runs it for two callers: `enumerate_minimal_transversals` on a
+    SpernerFamily, and `domination.mtds` on a graph's open neighborhoods as
+    they are.  Completeness never uses the antichain property, and a leaf is
+    a transversal whose every vertex hits some edge alone, which is
+    minimality on any list.  A list's transversals are those of its minimal
+    edges, and so are its minimal ones: if at a leaf a chosen vertex alone
+    hits only a proper superset f of an edge e, then e is hit, and only from
+    inside f, so that vertex alone hits e too.  A repeated edge changes
+    nothing.
     """
     # No uncovered edge is ever left without candidates (width 0), so the
     # pick stops at the first of width 1.  By induction: at the root every
@@ -215,6 +227,32 @@ def _mmcs_branch(
         cand |= bit
 
 
+def mmcs(
+    ground: int,
+    edges: Sequence[int],
+    containing: Sequence[int],
+    max_count: int | None = None,
+    max_size: int = MAX_VERTICES,
+) -> SpernerFamily:
+    """The minimal transversals of the nonempty edges listed in edges, as a
+    SpernerFamily over ground, by one MMCS search (see _mmcs_branch).
+
+    containing[v] marks, by edge index, the edges that hold vertex v.  The
+    list need not be an antichain; its callers are
+    enumerate_minimal_transversals and domination.mtds.
+    """
+    cand = 0
+    for e in edges:
+        cand |= e
+    out: list[int] = []
+    _mmcs_branch(
+        edges, containing, max_size, max_count, out,
+        0, cand, [], (1 << len(edges)) - 1,
+    )
+    out.sort()
+    return SpernerFamily(ground, tuple(out))
+
+
 def enumerate_minimal_transversals(
     h: SpernerFamily, max_count: int | None = None, max_size: int | None = None
 ) -> SpernerFamily:
@@ -225,7 +263,9 @@ def enumerate_minimal_transversals(
     ("critical" edges); a branch dies as soon as a chosen vertex loses its
     last critical edge, so every completed leaf is inclusion-minimal.
     Candidates consumed by earlier siblings are re-admitted afterwards, which
-    makes each minimal transversal appear in exactly one branch.
+    makes each minimal transversal appear in exactly one branch.  The search
+    (_mmcs_branch, through mmcs) is exact on any edge list; this caller runs
+    it on an antichain, and domination.mtds on a graph's open neighborhoods.
 
     With ``max_size``, only those of at most that many members.  A branch
     only ever adds members of the transversal it ends in, so cutting
@@ -241,21 +281,13 @@ def enumerate_minimal_transversals(
     if max_size is not None and max_size < 1:
         raise ValueError(f"size bound must be at least 1, got {max_size}")
     containing = [0] * MAX_VERTICES
-    cand = 0
     for i, e in enumerate(edges):
-        cand |= e
         bit = 1 << i
         while e:
             low = e & -e
             containing[low.bit_length() - 1] |= bit
             e ^= low
-    out: list[int] = []
-    _mmcs_branch(
-        edges, containing, max_size or MAX_VERTICES, max_count, out,
-        0, cand, [], (1 << len(edges)) - 1,
-    )
-    out.sort()
-    return SpernerFamily(h.ground, tuple(out))
+    return mmcs(h.ground, edges, containing, max_count, max_size or MAX_VERTICES)
 
 
 @dataclass(frozen=True)

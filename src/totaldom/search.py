@@ -187,11 +187,12 @@ class Profile:
 
 # The most minimal total dominating sets a profile lists.  The family can
 # grow exponentially with n (16 disjoint copies of K4 have 6**16); past this
-# many sets profile raises CapabilityError instead, after about 2 s of
-# enumeration.  No searched graph reaches it: the family is an antichain,
-# so on CANONICAL_BOUND = 12 vertices it has at most C(12, 6) = 924 sets
-# (Sperner's theorem).  The largest family that analyze and construct-w2
-# meet on perfbench's 256 frozen profile-mid seeds has 320 sets.
+# many sets profile raises CapabilityError instead, after about 1 s of
+# enumeration (0.93-1.03 s on a 2-vCPU VM, Python 3.11).  No searched graph
+# reaches it: the family is an antichain, so on CANONICAL_BOUND = 12
+# vertices it has at most C(12, 6) = 924 sets (Sperner's theorem).  The
+# largest family that analyze and construct-w2 meet on perfbench's 256
+# frozen profile-mid seeds has 320 sets.
 MTDS_LIMIT = 100_000
 
 

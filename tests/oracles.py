@@ -32,6 +32,15 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
+def complete_multipartite(*parts: int) -> Graph:
+    """Every pair of vertices in different parts joined; parts in order."""
+    part_of = [p for p, size in enumerate(parts) for _ in range(size)]
+    n = len(part_of)
+    return Graph.from_edges(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) if part_of[i] != part_of[j]]
+    )
+
+
 def star_graph(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(0, i + 1) for i in range(leaves)])
 

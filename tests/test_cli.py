@@ -165,7 +165,7 @@ class TestAnalyze:
 
     def test_family_limit(self, capsys, graph_file):
         # 16 disjoint copies of K4 have 6**16 minimal TDSs; the profile
-        # stops after MTDS_LIMIT of them (about 2 s) instead
+        # stops after MTDS_LIMIT of them (about 1 s) instead
         edges = "".join(
             f"{4 * c + i} {4 * c + j}\n" for c in range(16) for i in range(4) for j in range(i + 1, 4)
         )

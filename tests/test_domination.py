@@ -9,6 +9,7 @@ from oracles import (
     brute_total_dominating_sets,
     complete_bipartite,
     complete_graph,
+    complete_multipartite,
     cycle_graph,
     path_graph,
     petersen_graph,
@@ -27,6 +28,39 @@ def random_isolate_free_graph(rng, n):
         g = td.Graph(n, tuple(adj))
         if n == 0 or not g.has_isolated_vertex():
             return g
+
+
+def grafted_graph(rng, n):
+    """A random isolate-free graph on n vertices: a random core of 3 to 6
+    vertices, then each further vertex grafted on as a pendant vertex, a
+    false twin (same neighborhood) or a true twin (same closed neighborhood)
+    of an earlier one.  Pendants and false twins make the neighborhoods
+    fail to be an antichain."""
+    adj = [0] * n
+
+    def join(u, v):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+    core = rng.randint(3, 6)
+    for u in range(core):
+        for v in range(u):
+            if rng.random() < 0.5:
+                join(u, v)
+    for w in range(core, n):
+        v = rng.randrange(w)
+        kind = rng.choice(("pendant", "false twin", "true twin"))
+        if kind == "pendant":
+            join(w, v)
+            continue
+        for u in td.mask_members(adj[v]):
+            join(w, u)
+        if kind == "true twin":
+            join(w, v)
+    for u in range(n):
+        if not adj[u]:
+            join(u, (u + 1) % n)
+    return td.Graph(n, tuple(adj))
 
 
 class TestTdsPredicates:
@@ -93,6 +127,55 @@ class TestMtdsEnumeration:
         for _ in range(150):
             g = random_isolate_free_graph(rng, rng.randint(2, 7))
             assert list(td.mtds(g).edges) == brute_minimal_tds(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [star_graph(k) for k in (2, 5, 9)]
+        + [
+            complete_multipartite(*parts)
+            for parts in ((1, 1, 2), (1, 3), (2, 2, 3), (1, 2, 3, 4), (3, 3, 3))
+        ],
+        ids=lambda g: f"n{g.n}m{len(g.edges())}",
+    )
+    def test_non_antichain_neighborhoods_named(self, g):
+        # mtds searches the neighborhoods as they are; a star's leaves share
+        # one neighborhood, and in a complete multipartite graph every vertex
+        # of a part has the same one
+        assert len(set(g.adj)) < g.n
+        assert td.mtds(g) == td.enumerate_minimal_transversals(td.neighborhood_hypergraph(g))
+
+    def test_non_antichain_neighborhoods_grafted(self):
+        rng = random.Random(29)
+        not_antichain = 0
+        for _ in range(200):
+            g = grafted_graph(rng, rng.randint(9, 18))
+            h = td.neighborhood_hypergraph(g)
+            not_antichain += h.edges != tuple(sorted(g.adj))
+            assert td.mtds(g) == td.enumerate_minimal_transversals(h)
+        assert not_antichain >= 190  # a graph grafted only with true twins can be one
+
+    def test_max_count(self):
+        c6 = cycle_graph(6)
+        with pytest.raises(td.CapabilityError):
+            td.mtds(c6, max_count=8)
+        assert len(td.mtds(c6, max_count=9).edges) == 9
+
+    def test_builds_one_family(self, monkeypatch):
+        # the family it returns is the only SpernerFamily a call constructs:
+        # no minimized neighborhood family on the way
+        built = 0
+        real_post_init = td.SpernerFamily.__post_init__
+
+        def counting(self):
+            nonlocal built
+            built += 1
+            real_post_init(self)
+
+        monkeypatch.setattr(td.SpernerFamily, "__post_init__", counting)
+        for g in (cycle_graph(6), star_graph(4), petersen_graph()):
+            built = 0
+            td.mtds(g)
+            assert built == 1
 
 
 class TestReport:

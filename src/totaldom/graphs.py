@@ -194,15 +194,8 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_triangle_free(g: Graph) -> bool:
-    adj = g.adj
-    for u, row in enumerate(adj):
-        upper = row >> (u + 1) << (u + 1)
-        while upper:
-            low = upper & -upper
-            if row & adj[low.bit_length() - 1]:
-                return False
-            upper ^= low
-    return True
+    """Whether g has no triangle: its girth is not 3, the catalog's test."""
+    return girth(g) != 3
 
 
 def diameter(g: Graph) -> int | None:

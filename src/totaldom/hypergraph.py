@@ -333,21 +333,20 @@ def all_minimal_transversals_have_size_k(h: SpernerFamily, k: int) -> SizeKDecis
     small = [t for t in bounded.edges if t.bit_count() < k]
     if small:
         return SizeKDecision(False, min(small), "smaller-witness")
-    if not bounded.edges:
-        witness = greedy_minimize_transversal(union, h.edges)
-        return SizeKDecision(False, witness, "larger-witness")
-    try:
-        full = enumerate_minimal_transversals(bounded, SIZE_K_LIMIT)
-    except CapabilityError:
-        raise CapabilityError(
-            f"the {len(bounded.edges)} minimal transversals of size at most {k} dualize to "
-            f"more than SIZE_K_LIMIT = {SIZE_K_LIMIT} sets; the size-k certificate lists "
-            "all of them, so it stops there"
-        ) from None
-    if full.edges == h.edges:
-        return SizeKDecision(True, bounded.edges[0], "uniform")
-    h_set = set(h.edges)
-    b = next(e for e in full.edges if e not in h_set)
+    b = 0  # an empty g dualizes to the empty set alone, which h lacks
+    if bounded.edges:
+        try:
+            full = enumerate_minimal_transversals(bounded, SIZE_K_LIMIT)
+        except CapabilityError:
+            raise CapabilityError(
+                f"the {len(bounded.edges)} minimal transversals of size at most {k} dualize "
+                f"to more than SIZE_K_LIMIT = {SIZE_K_LIMIT} sets; the size-k certificate "
+                "lists all of them, so it stops there"
+            ) from None
+        if full.edges == h.edges:
+            return SizeKDecision(True, bounded.edges[0], "uniform")
+        h_set = set(h.edges)
+        b = next(e for e in full.edges if e not in h_set)
     witness = greedy_minimize_transversal(union & ~b, h.edges)
     if witness.bit_count() <= k:
         raise AssertionError("dualization discrepancy produced an in-bound witness")

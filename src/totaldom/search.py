@@ -14,11 +14,11 @@ import json
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import islice, product
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from .errors import CapabilityError, DominationUndefinedError
+from .errors import CapabilityError
 from .graphs import (
     CANONICAL_BOUND,
     Graph,
@@ -107,21 +107,21 @@ class SearchFilter:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """Classification record for one isomorphism class.
+    """Classification record for one isomorphism class, of a graph with
+    total domination defined: at least one vertex and none isolated (the
+    searched classes are connected, n >= 2).
 
-    gamma_t, Gamma_t, is_wtd, and nu_gde are None when total domination is
-    undefined (the graph has an isolated vertex); nu_gde is also None unless
-    gamma_t is 2.  diameter is None for disconnected graphs, girth for
-    forests.
+    nu_gde is None unless gamma_t is 2, diameter for disconnected graphs,
+    girth for forests.
     """
 
     canonical_key: str
     n: int
     m: int
     min_degree: int
-    gamma_t: int | None
-    Gamma_t: int | None
-    is_wtd: bool | None
+    gamma_t: int
+    Gamma_t: int
+    is_wtd: bool
     rho: int
     diameter: int | None
     girth: int | None
@@ -132,6 +132,13 @@ class CatalogEntry:
 
 # a parsed catalog line's fields in CatalogEntry's positional order
 _entry_fields = itemgetter(*(f.name for f in fields(CatalogEntry)))
+# the types json gives each of those fields in a line _catalog_line wrote
+# (a JSON true is a bool, not an int), and the 8 type signatures they allow
+_FIELD_TYPES = (
+    (str,), (int,), (int,), (int,), (int,), (int,), (bool,), (int,),
+    (int, type(None)), (int, type(None)), (int, type(None)), (bool,), (bool,),
+)
+_ENTRY_TYPES = frozenset(product(*_FIELD_TYPES))
 # parses one JSON value at the start of a str: (value, end index)
 _decode = json.JSONDecoder().raw_decode
 
@@ -139,12 +146,12 @@ _decode = json.JSONDecoder().raw_decode
 # plus its graph6 string; _catalog_line writes those bytes without the dict
 # and the encoder, each field by its type, in sorted key order.
 _LINE = (
-    '{"Gamma_t": %s, "canonical_key": %s, "diameter": %s, "gamma_t": %s, '
+    '{"Gamma_t": %d, "canonical_key": %s, "diameter": %s, "gamma_t": %d, '
     '"girth": %s, "graph6": %s, "is_wtd": %s, "m": %d, "min_degree": %d, '
     '"n": %d, "nu_gde": %s, "planar": %s, "rho": %d, "triangle_free": %s}\n'
 )
-# JSON text of a bool, or of an optional one
-_JSON_BOOL = {True: "true", False: "false", None: "null"}
+# JSON text of a bool
+_JSON_BOOL = {True: "true", False: "false"}
 
 
 def _catalog_line(entry: CatalogEntry, graph6: str) -> str:
@@ -152,10 +159,10 @@ def _catalog_line(entry: CatalogEntry, graph6: str) -> str:
     newline, where record holds entry's fields and graph6.
     """
     return _LINE % (
-        "null" if entry.Gamma_t is None else int.__repr__(entry.Gamma_t),
+        entry.Gamma_t,
         encode_basestring_ascii(entry.canonical_key),
         "null" if entry.diameter is None else int.__repr__(entry.diameter),
-        "null" if entry.gamma_t is None else int.__repr__(entry.gamma_t),
+        entry.gamma_t,
         "null" if entry.girth is None else int.__repr__(entry.girth),
         encode_basestring_ascii(graph6),
         _JSON_BOOL[entry.is_wtd],
@@ -173,12 +180,12 @@ def _catalog_line(entry: CatalogEntry, graph6: str) -> str:
 class Profile:
     """Total-domination profile of one graph, shared by the catalog and the CLI.
 
-    family and report are None when total domination is undefined (an
-    isolated vertex, or no vertex); dominating_edges only when gamma_t is 2.
+    Only a graph with total domination defined (a vertex, none isolated)
+    has one.  dominating_edges is None unless gamma_t is 2.
     """
 
-    family: SpernerFamily | None
-    report: TotalDominationReport | None
+    family: SpernerFamily
+    report: TotalDominationReport
     rho: int
     diameter: int | None
     girth: int | None
@@ -200,8 +207,9 @@ def profile(g: Graph) -> Profile:
     """Compute the total-domination profile of g once: a one-graph block
     of _profile_block, the kernels every search classification runs.
 
-    Raises CapabilityError when g has more than MTDS_LIMIT minimal total
-    dominating sets.
+    Raises DominationUndefinedError, as mtds does, when g has no vertex or
+    an isolated one, and CapabilityError when g has more than MTDS_LIMIT
+    minimal total dominating sets.
     """
     return _profile_block([g])[0]
 
@@ -209,23 +217,22 @@ def profile(g: Graph) -> Profile:
 def _profile_block(graphs: list[Graph]) -> list[Profile]:
     """The profile of each graph, one kernel at a time over the whole list.
 
-    Raises CapabilityError, naming MTDS_LIMIT, when any graph has more
-    minimal total dominating sets than that.
+    Raises DominationUndefinedError from mtds when any graph has no vertex
+    or an isolated one, and CapabilityError, naming MTDS_LIMIT, when any
+    graph has more minimal total dominating sets than that.
     """
     families = []
     for g in graphs:
         try:
             families.append(mtds(g, max_count=MTDS_LIMIT))
-        except DominationUndefinedError:
-            families.append(None)
         except CapabilityError:
             raise CapabilityError(
                 f"more than MTDS_LIMIT = {MTDS_LIMIT} minimal total dominating sets; "
                 "a profile lists the whole family, so it stops there"
             ) from None
-    reports = [None if fam is None else report(g, fam) for g, fam in zip(graphs, families)]
+    reports = list(map(report, graphs, families))
     edges = [
-        dominating_edge_subgraph(g) if rep is not None and rep.gamma_t == 2 else None
+        dominating_edge_subgraph(g) if rep.gamma_t == 2 else None
         for g, rep in zip(graphs, reports)
     ]
     rhos = [packing_number(g) for g in graphs]
@@ -239,7 +246,8 @@ def classify(g: Graph) -> CatalogEntry:
     block of _classify_block, the path every search classification takes.
 
     Raises CapabilityError above CANONICAL_BOUND vertices, and as profile
-    does past MTDS_LIMIT minimal total dominating sets (see MTDS_LIMIT).
+    does: DominationUndefinedError for a graph with no vertex or an isolated
+    one, CapabilityError past MTDS_LIMIT minimal total dominating sets.
     """
     return _classify_block([(canonical_form(g), g.adj, None)])[0]
 
@@ -275,9 +283,9 @@ def _classify_block(block: list[tuple]) -> list[CatalogEntry]:
                 n=g.n,
                 m=g.m,
                 min_degree=g.min_degree(),
-                gamma_t=None if rep is None else rep.gamma_t,
-                Gamma_t=None if rep is None else rep.Gamma_t,
-                is_wtd=None if rep is None else rep.is_wtd,
+                gamma_t=rep.gamma_t,
+                Gamma_t=rep.Gamma_t,
+                is_wtd=rep.is_wtd,
                 rho=prof.rho,
                 diameter=prof.diameter,
                 girth=prof.girth,
@@ -564,13 +572,13 @@ def enumerate_graphs(filt: SearchFilter):
 
 
 def _wtd2(entry: CatalogEntry) -> bool:
-    return bool(entry.is_wtd) and entry.gamma_t == 2
+    return entry.is_wtd and entry.gamma_t == 2
 
 
 def _planar_wtd2_min_degree3(entry: CatalogEntry) -> bool:
     """Planar, uniform size 2 and min degree >= 3: the class T12 and P7A
     bound, whose largest instance is the search's frontier."""
-    return bool(entry.planar) and _wtd2(entry) and entry.min_degree >= 3
+    return entry.planar and _wtd2(entry) and entry.min_degree >= 3
 
 
 def _girth_at_most(entry: CatalogEntry, bound: int) -> bool:
@@ -594,7 +602,7 @@ ASSERTIONS: dict[str, tuple] = {
     "L12A": (
         "planar, uniform size 2, dominating-edge matching >= 3 forces at most 8 vertices",
         9,
-        lambda e: bool(e.planar) and _wtd2(e) and (e.nu_gde or 0) >= 3,
+        lambda e: e.planar and _wtd2(e) and (e.nu_gde or 0) >= 3,
         lambda e: e.n <= 8,
     ),
     "L12B": (
@@ -612,13 +620,13 @@ ASSERTIONS: dict[str, tuple] = {
     "T14": (
         "uniform minimal-TDS size with min degree >= 3 forces girth at most 12",
         190,
-        lambda e: bool(e.is_wtd) and e.min_degree >= 3,
+        lambda e: e.is_wtd and e.min_degree >= 3,
         lambda e: _girth_at_most(e, 12),
     ),
     "HR97": (
         "uniform minimal-TDS size with min degree >= 2 forces girth at most 14",
         15,
-        lambda e: bool(e.is_wtd) and e.min_degree >= 2,
+        lambda e: e.is_wtd and e.min_degree >= 2,
         lambda e: _girth_at_most(e, 14),
     ),
     "DIAM3": (
@@ -630,7 +638,7 @@ ASSERTIONS: dict[str, tuple] = {
     "T11EQ": (
         "triangle-free: the linear recognizer agrees with the enumeration route",
         2,
-        lambda e: bool(e.triangle_free),
+        lambda e: e.triangle_free,
         lambda e: _t11_agrees(e),
     ),
 }
@@ -652,7 +660,8 @@ def _read_catalog(path: str, done: set[bytes]):
     and add its key to done as bytes.  A final line without its newline is
     an interrupted write's tail: it is cut off (even if it parses, as the
     next record would join it) and its class classified again.  Other bad
-    lines, keys not in lowercase hex and repeated classes raise ValueError.
+    lines, a field of a type the writer never gives it (_FIELD_TYPES), keys
+    not in lowercase hex and repeated classes raise ValueError.
 
     Each stripped line is decoded from UTF-8 once and parsed by one
     raw_decode, which must consume all of it: trailing data is rejected as
@@ -673,7 +682,13 @@ def _read_catalog(path: str, done: set[bytes]):
                 record, end = _decode(text)
                 if end != len(text):
                     raise json.JSONDecodeError("Extra data", text, end)
-                entry = CatalogEntry(*_entry_fields(record))
+                values = _entry_fields(record)
+                types = tuple(map(type, values))
+                if types not in _ENTRY_TYPES:
+                    i = next(i for i, t in enumerate(types) if t not in _FIELD_TYPES[i])
+                    name = fields(CatalogEntry)[i].name
+                    raise ValueError(f"field {name!r} has type {types[i].__name__}")
+                entry = CatalogEntry(*values)
                 key = bytes.fromhex(entry.canonical_key)
                 if key.hex() != entry.canonical_key:
                     raise ValueError(f"key {entry.canonical_key!r} is not lowercase hex")

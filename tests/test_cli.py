@@ -1,6 +1,8 @@
 import concurrent.futures
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -598,6 +600,19 @@ class TestSearch:
                 lambda line: line.replace(b'"canonical_key": "05', b'"canonical_key": "05 ', 1),
                 id="key-spaced-hex",
             ),
+            # each field must have the JSON type the writer gives it: a
+            # string n used to stop the resume with an internal error (exit
+            # 4), and a string planar or a bool rho used to be folded
+            pytest.param(lambda line: line.replace(b'"n": 5', b'"n": "5"', 1), id="n-string"),
+            pytest.param(
+                lambda line: line.replace(b'"planar": true', b'"planar": "no"', 1),
+                id="planar-string",
+            ),
+            pytest.param(
+                lambda line: line.replace(b'"gamma_t": 2', b'"gamma_t": null', 1),
+                id="gamma_t-null",
+            ),
+            pytest.param(lambda line: line.replace(b'"rho": 1', b'"rho": true', 1), id="rho-bool"),
         ],
     )
     def test_unreadable_line_exits_2(self, capsys, tmp_path, damage):
@@ -815,3 +830,47 @@ class TestRepeatedCalls:
         ]:
             fresh = run_module(*argv)
             assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_transcripts() -> dict[str, str]:
+    """Each `$ command` line of README's sh blocks, mapped to the text shown
+    after it, up to the next command or the end of the block."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    shown = {}
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, rest = chunk.partition("\n")
+            shown[command] = rest
+    return shown
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize(
+        ("command", "code"),
+        [
+            ("totaldom analyze fig.txt", 0),
+            ("totaldom recognize --k 2 fig.txt", 0),
+            (r"printf 'n 6\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n' | totaldom recognize --k 2 -", 1),
+            ("totaldom search --n-max 5", 0),
+        ],
+        ids=["analyze", "recognize", "recognize-c6", "search"],
+    )
+    def test_output_as_shown(self, capsys, monkeypatch, tmp_path, command, code):
+        # README compacts some arrays and objects, so its output is compared
+        # with the command's as parsed JSON, not byte for byte
+        import io
+
+        shown = readme_transcripts()
+        (tmp_path / "fig.txt").write_text(shown["cat fig.txt"])
+        monkeypatch.chdir(tmp_path)
+        tokens = shlex.split(command)
+        if tokens[0] == "printf":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(tokens[1].replace("\\n", "\n")))
+            tokens = tokens[3:]
+        assert tokens[0] == "totaldom"
+        got, out, _ = run_cli(capsys, *tokens[1:])
+        assert (got, json.loads(out)) == (code, json.loads(shown[command]))

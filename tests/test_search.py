@@ -475,13 +475,16 @@ class TestClassify:
         assert e.nu_gde == 2
         assert e.planar and not e.triangle_free
 
-    def test_isolated_vertex_fields(self):
-        e = td.classify(td.Graph.from_edges(3, [(0, 1)]))
-        assert e.gamma_t is None and e.Gamma_t is None and e.is_wtd is None
-        assert e.nu_gde is None
-        assert e.rho == 2
-        assert e.diameter is None
-        assert e.girth is None
+    def test_isolated_vertex_refused(self):
+        # total domination is undefined on K2+K1, K1 and K0, so they have no
+        # record: both refuse them with mtds's own message
+        for g in (td.Graph.from_edges(3, [(0, 1)]), td.Graph(1, (0,)), td.Graph(0, ())):
+            with pytest.raises(td.DominationUndefinedError) as ref:
+                td.mtds(g)
+            for compute in (td.classify, td.search.profile):
+                with pytest.raises(td.DominationUndefinedError) as err:
+                    compute(g)
+                assert str(err.value) == str(ref.value)
 
     def test_relabel_invariance(self, figure1):
         rng = random.Random(53)
@@ -752,7 +755,6 @@ by_type = {
     "int": st.integers(),
     "int | None": st.none() | st.integers(),
     "bool": st.booleans(),
-    "bool | None": st.none() | st.booleans(),
 }
 
 
@@ -772,7 +774,7 @@ class TestCatalogLine:
     @example(
         td.CatalogEntry("0611dc", 6, 7, 1, 2, 2, True, 2, 3, 4, 1, True, True), "EC\\o"
     )
-    @example(td.CatalogEntry("", 0, -1, 0, None, None, None, -2, None, None, None, False, False), "~\\~")
+    @example(td.CatalogEntry("", 0, -1, 0, 0, 0, False, -2, None, None, None, False, False), "~\\~")
     @example(td.CatalogEntry("ff", 10**20, 1, -3, 0, -1, False, 0, -4, 2**70, 5, True, False), "?")
     @settings(max_examples=300, deadline=None)
     def test_equals_sorted_json_dumps(self, entry, graph6):

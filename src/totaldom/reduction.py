@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .domination import require_total_domination
 from .errors import ValidationError
 from .graphs import Edge, Graph, delete_closed_neighborhood
 
@@ -33,12 +34,12 @@ class ReductionResult:
 def reduce_by_matching(g: Graph, selection: MatchingSelection) -> ReductionResult:
     """Delete the closed neighborhood of an induced matching.
 
-    Raises ValidationError unless the selection is nonempty, each pair is an
-    edge of g, the pairs are vertex-disjoint, and no g-edge joins two
-    different pairs.
+    Raises DominationUndefinedError, as mtds does, when g has no vertex or
+    an isolated one, and ValidationError unless the selection is nonempty,
+    each pair is an edge of g, the pairs are vertex-disjoint, and no g-edge
+    joins two different pairs.
     """
-    if g.has_isolated_vertex() or g.n == 0:
-        raise ValidationError("host graph must have no isolated vertices")
+    require_total_domination(g)
     if not selection.edges:
         raise ValidationError("selection must contain at least one edge")
 

@@ -10,13 +10,12 @@ interrupted run can resume without redoing finished work.
 
 from __future__ import annotations
 
-import json
 import os
+import re
 from contextlib import ExitStack
-from dataclasses import dataclass, fields
-from itertools import islice, product
+from dataclasses import dataclass
+from itertools import islice
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from .errors import CapabilityError
 from .graphs import (
@@ -130,21 +129,11 @@ class CatalogEntry:
     triangle_free: bool
 
 
-# a parsed catalog line's fields in CatalogEntry's positional order
-_entry_fields = itemgetter(*(f.name for f in fields(CatalogEntry)))
-# the types json gives each of those fields in a line _catalog_line wrote
-# (a JSON true is a bool, not an int), and the 8 type signatures they allow
-_FIELD_TYPES = (
-    (str,), (int,), (int,), (int,), (int,), (int,), (bool,), (int,),
-    (int, type(None)), (int, type(None)), (int, type(None)), (bool,), (bool,),
-)
-_ENTRY_TYPES = frozenset(product(*_FIELD_TYPES))
-# parses one JSON value at the start of a str: (value, end index)
-_decode = json.JSONDecoder().raw_decode
-
 # A catalog line is json.dumps(record, sort_keys=True) of an entry's fields
 # plus its graph6 string; _catalog_line writes those bytes without the dict
-# and the encoder, each field by its type, in sorted key order.
+# and the encoder, each field by its type, in sorted key order.  It is the
+# only statement of the layout: _read_catalog matches _LINE_PATTERN, made
+# from it, and reads back no other line.
 _LINE = (
     '{"Gamma_t": %d, "canonical_key": %s, "diameter": %s, "gamma_t": %d, '
     '"girth": %s, "graph6": %s, "is_wtd": %s, "m": %d, "min_degree": %d, '
@@ -152,6 +141,15 @@ _LINE = (
 )
 # JSON text of a bool
 _JSON_BOOL = {True: "true", False: "false"}
+# _LINE stripped, as a regex: one group per field in its order but graph6,
+# each int (nonnegative), optional int and bool as _catalog_line writes it,
+# and the key as lowercase hex bytes.  _read_catalog compiles it (about 1
+# ms), so that only a resume pays for it, not every import.
+_INT, _OPT, _BOOL = "(0|[1-9][0-9]*)", "(0|[1-9][0-9]*|null)", "(true|false)"
+_LINE_PATTERN = re.escape(_LINE[:-1].replace("%d", "%s")) % (
+    _INT, '"((?:[0-9a-f]{2})+)"', _OPT, _INT, _OPT, '"[?-~]+"', _BOOL,
+    _INT, _INT, _INT, _OPT, _BOOL, _INT, _BOOL,
+)
 
 
 def _catalog_line(entry: CatalogEntry, graph6: str) -> str:
@@ -659,16 +657,16 @@ def _read_catalog(path: str, done: set[bytes]):
     """Yield the CatalogEntry of each catalog line, one line read at a time,
     and add its key to done as bytes.  A final line without its newline is
     an interrupted write's tail: it is cut off (even if it parses, as the
-    next record would join it) and its class classified again.  Other bad
-    lines, a field of a type the writer never gives it (_FIELD_TYPES), keys
-    not in lowercase hex and repeated classes raise ValueError.
+    next record would join it) and its class classified again.
 
-    Each stripped line is decoded from UTF-8 once and parsed by one
-    raw_decode, which must consume all of it: trailing data is rejected as
-    json.loads rejects it.  Catalogs are written in ASCII, so a line that
-    json.loads(bytes) would sniff as UTF-16 or UTF-32, or that starts with
-    a byte-order mark, is unreadable.
+    Other lines are stripped, and blank ones skipped.  A line is read only
+    if it is ASCII that _LINE_PATTERN matches whole, and its n, its m and
+    its key's length are the ones its key encodes (n, then the upper
+    triangle's bits padded to whole bytes); min_degree and graph6 are not
+    checked against the key, nor is the key checked to be canonical.  Any
+    other line, and a repeated class, raise ValueError naming the line.
     """
+    fullmatch = re.compile(_LINE_PATTERN).fullmatch
     with open(path, "rb+") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.endswith(b"\n"):  # the torn tail; no other line lacks it
@@ -678,26 +676,26 @@ def _read_catalog(path: str, done: set[bytes]):
             if not line:
                 continue
             try:
-                text = line.decode("utf-8", "surrogatepass")  # as json.loads decodes UTF-8
-                record, end = _decode(text)
-                if end != len(text):
-                    raise json.JSONDecodeError("Extra data", text, end)
-                values = _entry_fields(record)
-                types = tuple(map(type, values))
-                if types not in _ENTRY_TYPES:
-                    i = next(i for i, t in enumerate(types) if t not in _FIELD_TYPES[i])
-                    name = fields(CatalogEntry)[i].name
-                    raise ValueError(f"field {name!r} has type {types[i].__name__}")
-                entry = CatalogEntry(*values)
-                key = bytes.fromhex(entry.canonical_key)
-                if key.hex() != entry.canonical_key:
-                    raise ValueError(f"key {entry.canonical_key!r} is not lowercase hex")
-            except (ValueError, KeyError, TypeError) as exc:
+                match = fullmatch(line.decode("ascii"))
+                if match is None:
+                    raise ValueError("not in the layout _catalog_line writes")
+                (Gamma_t, hexkey, diam, gamma_t, gir, wtd, m,
+                 min_degree, n, nu, planar, rho, free) = match.groups()
+                key, n, m = bytes.fromhex(hexkey), int(n), int(m)
+                size = 1 + (n * (n - 1) // 2 + 7) // 8
+                if (key[0], len(key), int.from_bytes(key[1:], "big").bit_count()) != (n, size, m):
+                    raise ValueError(f"n {n}, m {m} or the length disagrees with key {hexkey}")
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: unreadable catalog line ({exc})") from exc
             if key in done:
-                raise ValueError(f"{path}:{lineno}: repeated class {entry.canonical_key}")
+                raise ValueError(f"{path}:{lineno}: repeated class {hexkey}")
             done.add(key)
-            yield entry
+            yield CatalogEntry(
+                hexkey, n, m, int(min_degree), int(gamma_t), int(Gamma_t), wtd == "true",
+                int(rho), None if diam == "null" else int(diam),
+                None if gir == "null" else int(gir), None if nu == "null" else int(nu),
+                planar == "true", free == "true",
+            )
 
 
 def run_search(filt: SearchFilter, *, out_path: str | None = None, jobs: int = 1) -> dict:

@@ -628,6 +628,39 @@ class TestSearch:
         assert "cat.jsonl:11: unreadable catalog line" in err
         assert out_path.read_bytes() == damaged
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            # the key fixes n: K5 read as of order 9 was dropped by admits,
+            # with its key still marked done, and the class was lost
+            pytest.param((b'"n": 5', b'"n": 9'), id="n-not-the-keys"),
+            # ... and m, which was folded as written
+            pytest.param((b'"m": 10', b'"m": 9'), id="m-not-the-keys"),
+            # ... and the key's length: a padded key was another class
+            pytest.param((b'"05ffc0"', b'"05ffc000"'), id="key-padded"),
+            pytest.param((b', "triangle_free"', b', "x": 1, "triangle_free"'), id="extra-field"),
+            pytest.param((b'"graph6": "D~{", ', b""), id="no-graph6"),
+            pytest.param((b'"girth": 3', b'"girth": -3'), id="girth-negative"),
+        ],
+    )
+    def test_k5_line_not_as_written_exits_2(self, capsys, tmp_path, damage):
+        # a resume reads back only the line _catalog_line writes, with the
+        # n, m and key length its key encodes; K5's line is the last one
+        out_path = tmp_path / "cat.jsonl"
+        argv = ("search", "--n-max", "5", "--out", str(out_path))
+        assert run_cli(capsys, *argv)[0] == 0
+        lines = out_path.read_bytes().splitlines(keepends=True)
+        assert b'"canonical_key": "05ffc0", ' in lines[29] and len(lines) == 30
+        old, new = damage
+        assert lines[29].count(old) == 1
+        lines[29] = lines[29].replace(old, new)
+        damaged = b"".join(lines)
+        out_path.write_bytes(damaged)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "cat.jsonl:30: unreadable catalog line" in err
+        assert out_path.read_bytes() == damaged
+
     def test_repeated_class_exits_2(self, capsys, tmp_path):
         # one run never writes a class twice, so a repeated class is refused,
         # not read as whichever of its records came last

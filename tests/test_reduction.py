@@ -13,10 +13,18 @@ class TestValidation:
         assert "at least one edge" in str(err.value)
 
     def test_isolated_host(self):
-        host = td.Graph.from_edges(3, [(0, 1)])
-        with pytest.raises(td.ValidationError) as err:
-            td.reduce_by_matching(host, td.MatchingSelection(((0, 1),)))
-        assert "no isolated vertices" in str(err.value)
+        # the host must be in mtds's domain, K0 included, and is refused
+        # with mtds's message
+        for host, message in [
+            (td.Graph.from_edges(3, [(0, 1)]), "vertex 2 is isolated"),
+            (td.Graph.from_edges(0, []), "graph has no vertices"),
+        ]:
+            with pytest.raises(td.DominationUndefinedError) as err:
+                td.reduce_by_matching(host, td.MatchingSelection(((0, 1),)))
+            assert str(err.value) == f"total domination undefined: {message}"
+            with pytest.raises(td.DominationUndefinedError) as err_mtds:
+                td.mtds(host)
+            assert str(err_mtds.value) == str(err.value)
 
     def test_non_edge(self):
         with pytest.raises(td.ValidationError) as err:

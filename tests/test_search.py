@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import totaldom as td
+from totaldom.graphio import graph6_from_key
 from totaldom.search import (
     _below,
     _catalog_line,
@@ -782,3 +783,27 @@ class TestCatalogLine:
         record = dataclasses.asdict(entry)
         record["graph6"] = graph6
         assert _catalog_line(entry, graph6) == json.dumps(record, sort_keys=True) + "\n"
+
+
+@st.composite
+def connected_graphs(draw):
+    """A connected graph on 2 to 9 vertices: a random tree and any other pairs."""
+    n = draw(st.integers(2, 9))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    edges |= {pair for pair in combinations(range(n), 2) if draw(st.booleans())}
+    return td.Graph.from_edges(n, sorted(edges))
+
+
+class TestCatalogRead:
+    @given(st.lists(connected_graphs(), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_reads_back_what_the_writer_writes(self, tmp_path_factory, graphs):
+        # one entry per class, as a search writes them
+        entries = list({e.canonical_key: e for e in map(td.classify, graphs)}.values())
+        path = tmp_path_factory.mktemp("catalog") / "catalog.jsonl"
+        path.write_text("".join(
+            _catalog_line(e, graph6_from_key(bytes.fromhex(e.canonical_key))) for e in entries
+        ))
+        done = set()
+        assert list(td.search._read_catalog(str(path), done)) == entries
+        assert done == {bytes.fromhex(e.canonical_key) for e in entries}

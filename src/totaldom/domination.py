@@ -224,6 +224,24 @@ class RealizedGraph:
     transversal_sets: tuple[int, ...]
 
 
+def _name_collision(named: list[str], a_size: int, t_end: int) -> str:
+    """The message for the first of a realized graph's vertex names that an
+    earlier vertex already has, naming both vertices: named lists the
+    support's a_size labels, then the transversal vertices' up to t_end,
+    then the extension's."""
+
+    def vertex(i: int) -> str:
+        if i < a_size:
+            return f"member {named[i]}"
+        if i < t_end:
+            return f"the vertex of transversal {named[i][1:]}"  # named v{...}
+        return f"extension vertex {i - t_end}"
+
+    i = next(i for i, name in enumerate(named) if name in named[:i])
+    j = named.index(named[i])
+    return f"vertex names must be distinct: {vertex(j)} and {vertex(i)} are both named {named[i]!r}"
+
+
 def realize_mtds(
     family: SpernerFamily,
     extension: Graph | None = None,
@@ -330,6 +348,8 @@ def realize_mtds(
                 named.append(extension.labels[w])
             else:
                 named.append(f"u{w}")
+        if len(set(named)) != n:
+            raise ValidationError(_name_collision(named, a_size, a_size + len(t_sets)))
         graph_labels = tuple(named)
 
     return RealizedGraph(

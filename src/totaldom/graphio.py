@@ -156,7 +156,8 @@ def graph6_from_key(key: bytes) -> str:
     """graph6 of the graph a canonical key encodes, without building it.
 
     The key's bytes after the order hold the graph6 triangle padded to 8
-    bits instead of 6, so the string is those bits regrouped.
+    bits instead of 6, so the string is those bits regrouped.  ValueError
+    for a key that key_triangle refuses.
     """
     return _graph6(*key_triangle(key))
 

@@ -790,17 +790,14 @@ def canonical_key(
     if n > CANONICAL_BOUND:
         raise CapabilityError(f"canonical form limited to {CANONICAL_BOUND} vertices, got {n}")
     if n <= 1:
-        return bytes([n])
+        return triangle_key(n, 0)
     rows, twin, leaves = _min_code(n, adj, _refined_cells(n, adj))
     if generators is not None:
         generators += _generators(n, twin, leaves)
     acc = 0
     for i in range(1, n):
         acc = (acc << i) | rows[i]
-    total = n * (n - 1) // 2
-    pad = (-total) % 8
-    acc <<= pad
-    return bytes([n]) + acc.to_bytes((total + pad) // 8, "big")
+    return triangle_key(n, acc)
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -828,13 +825,31 @@ def graph_from_triangle(n: int, bits: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def key_triangle(key: bytes) -> tuple[int, int]:
-    """The order and unpadded upper triangle a canonical key stores."""
-    n = key[0]
+def triangle_key(n: int, bits: int) -> bytes:
+    """The key of order n and unpadded upper triangle ``bits``: the order
+    byte, then the triangle zero-padded to whole bytes.  The one statement
+    of the key layout; key_triangle inverts it."""
     total = n * (n - 1) // 2
-    return n, int.from_bytes(key[1:], "big") >> ((-total) % 8)
+    size = (total + 7) // 8  # the triangle's bytes
+    return ((n << 8 * size) | (bits << (8 * size - total))).to_bytes(1 + size, "big")
+
+
+def key_triangle(key: bytes) -> tuple[int, int]:
+    """The order and unpadded upper triangle a canonical key stores;
+    ValueError unless key is exactly triangle_key's bytes for them (the
+    length its order fixes, zero padding).  Canonicity is not checked."""
+    if not key:
+        raise ValueError("empty key")
+    n = key[0]
+    spare = 8 * (len(key) - 1) - n * (n - 1) // 2  # the bits past the triangle
+    if spare >= 0:
+        bits = int.from_bytes(key[1:], "big") >> spare
+        if triangle_key(n, bits) == key:
+            return n, bits
+    raise ValueError(f"not a key of order {n}: {key.hex()}")
 
 
 def graph_from_canonical(key: bytes) -> Graph:
-    """Rebuild the canonical representative encoded by ``canonical_form``."""
+    """Rebuild the canonical representative encoded by ``canonical_form``;
+    ValueError for a key that key_triangle refuses."""
     return graph_from_triangle(*key_triangle(key))

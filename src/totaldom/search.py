@@ -28,6 +28,7 @@ from .graphs import (
     girth,
     graph_from_canonical,
     is_planar,
+    key_triangle,
     max_matching_of_edges,
     neighbors,
     vertex_mask,
@@ -110,8 +111,9 @@ class CatalogEntry:
     total domination defined: at least one vertex and none isolated (the
     searched classes are connected, n >= 2).
 
-    nu_gde is None unless gamma_t is 2, diameter for disconnected graphs,
-    girth for forests.
+    Three fields are derived from others: is_wtd is gamma_t == Gamma_t,
+    triangle_free is girth != 3, and nu_gde is None exactly when gamma_t is
+    not 2.  diameter is None for disconnected graphs, girth for forests.
     """
 
     canonical_key: str
@@ -600,14 +602,14 @@ ASSERTIONS: dict[str, tuple] = {
     "L12A": (
         "planar, uniform size 2, dominating-edge matching >= 3 forces at most 8 vertices",
         9,
-        lambda e: e.planar and _wtd2(e) and (e.nu_gde or 0) >= 3,
+        lambda e: e.planar and _wtd2(e) and e.nu_gde >= 3,
         lambda e: e.n <= 8,
     ),
     "L12B": (
         "uniform size 2 with min degree >= 3 forces dominating-edge matching >= 2",
         2,
         lambda e: _wtd2(e) and e.min_degree >= 3,
-        lambda e: (e.nu_gde or 0) >= 2,
+        lambda e: e.nu_gde >= 2,
     ),
     "P7A": (
         "planar, uniform size 2, min degree >= 3 forces matching exactly 2 or at most 8 vertices",
@@ -660,11 +662,13 @@ def _read_catalog(path: str, done: set[bytes]):
     next record would join it) and its class classified again.
 
     Other lines are stripped, and blank ones skipped.  A line is read only
-    if it is ASCII that _LINE_PATTERN matches whole, and its n, its m and
-    its key's length are the ones its key encodes (n, then the upper
-    triangle's bits padded to whole bytes); min_degree and graph6 are not
-    checked against the key, nor is the key checked to be canonical.  Any
-    other line, and a repeated class, raise ValueError naming the line.
+    if it is ASCII that _LINE_PATTERN matches whole, its key is one that
+    key_triangle decodes (the length its order fixes, zero padding), its n
+    and m are the key's order and edge count, and its is_wtd, triangle_free
+    and nu_gde are derived from its other fields as CatalogEntry states.
+    min_degree and graph6 are not checked against the key, nor is the key
+    checked to be canonical.  Any other line, and a repeated class, raise
+    ValueError naming the line.
     """
     fullmatch = re.compile(_LINE_PATTERN).fullmatch
     with open(path, "rb+") as fh:
@@ -682,9 +686,17 @@ def _read_catalog(path: str, done: set[bytes]):
                 (Gamma_t, hexkey, diam, gamma_t, gir, wtd, m,
                  min_degree, n, nu, planar, rho, free) = match.groups()
                 key, n, m = bytes.fromhex(hexkey), int(n), int(m)
-                size = 1 + (n * (n - 1) // 2 + 7) // 8
-                if (key[0], len(key), int.from_bytes(key[1:], "big").bit_count()) != (n, size, m):
-                    raise ValueError(f"n {n}, m {m} or the length disagrees with key {hexkey}")
+                order, triangle = key_triangle(key)
+                if (order, triangle.bit_count()) != (n, m):
+                    raise ValueError(f"n {n} or m {m} disagrees with key {hexkey}")
+                if (
+                    (wtd == "true") != (gamma_t == Gamma_t)
+                    or (free == "true") != (gir != "3")
+                    or (nu == "null") != (gamma_t != "2")
+                ):
+                    raise ValueError(
+                        "is_wtd, triangle_free or nu_gde disagrees with the fields it derives from"
+                    )
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: unreadable catalog line ({exc})") from exc
             if key in done:

@@ -438,6 +438,16 @@ class TestRealize:
         assert out == ""
         assert err == "error: malformed set '{a b,c}': member name 'a b' contains whitespace\n"
 
+    def test_member_named_as_a_transversal_vertex(self, capsys):
+        # transversal {a}'s vertex is named v{a}, the name of a member
+        code, out, err = run_cli(capsys, "realize", "--family", "{a,v{a}}")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: vertex names must be distinct: member v{a} and the vertex of "
+            "transversal {a} are both named 'v{a}'\n"
+        )
+
     @pytest.mark.parametrize(
         "family",
         ["a,b", "{a,b", "{a,,b}", "{a,a}", "{a};{b,c}", "{a,b};{a,b,c}"],
@@ -633,27 +643,40 @@ class TestSearch:
         [
             # the key fixes n: K5 read as of order 9 was dropped by admits,
             # with its key still marked done, and the class was lost
-            pytest.param((b'"n": 5', b'"n": 9'), id="n-not-the-keys"),
+            pytest.param([(b'"n": 5', b'"n": 9')], id="n-not-the-keys"),
             # ... and m, which was folded as written
-            pytest.param((b'"m": 10', b'"m": 9'), id="m-not-the-keys"),
+            pytest.param([(b'"m": 10', b'"m": 9')], id="m-not-the-keys"),
             # ... and the key's length: a padded key was another class
-            pytest.param((b'"05ffc0"', b'"05ffc000"'), id="key-padded"),
-            pytest.param((b', "triangle_free"', b', "x": 1, "triangle_free"'), id="extra-field"),
-            pytest.param((b'"graph6": "D~{", ', b""), id="no-graph6"),
-            pytest.param((b'"girth": 3', b'"girth": -3'), id="girth-negative"),
+            pytest.param([(b'"05ffc0"', b'"05ffc000"')], id="key-padded"),
+            # ... and its padding bits, even with m counting the set one
+            pytest.param(
+                [(b'"05ffc0"', b'"05ffc1"'), (b'"m": 10', b'"m": 11')], id="key-padding-bit"
+            ),
+            pytest.param([(b', "triangle_free"', b', "x": 1, "triangle_free"')], id="extra-field"),
+            pytest.param([(b'"graph6": "D~{", ', b"")], id="no-graph6"),
+            pytest.param([(b'"girth": 3', b'"girth": -3')], id="girth-negative"),
+            # fields derived from others on the line: a changed is_wtd was
+            # folded, a changed triangle_free or nu_gde made false violations
+            pytest.param([(b'"is_wtd": true', b'"is_wtd": false')], id="is_wtd-not-derived"),
+            pytest.param(
+                [(b'"triangle_free": false', b'"triangle_free": true')],
+                id="triangle_free-not-derived",
+            ),
+            pytest.param([(b'"nu_gde": 2', b'"nu_gde": null')], id="nu_gde-not-derived"),
         ],
     )
     def test_k5_line_not_as_written_exits_2(self, capsys, tmp_path, damage):
         # a resume reads back only the line _catalog_line writes, with the
-        # n, m and key length its key encodes; K5's line is the last one
+        # key it encodes, the n and m that key fixes and the fields derived
+        # as the writer derives them; K5's line is the last one
         out_path = tmp_path / "cat.jsonl"
         argv = ("search", "--n-max", "5", "--out", str(out_path))
         assert run_cli(capsys, *argv)[0] == 0
         lines = out_path.read_bytes().splitlines(keepends=True)
         assert b'"canonical_key": "05ffc0", ' in lines[29] and len(lines) == 30
-        old, new = damage
-        assert lines[29].count(old) == 1
-        lines[29] = lines[29].replace(old, new)
+        for old, new in damage:
+            assert lines[29].count(old) == 1
+            lines[29] = lines[29].replace(old, new)
         damaged = b"".join(lines)
         out_path.write_bytes(damaged)
         code, out, err = run_cli(capsys, *argv)

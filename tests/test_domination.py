@@ -423,6 +423,24 @@ class TestRealizeMtds:
         r2 = td.realize_mtds(fam, extension=bare, labels=("a", "b"))
         assert r2.graph.labels[-2:] == ("u0", "u1")
 
+    def test_name_collision_names_both_vertices(self):
+        # an unlabelled extension's vertices are named u0, u1, ...
+        fam = td.SpernerFamily(2, (0b11,))
+        bare = td.Graph.from_edges(2, [(0, 1)])
+        with pytest.raises(
+            td.ValidationError,
+            match=r"^vertex names must be distinct: member u1 and extension vertex 1 "
+            r"are both named 'u1'$",
+        ):
+            td.realize_mtds(fam, extension=bare, labels=("a", "u1"))
+        named = td.Graph.from_edges(2, [(0, 1)], labels=("v{b}", "q"))
+        with pytest.raises(
+            td.ValidationError,
+            match=r"^vertex names must be distinct: the vertex of transversal \{b\} and "
+            r"extension vertex 0 are both named 'v\{b\}'$",
+        ):
+            td.realize_mtds(fam, extension=named, labels=("a", "b"))
+
     def test_ground_label_length_checked(self):
         fam = td.SpernerFamily(4, (0b0011, 0b1100))
         with pytest.raises(td.ValidationError):

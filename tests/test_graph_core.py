@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import totaldom as td
+from totaldom.graphs import key_triangle, triangle_key
 from oracles import (
     all_graphs_up_to_iso,
     are_isomorphic,
@@ -475,6 +476,31 @@ class TestCanonicalForm:
         assert td.canonical_form(two_triangles).hex() == "062e22"
         with_isolated = td.Graph.from_edges(7, [(0, 1), (1, 2), (4, 5)])
         assert td.canonical_form(with_isolated).hex() == "07040018"
+
+    def test_key_codec(self):
+        # a key is the order byte, then the upper triangle zero-padded to
+        # whole bytes; the decoder gives back what was encoded and refuses
+        # any other bytes, also through graph_from_canonical
+        assert triangle_key(5, (1 << 10) - 1).hex() == "05ffc0"  # K5
+        rng = random.Random(1233)
+        for n in range(13):
+            total = n * (n - 1) // 2
+            pad = (-total) % 8
+            for _ in range(20):
+                bits = rng.getrandbits(total)
+                key = triangle_key(n, bits)
+                assert len(key) == 1 + (total + pad) // 8
+                assert key_triangle(key) == (n, bits)
+                g = td.graph_from_canonical(key)
+                assert (g.n, g.m) == (n, bits.bit_count())
+                damaged = [key[:-1], key + bytes([rng.randrange(256)])]
+                if pad:
+                    damaged.append(key[:-1] + bytes([key[-1] | 1 << rng.randrange(pad)]))
+                for bad in damaged:
+                    with pytest.raises(ValueError):
+                        key_triangle(bad)
+                    with pytest.raises(ValueError):
+                        td.graph_from_canonical(bad)
 
     def test_key_bytes_frozen_past_8(self):
         # orders 9..12, where no catalog test reaches: 400 seeded random

@@ -38,11 +38,11 @@ from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .errors import CapabilityError, NotAntichainError, ParseError
-from .graphs import Graph, mask_members
+from .graphs import Edge, Graph, mask_members
 from .graphio import EDGE_LIST, FORMATS, parse_graph, serialize_graph
 from .hypergraph import SpernerFamily
 from .domination import CORE_COMPLETE, CORE_MINIMAL_VALID, realize_mtds, recognize_wtd_k
-from .reduction import MatchingSelection, reduce_by_matching
+from .reduction import reduce_by_matching
 from .search import SearchFilter, profile, run_search
 # unused here; bound because perfbench/layers.json traces cli.<name> sites
 from .graphs import diameter, girth  # noqa: F401
@@ -167,7 +167,7 @@ def _cmd_realize(args) -> tuple[int, dict]:
     }
 
 
-def _parse_edge_selection(text: str) -> MatchingSelection:
+def _parse_edge_selection(text: str) -> tuple[Edge, ...]:
     edges = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -179,26 +179,25 @@ def _parse_edge_selection(text: str) -> MatchingSelection:
         except ValueError:
             raise ParseError(f"malformed edge {chunk!r}") from None
         edges.append((min(u, v), max(u, v)))
-    return MatchingSelection(tuple(edges))
+    return tuple(edges)
 
 
 def _cmd_reduce(args) -> tuple[int, dict]:
     g = _load_graph(args)
-    selection = _parse_edge_selection(args.edges)
-    result = reduce_by_matching(g, selection)
-    if result.is_empty:
+    remaining, vertex_map = reduce_by_matching(g, _parse_edge_selection(args.edges))
+    if remaining.n == 0:
         status = "empty"
-    elif result.has_isolated:
+    elif remaining.has_isolated_vertex():
         status = "isolated-vertices"
     else:
         status = "ok"
     payload = {
         "status": status,
-        "graph": serialize_graph(result.graph, EDGE_LIST),
-        "vertex_map": [[new, g.label(old)] for new, old in enumerate(result.vertex_map)],
+        "graph": serialize_graph(remaining, EDGE_LIST),
+        "vertex_map": [[new, g.label(old)] for new, old in enumerate(vertex_map)],
     }
     if status == "ok":
-        payload["self_check"] = _analyze_payload(result.graph)
+        payload["self_check"] = _analyze_payload(remaining)
     return 0, payload
 
 

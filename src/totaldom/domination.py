@@ -258,15 +258,20 @@ def realize_mtds(
     optional extension graph is attached with every extension vertex made
     adjacent to at least one member of every family set.
 
-    Families with a singleton member are rejected: its element would have to
-    be its own neighbor, and no minimal TDS family contains singletons.  A
-    family whose transversals would push the graph past MAX_VERTICES raises
+    Families with a singleton member are rejected, naming it by its label
+    when labels are given: its element would have to be its own neighbor,
+    and no minimal TDS family contains singletons.  A family whose
+    transversals would push the graph past MAX_VERTICES raises
     CapabilityError as soon as the enumeration finds one too many.
     """
+    if labels is not None and len(labels) != family.ground:
+        raise ValidationError("ground labels must cover the whole ground set")
     for e in family.edges:
         if e.bit_count() < 2:
+            (v,) = mask_members(e)
+            name = str(v) if labels is None else labels[v]
             raise ValidationError(
-                f"family not realizable: member {set(mask_members(e))} has fewer than two vertices"
+                f"family not realizable: member {{{name}}} has fewer than two vertices"
             )
     support = 0
     for e in family.edges:
@@ -338,8 +343,6 @@ def realize_mtds(
 
     graph_labels: tuple[str, ...] | None = None
     if labels is not None:
-        if len(labels) != family.ground:
-            raise ValidationError("ground labels must cover the whole ground set")
         named = [labels[v] for v in ground_vertices]
         for t in t_sets:
             named.append("v{" + ",".join(labels[v] for v in mask_members(t)) + "}")

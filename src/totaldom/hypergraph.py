@@ -28,6 +28,19 @@ from .graphs import MAX_VERTICES, mask_members
 # larger one (522 pairs from a dense 64-vertex graph to 19,462 sets, 3.8 s).
 SIZE_K_LIMIT = 5_000
 
+# A k just below the smallest transversal lists no set, so SIZE_K_LIMIT never
+# fires, yet the depth-k search walks every branch down to depth k: on m
+# disjoint K4s at k = 2m - 1 it cuts 3 * 6**(m - 1) children there (648 to
+# 139,968 for m = 4 to 7, 0.001-0.20 s), about 1.4e12 at m = 16.  Past this
+# many cut children a size-bounded search raises CapabilityError instead:
+# after 0.39-0.41 s at m = 8 and 0.68-0.75 s at m = 16 (process time, 5 runs;
+# Python 3.11.7 on a 2-vCPU VM).  It is far above what answering searches
+# cut: a depth-2 search on 64 vertices (w2-check) cuts at most 64**2, and
+# none of the 6,400 recognize and w2-check queries in perfbench's
+# profile-mid corpora (seeds 0-7) cuts more than 128.  A search with no size
+# bound never cuts.
+SIZE_K_CUT_LIMIT = 200_000
+
 # _BYTE_MEMBERS[b] lists the set bits of the byte b, ascending
 _BYTE_MEMBERS = tuple(tuple(v for v in range(8) if b >> v & 1) for b in range(256))
 
@@ -138,6 +151,17 @@ def greedy_minimize_transversal(mask: int, edges: Sequence[int]) -> int:
     return mask
 
 
+class _CutLimitError(CapabilityError):
+    """A size-bounded search cut more than SIZE_K_CUT_LIMIT children."""
+
+
+class _BoundedOut(list):
+    """The out list of a size-bounded search: the transversals found, and
+    in cuts the children cut so far (see _mmcs_branch)."""
+
+    cuts = 0
+
+
 def _mmcs_branch(
     edges: Sequence[int],
     containing: Sequence[int],
@@ -159,7 +183,9 @@ def _mmcs_branch(
     j-th vertex redundant, so its child dies.  The branch loop settles two
     kinds of child without a call: one that covers every edge (a leaf,
     tested against crit directly and appended to out) and one that would
-    hold max_size vertices with edges still uncovered (skipped).  The
+    hold max_size vertices with edges still uncovered (cut).  Only a
+    size-bounded search cuts, and its out is a _BoundedOut, which counts the
+    cuts: past SIZE_K_CUT_LIMIT of them the search raises.  The
     search's state comes in as arguments rather than through a closure over
     a nested function, so a call leaves no function-cell reference cycle
     behind.
@@ -211,7 +237,15 @@ def _mmcs_branch(
                 if max_count is not None and len(out) >= max_count:
                     raise CapabilityError(f"more than {max_count} minimal transversals")
                 out.append(chosen | bit)
-        elif deeper:
+        elif not deeper:
+            out.cuts += 1
+            if out.cuts > SIZE_K_CUT_LIMIT:
+                raise _CutLimitError(
+                    f"more than SIZE_K_CUT_LIMIT = {SIZE_K_CUT_LIMIT} branches of the "
+                    f"search for minimal transversals of size at most {max_size} were "
+                    "cut with edges still uncovered, so it stops there"
+                )
+        else:
             new_crit = []
             for cm in crit:
                 cm &= ~cont
@@ -244,7 +278,7 @@ def mmcs(
     cand = 0
     for e in edges:
         cand |= e
-    out: list[int] = []
+    out: list[int] = [] if max_size >= MAX_VERTICES else _BoundedOut()
     _mmcs_branch(
         edges, containing, max_size, max_count, out,
         0, cand, [], (1 << len(edges)) - 1,
@@ -271,9 +305,10 @@ def enumerate_minimal_transversals(
     only ever adds members of the transversal it ends in, so cutting
     branches that hold max_size vertices with edges still uncovered loses
     exactly the larger transversals; the cut search has at most (largest
-    edge size)**max_size leaves, and the result may be empty.  With
-    ``max_count``, raise CapabilityError once more than that many turn up,
-    before enumerating the rest.
+    edge size)**max_size leaves, and the result may be empty.  Past
+    SIZE_K_CUT_LIMIT cut branches it raises CapabilityError, naming that
+    limit.  With ``max_count``, raise CapabilityError once more than that
+    many turn up, before enumerating the rest.
     """
     edges = h.edges
     if not edges:
@@ -318,10 +353,13 @@ def all_minimal_transversals_have_size_k(h: SpernerFamily, k: int) -> SizeKDecis
 
     Raises CapabilityError, naming SIZE_K_LIMIT, when g has more members
     than that, or when Tr(g) does: a small g can still dualize to a family
-    exponentially larger than itself.
+    exponentially larger than itself.  Raises it naming SIZE_K_CUT_LIMIT
+    when the depth-k search cuts more branches than that.
     """
     try:
         bounded = enumerate_minimal_transversals(h, max_count=SIZE_K_LIMIT, max_size=k)
+    except _CutLimitError:
+        raise
     except CapabilityError:
         raise CapabilityError(
             f"more than SIZE_K_LIMIT = {SIZE_K_LIMIT} minimal transversals of size at "

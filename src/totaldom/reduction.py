@@ -9,42 +9,32 @@ preserved by the deletion (when the remainder still has it defined).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 from .domination import require_total_domination
 from .errors import ValidationError
 from .graphs import Edge, Graph, delete_closed_neighborhood
 
 
-@dataclass(frozen=True)
-class MatchingSelection:
-    """Edges chosen for deletion, as (u, v) pairs with u < v."""
+def reduce_by_matching(
+    g: Graph, edges: Sequence[Edge]
+) -> tuple[Graph, tuple[int, ...]]:
+    """Delete the closed neighborhood of an induced matching, given as
+    (u, v) pairs; return the remainder and its new-to-old vertex ids.
 
-    edges: tuple[Edge, ...]
-
-
-@dataclass(frozen=True)
-class ReductionResult:
-    graph: Graph
-    vertex_map: tuple[int, ...]  # new id -> old id
-    is_empty: bool
-    has_isolated: bool
-
-
-def reduce_by_matching(g: Graph, selection: MatchingSelection) -> ReductionResult:
-    """Delete the closed neighborhood of an induced matching.
-
-    Raises DominationUndefinedError, as mtds does, when g has no vertex or
-    an isolated one, and ValidationError unless the selection is nonempty,
-    each pair is an edge of g, the pairs are vertex-disjoint, and no g-edge
-    joins two different pairs.
+    The remainder may be empty or have isolated vertices, where total
+    domination is undefined; read that off it (n == 0,
+    has_isolated_vertex()).  Raises DominationUndefinedError, as mtds does,
+    when g has no vertex or an isolated one, and ValidationError unless the
+    selection is nonempty, each pair is an edge of g, the pairs are
+    vertex-disjoint, and no g-edge joins two different pairs.
     """
     require_total_domination(g)
-    if not selection.edges:
+    if not edges:
         raise ValidationError("selection must contain at least one edge")
 
     seen = 0
-    for u, v in selection.edges:
+    for u, v in edges:
         if not (0 <= u < g.n and 0 <= v < g.n and u != v and g.has_edge(u, v)):
             raise ValidationError(f"({u}, {v}) is not an edge of the graph")
         pair = (1 << u) | (1 << v)
@@ -52,8 +42,8 @@ def reduce_by_matching(g: Graph, selection: MatchingSelection) -> ReductionResul
             raise ValidationError(f"selected edges are not vertex-disjoint at ({u}, {v})")
         seen |= pair
 
-    for u, v in selection.edges:
-        for a, b in selection.edges:
+    for u, v in edges:
+        for a, b in edges:
             if (u, v) >= (a, b):
                 continue
             cross = (g.adj[u] | g.adj[v]) & ((1 << a) | (1 << b))
@@ -63,10 +53,4 @@ def reduce_by_matching(g: Graph, selection: MatchingSelection) -> ReductionResul
                     f"to pair ({a}, {b})"
                 )
 
-    remaining, vertex_map = delete_closed_neighborhood(g, seen)
-    return ReductionResult(
-        graph=remaining,
-        vertex_map=vertex_map,
-        is_empty=remaining.n == 0,
-        has_isolated=remaining.has_isolated_vertex(),
-    )
+    return delete_closed_neighborhood(g, seen)

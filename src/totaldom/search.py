@@ -70,6 +70,15 @@ class SearchFilter:
     triangle_free_only: bool = False
 
     def __post_init__(self) -> None:
+        # the fields first, so the budget below sums a table slice from 2 up
+        if self.n_max < 2:
+            raise ValueError(f"n_max must be at least 2, got {self.n_max}")
+        if self.n_min < 2:
+            raise ValueError("n_min must be at least 2")
+        if self.n_min > self.n_max:
+            raise ValueError("n_min must not exceed n_max")
+        if self.min_degree is not None and self.min_degree < 0:
+            raise ValueError("min_degree must be nonnegative")
         if self.n_max > CANONICAL_BOUND:
             raise CapabilityError(
                 f"searches are capped at {CANONICAL_BOUND} vertices, got n_max={self.n_max}"
@@ -84,14 +93,6 @@ class SearchFilter:
                 f"a search to n_max={self.n_max} may key up to {count:,} {kind}, "
                 f"more than the budget of {SEARCH_BUDGET:,}"
             )
-        if self.n_max < 2:
-            raise ValueError(f"n_max must be at least 2, got {self.n_max}")
-        if self.n_min < 2:
-            raise ValueError("n_min must be at least 2")
-        if self.n_min > self.n_max:
-            raise ValueError("n_min must not exceed n_max")
-        if self.min_degree is not None and self.min_degree < 0:
-            raise ValueError("min_degree must be nonnegative")
 
     def admits(self, entry: CatalogEntry) -> bool:
         """Whether enumerate_graphs(self) yields entry's class, exact for any

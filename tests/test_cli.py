@@ -338,6 +338,23 @@ class TestRecognize:
         assert code == 0
         assert json.loads(out)["wtd_k"] is True
 
+    def test_cut_limit(self, capsys, graph_file):
+        # at k = 2m - 1 on m copies (gamma_t = 2m) the depth-k search lists
+        # no set but cuts 3 * 6**(m - 1) children at depth k.  For m = 16 it
+        # stops at SIZE_K_CUT_LIMIT of them, in a subprocess that would
+        # otherwise outlive the timeout
+        path = graph_file(self.disjoint_k4s(16))
+        proc = run_module("recognize", path, "--k", "31", timeout=10)
+        assert proc.returncode == 2 and proc.stdout == ""
+        limit = td.hypergraph.SIZE_K_CUT_LIMIT
+        assert proc.stderr.startswith(f"error: more than SIZE_K_CUT_LIMIT = {limit} branches")
+        # for m = 7, 139,968 cuts, it decides, with a witness of 14 vertices
+        path = graph_file(self.disjoint_k4s(7))
+        code, out, _ = run_cli(capsys, "recognize", path, "--k", "13", "--witness")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["reason"] == "larger-witness" and len(payload["witness"]) == 14
+
 
 class TestConstructW2:
     def test_eleven_vertex_recipe(self, capsys, graph_file):
@@ -437,6 +454,14 @@ class TestRealize:
         assert code == 2
         assert out == ""
         assert err == "error: malformed set '{a b,c}': member name 'a b' contains whitespace\n"
+
+    @pytest.mark.parametrize("family, member", [("{a}", "{a}"), ("{a,b};{c}", "{c}")])
+    def test_singleton_member_named_as_typed(self, capsys, family, member):
+        code, out, err = run_cli(capsys, "realize", "--family", family)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: family not realizable: member {member} has fewer than two vertices\n"
+        )
 
     def test_member_named_as_a_transversal_vertex(self, capsys):
         # transversal {a}'s vertex is named v{a}, the name of a member
@@ -769,7 +794,7 @@ class TestSearch:
         assert code == 2 and out == ""
         assert count in err and sequence in err and f"{td.search.SEARCH_BUDGET:,}" in err
 
-    @pytest.mark.parametrize("n_max", ["1", "0"])
+    @pytest.mark.parametrize("n_max", ["1", "0", "-2", "-3"])
     def test_n_max_below_two(self, capsys, n_max):
         # rejected for itself, not as a range below the default n_min
         code, out, err = run_cli(capsys, "search", "--n-max", n_max)
@@ -836,7 +861,7 @@ class TestSearch:
         assert proc.stdout == "False\n"
 
 
-def run_python(*argv):
+def run_python(*argv, timeout=None):
     # the child imports the same totaldom as this process, installed or not
     src = os.path.dirname(os.path.dirname(td.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -845,11 +870,12 @@ def run_python(*argv):
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
+        timeout=timeout,
     )
 
 
-def run_module(*argv):
-    return run_python("-m", "totaldom", *argv)
+def run_module(*argv, timeout=None):
+    return run_python("-m", "totaldom", *argv, timeout=timeout)
 
 
 class TestEntryPoint:

@@ -379,6 +379,23 @@ class TestRealizeMtds:
             td.realize_mtds(td.SpernerFamily(3, (0b001, 0b110)))
         assert "fewer than two vertices" in str(err.value)
 
+    def test_singleton_member_named_by_label(self):
+        # named as the caller spelled it; without labels, by its ground id
+        for fam, labels, member in [
+            (td.SpernerFamily(1, (0b1,)), ("a",), "{a}"),
+            (td.SpernerFamily(3, (0b011, 0b100)), ("a", "b", "c"), "{c}"),
+            (td.SpernerFamily(3, (0b011, 0b100)), None, "{2}"),
+        ]:
+            with pytest.raises(td.ValidationError) as err:
+                td.realize_mtds(fam, labels=labels)
+            assert str(err.value) == (
+                f"family not realizable: member {member} has fewer than two vertices"
+            )
+        # the labels' length is checked before a singleton is named by them
+        with pytest.raises(td.ValidationError) as err:
+            td.realize_mtds(td.SpernerFamily(3, (0b011, 0b100)), labels=("a", "b"))
+        assert str(err.value) == "ground labels must cover the whole ground set"
+
     def test_unknown_policy(self):
         fam = td.SpernerFamily(2, (0b11,))
         with pytest.raises(td.ValidationError) as err:

@@ -52,6 +52,14 @@ class TestSearchFilter:
         with pytest.raises(ValueError):
             td.SearchFilter(n_max=3, n_min=4)
 
+    @pytest.mark.parametrize("n_max", [-2, -3])
+    def test_negative_n_max(self, n_max):
+        # refused for itself, before the budget sums a table slice that a
+        # negative bound would count from the far end
+        with pytest.raises(ValueError) as err:
+            td.SearchFilter(n_max=n_max)
+        assert str(err.value) == f"n_max must be at least 2, got {n_max}"
+
     def test_n_max_cap(self):
         # checked before the class budget, which this n_max also exceeds
         with pytest.raises(td.CapabilityError) as err:

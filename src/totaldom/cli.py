@@ -78,7 +78,7 @@ def _analyze_payload(g: Graph) -> dict:
     if prof.dominating_edges is not None:
         # u < v on each dominating edge, so its mask lists u, then v
         payload["g_de_edges"] = _Sets(
-            names, [(1 << u) | (1 << v) for u, v in prof.dominating_edges.edges]
+            names, [(1 << u) | (1 << v) for u, v in prof.dominating_edges]
         )
     return payload
 

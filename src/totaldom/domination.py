@@ -114,28 +114,15 @@ def recognize_wtd_k(g: Graph, k: int) -> SizeKDecision:
     return all_minimal_transversals_have_size_k(neighborhood_hypergraph(g), k)
 
 
-@dataclass(frozen=True)
-class DominatingEdgeSubgraph:
-    """The dominating edges of g together with their endpoints.
+def dominating_edge_subgraph(g: Graph) -> tuple[Edge, ...]:
+    """The dominating edges of g as (u, v) pairs, u < v, in ascending order.
 
-    A dominating edge is an edge whose two endpoints form a TDS; the
-    subgraph they span is not necessarily induced.  Such an edge is a
-    minimal TDS of size 2, so some edge dominates exactly when
-    gamma_t(g) = 2; otherwise both tuples are empty.
+    A dominating edge is an edge whose two endpoints form a TDS.  Such an
+    edge is a minimal TDS of size 2, so some edge dominates exactly when
+    gamma_t(g) = 2; otherwise the tuple is empty.
     """
-
-    vertices: tuple[int, ...]
-    edges: tuple[Edge, ...]
-
-    @property
-    def vertex_mask(self) -> int:
-        return vertex_mask(self.vertices)
-
-
-def dominating_edge_subgraph(g: Graph) -> DominatingEdgeSubgraph:
     require_total_domination(g)
     adj, full = g.adj, g.full_mask
-    spanned = 0
     dom_edges = []
     for u in range(g.n):
         row = adj[u]
@@ -144,9 +131,8 @@ def dominating_edge_subgraph(g: Graph) -> DominatingEdgeSubgraph:
             low = upper & -upper
             if row | adj[low.bit_length() - 1] == full:
                 dom_edges.append((u, low.bit_length() - 1))
-                spanned |= (1 << u) | low
             upper ^= low
-    return DominatingEdgeSubgraph(mask_members(spanned), tuple(dom_edges))
+    return tuple(dom_edges)
 
 
 def packing_number(g: Graph) -> int:

@@ -20,6 +20,7 @@ from json.encoder import encode_basestring_ascii
 from .errors import CapabilityError
 from .graphs import (
     CANONICAL_BOUND,
+    Edge,
     Graph,
     canonical_form,
     canonical_key,
@@ -35,9 +36,9 @@ from .graphs import (
 )
 from .graphio import graph6_from_key
 from .hypergraph import SpernerFamily
-from .domination import DominatingEdgeSubgraph, TotalDominationReport
-from .domination import dominating_edge_subgraph, mtds, packing_number, report
+from .domination import TotalDominationReport, mtds, packing_number, report
 # unused here; bound because perfbench/layers.json traces search.<name> sites
+from .domination import dominating_edge_subgraph  # noqa: F401
 from .graphio import serialize_graph  # noqa: F401
 
 
@@ -182,7 +183,8 @@ class Profile:
     """Total-domination profile of one graph, shared by the catalog and the CLI.
 
     Only a graph with total domination defined (a vertex, none isolated)
-    has one.  dominating_edges is None unless gamma_t is 2.
+    has one.  dominating_edges is None unless gamma_t is 2, and then holds
+    what dominating_edge_subgraph returns.
     """
 
     family: SpernerFamily
@@ -190,7 +192,7 @@ class Profile:
     rho: int
     diameter: int | None
     girth: int | None
-    dominating_edges: DominatingEdgeSubgraph | None
+    dominating_edges: tuple[Edge, ...] | None
 
 
 # The most minimal total dominating sets a profile lists.  The family can
@@ -232,9 +234,14 @@ def _profile_block(graphs: list[Graph]) -> list[Profile]:
                 "a profile lists the whole family, so it stops there"
             ) from None
     reports = list(map(report, graphs, families))
+    # a dominating edge is a minimal TDS of size 2: its pairs (u, v), u < v,
+    # sorted, since the family lists them by mask (C4's (1, 2) before (0, 3))
     edges = [
-        dominating_edge_subgraph(g) if rep.gamma_t == 2 else None
-        for g, rep in zip(graphs, reports)
+        None if rep.gamma_t != 2 else tuple(sorted(
+            ((e & -e).bit_length() - 1, e.bit_length() - 1)
+            for e in fam.edges if e.bit_count() == 2
+        ))
+        for fam, rep in zip(families, reports)
     ]
     rhos = [packing_number(g) for g in graphs]
     diameters = [diameter(g) for g in graphs]
@@ -271,7 +278,7 @@ def _classify_block(block: list[tuple]) -> list[CatalogEntry]:
     graphs = [Graph(len(adj), adj) for adj in adjs]
     profiles = _profile_block(graphs)
     matchings = [
-        None if p.dominating_edges is None else max_matching_of_edges(p.dominating_edges.edges)
+        None if p.dominating_edges is None else max_matching_of_edges(p.dominating_edges)
         for p in profiles
     ]
     planars = [is_planar(g) if planar is None else planar for g, planar in zip(graphs, planars)]

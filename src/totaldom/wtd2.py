@@ -169,11 +169,11 @@ def w2_membership(g: Graph) -> W2Membership:
     if packing_number(g) != 2:
         return W2Membership(False, None, "packing number is 1")
 
-    gde = dominating_edge_subgraph(g)
-    h_ids = gde.vertices
+    dom_edges = dominating_edge_subgraph(g)
+    h_mask = vertex_mask(v for e in dom_edges for v in e)
+    h_ids = mask_members(h_mask)
     pos = {old: new for new, old in enumerate(h_ids)}
-    h = Graph.from_edges(len(h_ids), tuple((pos[u], pos[v]) for u, v in gde.edges))
-    h_mask = gde.vertex_mask
+    h = Graph.from_edges(len(h_ids), tuple((pos[u], pos[v]) for u, v in dom_edges))
 
     # the lowest-id vertex outside h per open neighborhood: a core vertex may
     # share a cover's neighborhood, but the recipe needs an outside realizer,
@@ -263,9 +263,9 @@ def recognize_triangle_free_wtd2(g: Graph) -> bool:
 #   0 0
 #
 # Sections appear in the order H, MVC, STEP3, HPRIME, STEP4; STEP3 may be
-# empty and HPRIME/STEP4 may be omitted together.  Blank lines and '#'
-# comments are ignored.  MVC lines map a comma-separated h vertex set to its
-# fresh id; STEP4 lines are `<h'-local id> <h id>`.
+# empty or omitted and HPRIME/STEP4 may be omitted together.  Blank lines and
+# '#' comments are ignored.  MVC lines map a comma-separated h vertex set,
+# with no empty member, to its fresh id; STEP4 lines are `<h'-local id> <h id>`.
 
 _SECTIONS = ("H:", "MVC:", "STEP3:", "HPRIME:", "STEP4:")
 
@@ -280,6 +280,11 @@ def parse_recipe(text: str) -> W2Recipe:
         if line in _SECTIONS:
             if line in sections:
                 raise ParseError(f"line {lineno}: duplicate section {line}")
+            if current is not None and _SECTIONS.index(line) < _SECTIONS.index(current):
+                raise ParseError(
+                    f"line {lineno}: section {line} after {current}; "
+                    f"sections go in the order {' '.join(_SECTIONS)}"
+                )
             current = line
             sections[current] = []
             continue
@@ -298,13 +303,16 @@ def parse_recipe(text: str) -> W2Recipe:
         if "->" not in line:
             raise ParseError(f"malformed MVC line {line!r}; expected '<ids> -> <fresh id>'")
         left, _, right = line.partition("->")
+        if not left.strip():
+            raise ParseError(f"malformed MVC line {line!r}: empty cover")
+        tokens = left.split(",")
+        if not all(tok.strip() for tok in tokens):
+            raise ParseError(f"malformed MVC line {line!r}: empty vertex id")
         try:
-            cover = vertex_mask(int(tok) for tok in left.strip().split(",") if tok.strip())
+            cover = vertex_mask(int(tok) for tok in tokens)
             fresh = int(right.strip())
         except ValueError:
             raise ParseError(f"malformed MVC line {line!r}") from None
-        if cover == 0:
-            raise ParseError(f"malformed MVC line {line!r}: empty cover")
         mvc_pairs.append((cover, fresh))
     mvc_pairs.sort()
 

@@ -429,3 +429,77 @@ def w2_recipe_graphs(n_max: int):
                                     if cover >> v & 1:
                                         g_adj[v] |= 1 << (base + w)
                             yield Graph(base + m, tuple(g_adj))
+
+
+# ---------------------------------------------------------------------------
+# catalog lines
+
+
+def catalog_fields_from_graph6(text: str) -> dict:
+    """Every field of a catalog line but canonical_key and graph6,
+    recomputed from the line's graph6 string with no totaldom code.
+
+    The string (order at most 62) is decoded here.  One sweep of the subset
+    lattice, each set built from the set without its lowest vertex, gives
+    gamma_t, Gamma_t, is_wtd and rho; networkx (the test extra) gives the
+    rest.  Raises AssertionError when the graph has a dominating edge but
+    the sweep's gamma_t is not 2, or the other way round.
+    """
+    import networkx as nx
+
+    n = ord(text[0]) - 63
+    bits = "".join(f"{ord(c) - 63:06b}" for c in text[1:])
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    edges = [pair for pair, bit in zip(pairs, bits) if bit == "1"]
+
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    full = (1 << n) - 1
+    opened = [0] * (1 << n)  # N(S): the vertices with a neighbour in S
+    closed = [0] * (1 << n)  # N[S]
+    packing = [True] * (1 << n)  # the N[v] of S pairwise disjoint
+    rho = 0
+    for s in range(1, 1 << n):
+        rest, low = s & (s - 1), (s & -s).bit_length() - 1
+        ball = adj[low] | 1 << low
+        opened[s] = opened[rest] | adj[low]
+        closed[s] = closed[rest] | ball
+        packing[s] = packing[rest] and not closed[rest] & ball
+        if packing[s]:
+            rho = max(rho, s.bit_count())
+    sizes = [
+        s.bit_count()
+        for s in range(1, 1 << n)
+        if opened[s] == full and all(opened[s & ~(1 << v)] != full for v in range(n) if s >> v & 1)
+    ]
+    gamma_t, big_gamma_t = min(sizes), max(sizes)
+
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    dominating = [(u, v) for u, v in g.edges() if set(g[u]) | set(g[v]) == set(g)]
+    if bool(dominating) != (gamma_t == 2):
+        raise AssertionError(
+            f"{text}: {len(dominating)} dominating edges, but the sweep's gamma_t is {gamma_t}"
+        )
+    girth = nx.girth(g)
+    return {
+        "n": n,
+        "m": g.number_of_edges(),
+        "min_degree": min(d for _, d in g.degree()),
+        "gamma_t": gamma_t,
+        "Gamma_t": big_gamma_t,
+        "is_wtd": gamma_t == big_gamma_t,
+        "rho": rho,
+        "diameter": nx.diameter(g) if nx.is_connected(g) else None,
+        "girth": None if girth == float("inf") else girth,
+        "nu_gde": (
+            len(nx.max_weight_matching(nx.Graph(dominating), maxcardinality=True))
+            if dominating
+            else None
+        ),
+        "planar": nx.check_planarity(g)[0],
+        "triangle_free": not any(nx.triangles(g).values()),
+    }

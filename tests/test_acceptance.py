@@ -107,8 +107,8 @@ def test_criterion_03_neighborhood_properties(atlas7, atlas8):
     for key, g in atlas8:
         if not td.recognize_wtd_k(g, 2).accepted:
             continue
-        gde = td.dominating_edge_subgraph(g)
-        covers = td.minimal_vertex_covers(td.Graph.from_edges(g.n, gde.edges))
+        dom_edges = td.dominating_edge_subgraph(g)
+        covers = td.minimal_vertex_covers(td.Graph.from_edges(g.n, dom_edges))
         for cover in covers.edges:
             checked_covers += 1
             if all(g.adj[v] != cover for v in range(g.n)):
@@ -254,7 +254,7 @@ def test_criterion_06_w2_construction_and_membership(atlas8):
         ok_case = (
             td.recognize_wtd_k(built, 2).accepted
             and td.packing_number(built) == 2
-            and set(td.dominating_edge_subgraph(built).edges) == set(recipe.h.edges())
+            and set(td.dominating_edge_subgraph(built)) == set(recipe.h.edges())
         )
         if not ok_case:
             failures.append(("forward", case))

@@ -165,6 +165,15 @@ class TestAnalyze:
         assert payload["rho"] == 1
         assert payload["g_de_edges"] == [["y", "z"], ["y", "t"], ["t", "w"]]
 
+    def test_c4_dominating_edges_in_pair_order(self, capsys, graph_file):
+        # the family lists sets by mask, so {0, 3} (9) follows {1, 2} (6);
+        # the dominating edges are the same four sets as sorted (u, v) pairs
+        code, out, _ = run_cli(capsys, "analyze", graph_file("n 4\n0 1\n1 2\n2 3\n0 3\n"))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["mtds"] == [[0, 1], [1, 2], [0, 3], [2, 3]]
+        assert payload["g_de_edges"] == [[0, 1], [0, 3], [1, 2], [2, 3]]
+
     def test_family_limit(self, capsys, graph_file):
         # 16 disjoint copies of K4 have 6**16 minimal TDSs; the profile
         # stops after MTDS_LIMIT of them (about 1 s) instead
@@ -383,6 +392,20 @@ class TestConstructW2:
         code, out, err = run_cli(capsys, "construct-w2", path)
         assert code == 2
         assert "step 2" in err and "no fresh vertex" in err
+
+    @pytest.mark.parametrize(
+        "bad, fragment",
+        [
+            ("H:\nn 2\n0 1\nMVC:\n,0 -> 2\n1 -> 3\n", "malformed MVC line ',0 -> 2'"),
+            ("H:\nn 2\n0 1\nMVC:\n0 -> 2\n1, -> 3\n", "malformed MVC line '1, -> 3'"),
+            ("MVC:\n0 -> 2\n1 -> 3\nH:\nn 2\n0 1\n", "line 4: section H: after MVC:"),
+        ],
+    )
+    def test_recipe_format_refused(self, capsys, graph_file, bad, fragment):
+        path = graph_file(bad, name="bad.recipe")
+        code, out, err = run_cli(capsys, "construct-w2", path)
+        assert code == 2 and out == ""
+        assert fragment in err
 
 
 class TestW2Check:

@@ -219,39 +219,31 @@ class TestRecognizeWtdK:
         assert td.is_minimal_tds(g, r.witness)
 
 
-class TestDominatingEdgeSubgraph:
+class TestDominatingEdges:
     def test_figure_graph(self, figure1):
-        gde = td.dominating_edge_subgraph(figure1)
-        assert gde.edges == ((1, 2), (1, 3), (3, 4))
-        assert gde.vertices == (1, 2, 3, 4)
-        assert gde.vertex_mask == 0b11110
+        assert td.dominating_edge_subgraph(figure1) == ((1, 2), (1, 3), (3, 4))
 
     def test_complete_graph(self):
-        gde = td.dominating_edge_subgraph(complete_graph(4))
-        assert len(gde.edges) == 6
+        assert len(td.dominating_edge_subgraph(complete_graph(4))) == 6
 
     def test_star(self):
-        gde = td.dominating_edge_subgraph(star_graph(3))
-        assert gde.edges == ((0, 1), (0, 2), (0, 3))
+        assert td.dominating_edge_subgraph(star_graph(3)) == ((0, 1), (0, 2), (0, 3))
 
     def test_undefined_when_gamma_t_above_2(self):
-        gde = td.dominating_edge_subgraph(path_graph(5))
-        assert gde.vertices == () and gde.edges == ()
+        assert td.dominating_edge_subgraph(path_graph(5)) == ()
 
-    def test_vertices_are_edge_endpoints(self):
+    def test_edges_match_brute_force(self):
         rng = random.Random(17)
         seen_defined = 0
         for _ in range(150):
             g = random_isolate_free_graph(rng, rng.randint(2, 6))
-            gde = td.dominating_edge_subgraph(g)
+            dom_edges = td.dominating_edge_subgraph(g)
             tds = set(brute_total_dominating_sets(g))
-            assert set(gde.edges) == {(u, v) for u, v in g.edges() if (1 << u) | (1 << v) in tds}
-            if not gde.edges:
+            assert set(dom_edges) == {(u, v) for u, v in g.edges() if (1 << u) | (1 << v) in tds}
+            if not dom_edges:
                 continue
             seen_defined += 1
-            incident = sorted({v for e in gde.edges for v in e})
-            assert list(gde.vertices) == incident
-            for u, v in gde.edges:
+            for u, v in dom_edges:
                 assert td.is_minimal_tds(g, (1 << u) | (1 << v))
         assert seen_defined > 20
 

@@ -27,6 +27,7 @@ from oracles import (
     brute_minimal_tds,
     brute_packing_number,
     brute_planar,
+    catalog_fields_from_graph6,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -514,6 +515,29 @@ class TestClassify:
             got = td.classify(random_relabel(g, rng))
             assert dataclasses.asdict(got) == dataclasses.asdict(entry)
 
+    @staticmethod
+    def checked_gamma_t_2(graphs):
+        """How many graphs have gamma_t 2, after asserting that each profile
+        then holds dominating_edge_subgraph(g) exactly, and None otherwise."""
+        count = 0
+        for g in graphs:
+            prof = td.search.profile(g)
+            if prof.report.gamma_t == 2:
+                assert prof.dominating_edges == td.dominating_edge_subgraph(g), g.edges()
+                count += 1
+            else:
+                assert prof.dominating_edges is None
+        return count
+
+    def test_dominating_edges_match_the_scan_to_7(self, atlas7):
+        # C4's family lists {1, 2} before {0, 3}; the scan's order is pinned
+        assert self.checked_gamma_t_2(g for _, g in atlas7) == 794
+
+    def test_dominating_edges_match_the_scan_past_the_atlas(self):
+        rng = random.Random(1212)
+        graphs = [random_connected_graph(rng, rng.randint(12, 18)) for _ in range(200)]
+        assert self.checked_gamma_t_2(graphs) == 60
+
     def test_wtd_regression_counts(self):
         wtd_by_n = {4: 0, 5: 0}
         for key, adj, _ in td.enumerate_graphs(td.SearchFilter(n_max=5, n_min=4)):
@@ -721,6 +745,18 @@ def catalog7(tmp_path_factory):
     out = tmp_path_factory.mktemp("catalog7") / "catalog.jsonl"
     rep = td.run_search(td.SearchFilter(n_max=7), out_path=str(out))
     return out.read_bytes(), rep
+
+
+def test_every_field_recomputed_to_7(catalog7):
+    # each line of a fresh catalog against tests/oracles.py, which recomputes
+    # it from the graph6 string alone, with no totaldom code
+    lines = catalog7[0].decode().splitlines()
+    assert len(lines) == 995
+    for line in lines:
+        record = json.loads(line)
+        fields = catalog_fields_from_graph6(record["graph6"])
+        assert fields == {name: record[name] for name in fields}, line
+        assert set(record) == set(fields) | {"canonical_key", "graph6"}
 
 
 class TestCrossFilterResume:

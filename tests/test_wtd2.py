@@ -52,8 +52,7 @@ class TestConstructW2:
         assert g.m == 21
         assert td.recognize_wtd_k(g, 2).accepted
         assert td.packing_number(g) == 2
-        gde = td.dominating_edge_subgraph(g)
-        assert gde.edges == ((0, 1), (2, 3))
+        assert td.dominating_edge_subgraph(g) == ((0, 1), (2, 3))
 
     def test_step1_empty(self):
         with pytest.raises(td.RecipeValidationError) as err:
@@ -328,8 +327,8 @@ class TestRealizerChoice:
 
             r = td.w2_membership(g)
             assert r.member
-            h_ids = td.dominating_edge_subgraph(g).vertices
-            h_mask = td.vertex_mask(h_ids)
+            h_mask = td.vertex_mask(v for e in td.dominating_edge_subgraph(g) for v in e)
+            h_ids = td.mask_members(h_mask)
             used = 0
             for c, _ in r.recipe.mvc_vertices:
                 nbhd = td.vertex_mask(h_ids[v] for v in td.mask_members(c))
@@ -444,6 +443,18 @@ class TestRecipeText:
             ("H:\nn 2\n0 1\nMVC:\n0 2\n", "expected '<ids> -> <fresh id>'"),
             ("H:\nn 2\n0 1\nMVC:\nq -> 2\n", "malformed MVC line"),
             ("H:\nn 2\n0 1\nMVC:\n-> 2\n", "empty cover"),
+            ("H:\nn 2\n0 1\nMVC:\n,0 -> 2\n1 -> 3\n", "MVC line ',0 -> 2': empty vertex id"),
+            ("H:\nn 2\n0 1\nMVC:\n0 -> 2\n1, -> 3\n", "MVC line '1, -> 3': empty vertex id"),
+            ("H:\nn 3\n0 1\n1 2\nMVC:\n1 -> 3\n0, ,2 -> 4\n", "line '0, ,2 -> 4': empty vertex id"),
+            ("MVC:\n0 -> 2\n1 -> 3\nH:\nn 2\n0 1\n", "line 4: section H: after MVC:"),
+            (
+                "H:\nn 2\n0 1\nMVC:\n0 -> 2\n1 -> 3\nHPRIME:\nn 1\nSTEP3:\nSTEP4:\n0 0\n",
+                "line 9: section STEP3: after HPRIME:",
+            ),
+            (
+                "H:\nn 2\n0 1\nSTEP4:\n0 0\nMVC:\n0 -> 2\n1 -> 3\n",
+                "line 6: section MVC: after STEP4:",
+            ),
             ("H:\nn 2\n0 1\nMVC:\n0 -> 2\n1 -> 3\nSTEP3:\n0 1 2\n", "malformed STEP3"),
             ("H:\nn 2\n0 1\nMVC:\n0 -> 2\n1 -> 3\nSTEP3:\n0 x\n", "malformed STEP3 line '0 x'"),
             (
@@ -457,6 +468,21 @@ class TestRecipeText:
         with pytest.raises(td.ParseError) as err:
             td.parse_recipe(text)
         assert fragment in str(err.value)
+
+    def test_step3_may_be_left_out(self):
+        # with HPRIME and STEP4 still there
+        text = "H:\nn 2\n0 1\nMVC:\n0 -> 2\n1 -> 3\nHPRIME:\nn 1\nSTEP4:\n0 0\n"
+        recipe = td.parse_recipe(text)
+        assert recipe.step3_edges == () and recipe.step4_edges == ((0, 0),)
+
+    def test_membership_recipes_read_back(self, atlas7):
+        members = 0
+        for _, g in atlas7:
+            r = td.w2_membership(g)
+            if r.member:
+                members += 1
+                assert td.parse_recipe(td.serialize_recipe(r.recipe)) == r.recipe
+        assert members == 162
 
     def test_empty_hprime_section_means_none(self):
         text = "H:\nn 2\n0 1\nMVC:\n0 -> 2\n1 -> 3\nHPRIME:\nn 0\nSTEP4:\n"

@@ -442,19 +442,24 @@ def _fits_in_a_face(adj: tuple[int, ...], nb: int) -> bool:
     return rest & (rest - 1) == 0 and (adj[low.bit_length() - 1] & rest) != 0
 
 
-def _children(n: int, parents: list[tuple], triangle_free: bool) -> list[tuple]:
-    """The unkeyed children of a block of order-n parents, each parent an
-    (adjacency, planar, generators) record, as (child adjacency, planar
-    fact) pairs in parent order, then neighbourhood-mask order.
+def _keyed_children(
+    n: int, parents: list[tuple], triangle_free: bool, keep_gens: bool
+) -> list[tuple]:
+    """The children of a block of order-n parents, each parent an
+    (adjacency, planar, generators) record, as (key, child adjacency,
+    planar fact, generators) in parent order, then neighbourhood-mask order.
 
     Each parent table (_orbit_labels, _below, _parts_without,
     _neighbour_degree_sums, _degree_cap) is built for the whole block
-    before the candidate loop runs.  A parent tries the least mask of each
-    orbit of masks with at most _degree_cap members, and keeps it when it
-    passes _new_vertex_is_least and, if triangle_free is set, no two of
-    its members are adjacent.  The fact is
-    False under a non-planar parent, True when the new vertex fits in a
-    face of a planar one (_fits_in_a_face), and None otherwise.
+    before the candidate loop runs, and every child is keyed by
+    canonical_key in one pass after it.  A parent tries the least mask of
+    each orbit of masks with at most _degree_cap members, and keeps it when
+    it passes _new_vertex_is_least and, if triangle_free is set, no two of
+    its members are adjacent.  The fact is False under a non-planar parent,
+    True when the new vertex fits in a face of a planar one
+    (_fits_in_a_face), and None otherwise.  generators is the list
+    canonical_key fills when keep_gens is set, else None.  A pure function
+    of its arguments, so it may run in any process.
     """
     adjs = [adj for adj, _, _ in parents]
     orbits = [_orbit_labels(n, gens) for _, _, gens in parents]
@@ -462,7 +467,7 @@ def _children(n: int, parents: list[tuple], triangle_free: bool) -> list[tuple]:
     partss = [_parts_without(n, adj) for adj in adjs]
     sumss = list(map(_neighbour_degree_sums, adjs))
     caps = list(map(_degree_cap, adjs, partss))
-    out = []
+    children = []
     for (adj, planar, _), orbit, below, parts, sums, cap in zip(
         parents, orbits, belows, partss, sumss, caps
     ):
@@ -482,8 +487,27 @@ def _children(n: int, parents: list[tuple], triangle_free: bool) -> list[tuple]:
                 fact = True
             else:
                 fact = None
-            out.append((child, fact))
-    return out
+            children.append((child, fact))
+    keyed = []
+    for child, fact in children:
+        gens = [] if keep_gens else None
+        keyed.append((canonical_key(n + 1, child, gens), child, fact, gens))
+    return keyed
+
+
+def _merge(level: dict[bytes, tuple], keyed: list[tuple]) -> None:
+    """Merge _keyed_children's output into a level dict, key -> (adjacency,
+    planar, generators): the first child to reach a key is its record, and
+    planar is the first fact that is not None among the key's children.
+    Merged block by block in walk order, a level keeps what one merge of
+    all its children in parent order would keep.
+    """
+    for key, child, fact, gens in keyed:
+        record = level.get(key)
+        if record is None:
+            level[key] = (child, fact, gens)
+        elif record[1] is None and fact is not None:
+            level[key] = (record[0], fact, record[2])
 
 
 def enumerate_graphs(filt: SearchFilter):
@@ -511,42 +535,28 @@ def enumerate_graphs(filt: SearchFilter):
     yielded) and G is still reached.
 
     A parent tries one neighbourhood per orbit of its automorphism group
-    (the orbit half of McKay's method), the least mask of each.  An
-    automorphism s maps the child of nb isomorphically onto the child of
-    s(nb), and the rule above and the triangle test hold for both or for
-    neither, so every skipped child is isomorphic to one that is tried.
-    The group's generators come from the labelling search that computed
-    the parent's key (canonical_key's generators list), so each class runs
-    one labelling search.  Neighbourhoods of more than _degree_cap members
-    are not tried at all: the rule rejects every one of them.  The
-    per-level dict keeps the first labelled child that reaches each key;
-    which child that is depends on the rule and on the parent order, so the
-    yielded adjacencies may be other labellings of the same classes, while
-    the keys and their order do not change.
+    (the orbit half of McKay's method).  An automorphism s maps the child
+    of nb isomorphically onto the child of s(nb), and the rule above and
+    the triangle test hold for both or for neither, so every skipped child
+    is isomorphic to one that is tried.  The generators come from the
+    labelling search that keyed the parent, so each class runs one.
 
-    Each level is one dict, key -> (adjacency, planar, generators), holding
-    the record of each class from the moment its key is first reached, and
-    is walked once in key order, BLOCK classes at a time.  Each block's
-    classes are yielded first; then the block is expanded by _children,
-    every child of the block is keyed in one pass, and the keyed children
-    are merged into the next level's dict in parent order, then mask
-    order, so each key keeps the child it would keep with one parent at a
-    time.  generators are those of the adjacency kept, and None on the
-    last level, which is not expanded.  planar is inherited in both
-    directions, from whichever parent that generates the child shows it:
-    False when the parent is non-planar, since it is an induced subgraph,
-    and True when the parent is planar and the new vertex fits in a face
-    (_fits_in_a_face).  A planar still None is decided by is_planar, once
-    per class, when its level is expanded further or filtered on
-    planarity; on the last level planar is None unless inherited, and
-    the classification decides it (_classify_block).  A Graph is built only
-    for is_planar.  The planar and triangle-free restrictions prune whole
+    The search runs in three steps.  This walk takes each level, a dict
+    that _merge fills, in key order, BLOCK classes at a time.  A planar
+    still None is decided by is_planar, once per class, when its level is
+    expanded further or filtered on planarity; on the last level, which is
+    not expanded and keeps no generators, it stays None unless inherited,
+    and _classify_block decides it.  Each block's classes are yielded, then
+    _keyed_children expands and keys the block and _merge folds its
+    children into the next level.  The yielded adjacency is the first
+    labelled child that reached its key, so another walk order could yield
+    another labelling of the same class; the keys and their order would not
+    change.  The planar and triangle-free restrictions prune whole
     subtrees, since a child can qualify only if its parent does.
     """
     level: dict[bytes, tuple] = {canonical_key(1, (0,)): ((0,), True, [])}
     for n in range(1, filt.n_max + 1):
         deepen = n < filt.n_max
-        keep_gens = n + 1 < filt.n_max
         nxt: dict[bytes, tuple] = {}
         keys = sorted(level)
         for start in range(0, len(keys), BLOCK):
@@ -564,18 +574,7 @@ def enumerate_graphs(filt: SearchFilter):
                     yield key, adj, planar
                 if deepen:
                     parents.append((adj, planar, gens))
-            children = _children(n, parents, filt.triangle_free_only)
-            child_gens = [[] if keep_gens else None for _ in children]
-            child_keys = [
-                canonical_key(n + 1, child, gens)
-                for (child, _), gens in zip(children, child_gens)
-            ]
-            for child_key, (child, fact), gens in zip(child_keys, children, child_gens):
-                record = nxt.get(child_key)
-                if record is None:
-                    nxt[child_key] = (child, fact, gens)
-                elif record[1] is None and fact is not None:
-                    nxt[child_key] = (record[0], fact, record[2])
+            _merge(nxt, _keyed_children(n, parents, filt.triangle_free_only, n + 1 < filt.n_max))
         level = nxt
 
 

@@ -271,7 +271,10 @@ _SECTIONS = ("H:", "MVC:", "STEP3:", "HPRIME:", "STEP4:")
 
 
 def parse_recipe(text: str) -> W2Recipe:
-    sections: dict[str, list[str]] = {}
+    """Read a recipe in the text format above.  Raises ParseError naming the
+    recipe's line for every error within a section."""
+    sections: dict[str, list[tuple[int, str]]] = {}  # (line number, text) per line
+    heads: dict[str, int] = {}  # the line number of each section's heading
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -287,42 +290,44 @@ def parse_recipe(text: str) -> W2Recipe:
                 )
             current = line
             sections[current] = []
+            heads[current] = lineno
             continue
         if current is None:
             raise ParseError(f"line {lineno}: content before the H: section")
-        sections[current].append(line)
+        sections[current].append((lineno, line))
 
     if "H:" not in sections:
         raise ParseError("missing H: section")
     if "MVC:" not in sections:
         raise ParseError("missing MVC: section")
-    h = parse_graph("\n".join(sections["H:"]), EDGE_LIST)
+    h = _parse_section_graph(heads["H:"], sections["H:"])
 
     mvc_pairs = []
-    for line in sections["MVC:"]:
+    for lineno, line in sections["MVC:"]:
+        where = f"line {lineno}: malformed MVC line {line!r}"
         if "->" not in line:
-            raise ParseError(f"malformed MVC line {line!r}; expected '<ids> -> <fresh id>'")
+            raise ParseError(f"{where}; expected '<ids> -> <fresh id>'")
         left, _, right = line.partition("->")
         if not left.strip():
-            raise ParseError(f"malformed MVC line {line!r}: empty cover")
+            raise ParseError(f"{where}: empty cover")
         tokens = left.split(",")
         if not all(tok.strip() for tok in tokens):
-            raise ParseError(f"malformed MVC line {line!r}: empty vertex id")
+            raise ParseError(f"{where}: empty vertex id")
         try:
             cover = vertex_mask(int(tok) for tok in tokens)
             fresh = int(right.strip())
         except ValueError:
-            raise ParseError(f"malformed MVC line {line!r}") from None
+            raise ParseError(where) from None
         mvc_pairs.append((cover, fresh))
     mvc_pairs.sort()
 
-    step3 = [_parse_pair(line, "STEP3") for line in sections.get("STEP3:", [])]
+    step3 = [_parse_pair(lineno, line, "STEP3") for lineno, line in sections.get("STEP3:", [])]
     h_prime = None
     if "HPRIME:" in sections:
-        h_prime = parse_graph("\n".join(sections["HPRIME:"]), EDGE_LIST)
+        h_prime = _parse_section_graph(heads["HPRIME:"], sections["HPRIME:"])
         if h_prime.n == 0:
             h_prime = None
-    step4 = [_parse_pair(line, "STEP4") for line in sections.get("STEP4:", [])]
+    step4 = [_parse_pair(lineno, line, "STEP4") for lineno, line in sections.get("STEP4:", [])]
     if h_prime is None and step4:
         raise ParseError("STEP4 edges given without an HPRIME section")
 
@@ -335,14 +340,24 @@ def parse_recipe(text: str) -> W2Recipe:
     )
 
 
-def _parse_pair(line: str, section: str) -> tuple[int, int]:
+def _parse_section_graph(head: int, body: list[tuple[int, str]]) -> Graph:
+    """parse_graph on a section's lines, each at its line number in the
+    recipe and blank lines elsewhere, so that its errors name the recipe's
+    lines; an empty section's missing header names its heading line."""
+    rows = [""] * (body[-1][0] if body else head)
+    for lineno, line in body:
+        rows[lineno - 1] = line
+    return parse_graph("".join(row + "\n" for row in rows), EDGE_LIST)
+
+
+def _parse_pair(lineno: int, line: str, section: str) -> tuple[int, int]:
     parts = line.split()
     if len(parts) != 2:
-        raise ParseError(f"malformed {section} line {line!r}; expected '<u> <v>'")
+        raise ParseError(f"line {lineno}: malformed {section} line {line!r}; expected '<u> <v>'")
     try:
         return int(parts[0]), int(parts[1])
     except ValueError:
-        raise ParseError(f"malformed {section} line {line!r}") from None
+        raise ParseError(f"line {lineno}: malformed {section} line {line!r}") from None
 
 
 def serialize_recipe(recipe: W2Recipe) -> str:

@@ -435,6 +435,16 @@ def w2_recipe_graphs(n_max: int):
 # catalog lines
 
 
+def _graph6_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The order and edges (u, v), u < v, of a graph6 string of order at
+    most 62: one character n + 63, then the upper triangle column by column,
+    6 bits per character + 63."""
+    n = ord(text[0]) - 63
+    bits = "".join(f"{ord(c) - 63:06b}" for c in text[1:])
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    return n, [pair for pair, bit in zip(pairs, bits) if bit == "1"]
+
+
 def catalog_fields_from_graph6(text: str) -> dict:
     """Every field of a catalog line but canonical_key and graph6,
     recomputed from the line's graph6 string with no totaldom code.
@@ -447,11 +457,7 @@ def catalog_fields_from_graph6(text: str) -> dict:
     """
     import networkx as nx
 
-    n = ord(text[0]) - 63
-    bits = "".join(f"{ord(c) - 63:06b}" for c in text[1:])
-    pairs = [(u, v) for v in range(1, n) for u in range(v)]
-    edges = [pair for pair, bit in zip(pairs, bits) if bit == "1"]
-
+    n, edges = _graph6_edges(text)
     adj = [0] * n
     for u, v in edges:
         adj[u] |= 1 << v
@@ -503,3 +509,42 @@ def catalog_fields_from_graph6(text: str) -> dict:
         "planar": nx.check_planarity(g)[0],
         "triangle_free": not any(nx.triangles(g).values()),
     }
+
+
+def catalog_class_counts(graph6s) -> dict[int, int]:
+    """The number of graph6 strings per order, after checking with no
+    totaldom code that each is connected and no two are isomorphic.
+
+    Each graph is bucketed by (n, m, degree sequence, networkx's
+    Weisfeiler-Lehman hash with 3 iterations), which isomorphic graphs
+    share, and networkx's is_isomorphic runs on every pair inside a bucket.
+    With the counts equal to OEIS A001349, that shows each connected class
+    is there exactly once.  Raises AssertionError naming a disconnected
+    graph or the first isomorphic pair.
+    """
+    import warnings
+
+    import networkx as nx
+
+    buckets: dict[tuple, list] = {}
+    counts: dict[int, int] = {}
+    for text in graph6s:
+        n, edges = _graph6_edges(text)
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(edges)
+        if not nx.is_connected(g):
+            raise AssertionError(f"{text}: disconnected")
+        with warnings.catch_warnings():
+            # networkx 3.5 changed its hashes and says so; isomorphic graphs
+            # still hash alike, which is all the bucketing needs
+            warnings.simplefilter("ignore")
+            wl = nx.weisfeiler_lehman_graph_hash(g, iterations=3)
+        degrees = tuple(sorted(d for _, d in g.degree()))
+        buckets.setdefault((n, len(edges), degrees, wl), []).append((text, g))
+        counts[n] = counts.get(n, 0) + 1
+    for bucket in buckets.values():
+        for (a, ga), (b, gb) in combinations(bucket, 2):
+            if nx.is_isomorphic(ga, gb):
+                raise AssertionError(f"{a} and {b} are isomorphic")
+    return counts

@@ -399,6 +399,16 @@ class TestConstructW2:
             ("H:\nn 2\n0 1\nMVC:\n,0 -> 2\n1 -> 3\n", "malformed MVC line ',0 -> 2'"),
             ("H:\nn 2\n0 1\nMVC:\n0 -> 2\n1, -> 3\n", "malformed MVC line '1, -> 3'"),
             ("MVC:\n0 -> 2\n1 -> 3\nH:\nn 2\n0 1\n", "line 4: section H: after MVC:"),
+            # the H: and HPRIME: bodies name the recipe's line, not the
+            # section's, also past blank and comment lines inside them
+            ("# a comment\nH:\nn 2\n0 x\nMVC:\n0 -> 2\n1 -> 3\n", "line 4: edge endpoints must"),
+            ("H:\n\n# the edge\nn 2\n0 x\nMVC:\n0 -> 2\n1 -> 3\n", "line 5: edge endpoints must"),
+            ("H:\nn 2\n0 1\nMVC:\n0 -> 2\n1 -> 3\nHPRIME:\nn 2\n0 0\n", "line 9: self-loop 0 0"),
+            (
+                "H:\nn 2\n0 1\nMVC:\n0 -> 2\n1 -> 3\nHPRIME:\n# h'\n\nn 1\n\n0 1\n",
+                "line 12: vertex 1 out of range for n=1",
+            ),
+            ("H:\nn 2\n0 1\nMVC:\n0 -> 2\n\n1 3\n", "line 7: malformed MVC line '1 3'"),
         ],
     )
     def test_recipe_format_refused(self, capsys, graph_file, bad, fragment):

@@ -27,6 +27,7 @@ from oracles import (
     brute_minimal_tds,
     brute_packing_number,
     brute_planar,
+    catalog_class_counts,
     catalog_fields_from_graph6,
     complete_graph,
     cycle_graph,
@@ -323,39 +324,45 @@ def stream_digest(filt):
     return h.hexdigest()
 
 
+# the frozen stream digest of each filter
+STREAMS = [
+    pytest.param(td.SearchFilter(n_max=7), N7_STREAM, id="n7"),
+    pytest.param(
+        td.SearchFilter(n_max=8, planar_only=True),
+        "d57e000a5e03c123db8b2a8aeb5a36da4f32af141429bbb51a1b374bc688ac2c",
+        id="planar8",
+    ),
+    pytest.param(
+        td.SearchFilter(n_max=8, triangle_free_only=True),
+        "13b6a1de8c4bfba723019fd997959d30b4b64543cf061161d875c521039daec7",
+        id="triangle_free8",
+    ),
+    pytest.param(
+        td.SearchFilter(n_max=8, min_degree=3),
+        "2ea435d66643189c6ab7a4998e25bd176ac8efb26f427d14fef40eef625eba87",
+        id="min_degree3_8",
+    ),
+]
+
+
 class TestEnumerationStream:
     # The whole stream is pinned, not only its keys: the adjacency a key
     # yields is the first labelled child that reached it, so it moves with
     # the order in which children are keyed and merged, and planar moves
     # with which parents' facts are merged.
-    @pytest.mark.parametrize(
-        "filt, digest",
-        [
-            (td.SearchFilter(n_max=7), N7_STREAM),
-            (
-                td.SearchFilter(n_max=8, planar_only=True),
-                "d57e000a5e03c123db8b2a8aeb5a36da4f32af141429bbb51a1b374bc688ac2c",
-            ),
-            (
-                td.SearchFilter(n_max=8, triangle_free_only=True),
-                "13b6a1de8c4bfba723019fd997959d30b4b64543cf061161d875c521039daec7",
-            ),
-            (
-                td.SearchFilter(n_max=8, min_degree=3),
-                "2ea435d66643189c6ab7a4998e25bd176ac8efb26f427d14fef40eef625eba87",
-            ),
-        ],
-        ids=["n7", "planar8", "triangle_free8", "min_degree3_8"],
-    )
+    @pytest.mark.parametrize("filt, digest", STREAMS)
     def test_stream_frozen(self, filt, digest):
         assert stream_digest(filt) == digest
 
     @pytest.mark.parametrize("block", [1, 7])
-    def test_stream_does_not_depend_on_block_size(self, monkeypatch, block):
+    @pytest.mark.parametrize("filt, digest", STREAMS)
+    def test_stream_does_not_depend_on_block_size(self, monkeypatch, filt, digest, block):
         # a level is expanded BLOCK parents at a time; every block size
-        # keys and merges the children in the same order
+        # keys and merges the children in the same order, so a key keeps
+        # the same child and the same planar fact, and a triangle-free
+        # parent drops the same children, across block boundaries
         monkeypatch.setattr(td.search, "BLOCK", block)
-        assert stream_digest(td.SearchFilter(n_max=7)) == N7_STREAM
+        assert stream_digest(filt) == digest
 
 
 def random_connected_graph(rng, n):
@@ -757,6 +764,27 @@ def test_every_field_recomputed_to_7(catalog7):
         fields = catalog_fields_from_graph6(record["graph6"])
         assert fields == {name: record[name] for name in fields}, line
         assert set(record) == set(fields) | {"canonical_key", "graph6"}
+
+
+def test_class_set_to_7(catalog7):
+    # each connected class of order <= 7 exactly once: no two lines are
+    # isomorphic (tests/oracles.py, networkx alone), and each order holds
+    # A001349's count
+    graph6s = [json.loads(line)["graph6"] for line in catalog7[0].decode().splitlines()]
+    assert catalog_class_counts(graph6s) == {n: c for n, c in A001349.items() if n <= 7}
+
+
+def test_class_set_refuses_a_doubled_class(catalog7):
+    # one order-7 line replaced by a relabelled copy of another order-7
+    # class: every count holds, so only the pairwise check can see it
+    graph6s = [json.loads(line)["graph6"] for line in catalog7[0].decode().splitlines()]
+    kept, lost = len(graph6s) - 500, len(graph6s) - 400
+    g = td.parse_graph(graph6s[kept], td.GRAPH6)
+    copy = td.serialize_graph(random_relabel(g, random.Random(3)), td.GRAPH6).strip()
+    assert g.n == 7 and copy not in graph6s
+    graph6s[lost] = copy
+    with pytest.raises(AssertionError, match="are isomorphic"):
+        catalog_class_counts(graph6s)
 
 
 class TestCrossFilterResume:

@@ -54,6 +54,7 @@ def _parse_edge_list(text: str) -> Graph:
                 if labels is not None:
                     raise ParseError(f"line {lineno}: duplicate labels directive")
                 labels = tuple(body[len("labels:"):].split())
+                labels_line = lineno
             continue
         parts = line.split()
         if n is None:
@@ -87,9 +88,11 @@ def _parse_edge_list(text: str) -> Graph:
         raise ParseError(f"line {last_line or 1}: missing header 'n <count>'")
     if labels is not None:
         if len(labels) != n:
-            raise ParseError(f"labels directive names {len(labels)} vertices, expected {n}")
+            raise ParseError(
+                f"line {labels_line}: labels directive names {len(labels)} vertices, expected {n}"
+            )
         if len(set(labels)) != n:
-            raise ParseError("labels directive contains duplicates")
+            raise ParseError(f"line {labels_line}: labels directive contains duplicates")
     return Graph.from_edges(n, edges, labels=labels)
 
 

@@ -8,6 +8,8 @@ neighbors(adj, mask) is the union of the neighborhoods of a mask, and
 component(adj, start, within) grows the vertices reachable from a mask.
 Planarity runs on the same masks: each biconnected block is tested on its
 own by path addition, with no dependency beyond the standard library.
+diameters and girths run their breadth-first searches for a whole list of
+graphs of order below 16 at once, one 16-bit lane of an int per graph.
 The search behind canonical keys also yields generators of the
 automorphism group (canonical_key's generators list), which the exhaustive
 search uses to try one neighbourhood per orbit of a parent.
@@ -15,7 +17,10 @@ search uses to try one neighbourhood per orbit of a parent.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError
@@ -204,7 +209,8 @@ def diameter(g: Graph) -> int | None:
     One layered bitmask BFS per source: the eccentricity is the number of
     layers after the source.  A source stops once it has reached every
     vertex, and the whole call returns None at the first layer that comes
-    up empty before that.
+    up empty before that.  diameters gives the same value for each graph of
+    a list at once; a search block of classes takes that one.
     """
     if g.n == 0:
         return None
@@ -234,6 +240,8 @@ def girth(g: Graph) -> int | None:
     no longer than itself.  For s on a shortest cycle the first such witness
     has exactly its length, so the minimum over sources is exact.  A source
     stops at its first witness, or once 2d + 1 cannot beat the best so far.
+    girths gives the same value for each graph of a list at once; a search
+    block of classes takes that one.
     """
     adj = g.adj
     best: int | None = None
@@ -261,6 +269,134 @@ def girth(g: Graph) -> int | None:
             frontier = reach
             d += 1
     return best
+
+
+# diameters and girths take a list of graphs of order below LANE_BOUND and
+# run one breadth-first search per source for all of them at once, in one
+# int per vertex set: each graph's set sits in the low 15 bits of its own
+# 16-bit lane and the lane's top bit stays clear, so adding 0x7FFF to every
+# lane carries into that top bit exactly when the lane is not empty.  A
+# vertex v of every lane's frontier is spread over its lane by multiplying
+# (frontier >> v) & ones, one bit per lane, by 0x7FFF.  Diameter plus girth
+# of one graph ran about 4 times slower than diameter and girth, and of
+# blocks of 256 order-8 classes about 3.7 times faster (search.LANES_FROM
+# chooses).
+LANE_BOUND = 16
+
+
+def _lanes(values: Iterable[int]) -> int:
+    """One int holding each value, below 2**16, in a 16-bit lane.  array
+    packs in the platform's byte order, which orders the lanes (the first
+    value lowest on a little-endian machine), so read them with
+    _lane_values."""
+    return int.from_bytes(array("H", values).tobytes(), sys.byteorder)
+
+
+def _lane_values(x: int, count: int) -> array:
+    """The values of the count 16-bit lanes of x, in _lanes' order."""
+    values = array("H")
+    values.frombytes(x.to_bytes(2 * count, sys.byteorder))
+    return values
+
+
+def _lane_rows(graphs: Sequence[Graph]) -> tuple[int, int, list[int]]:
+    """In lanes: the graphs' vertex sets, a 1 in every lane, and for each
+    vertex v the graphs' neighbourhoods of v (empty where a graph has no
+    v)."""
+    if any(g.n >= LANE_BOUND for g in graphs):
+        raise ValueError(f"lanes hold graphs of order below {LANE_BOUND}")
+    full = _lanes([g.full_mask for g in graphs])
+    ones = _lanes([1] * len(graphs))
+    return full, ones, [_lanes(col) for col in zip_longest(*(g.adj for g in graphs), fillvalue=0)]
+
+
+def diameters(graphs: Sequence[Graph]) -> list[int | None]:
+    """diameter(g) for each graph in the list, all graphs in lanes at once;
+    raises ValueError for a graph of order LANE_BOUND or more.
+
+    A graph's diameter is the number of radii r at which one of its balls
+    B(s, r) is still short of every vertex; a ball that stops growing short
+    of them makes the graph disconnected, and its lane leaves the search.
+    """
+    full, ones, rows = _lane_rows(graphs)
+    low, top = ones * 0x7FFF, ones << 15
+    cut = top & ~(full + low)  # the lanes that are disconnected (or empty)
+    short_at: list[int] = []  # per radius, the lanes with a ball still short
+    for s in range(len(rows)):
+        here = full >> s & ones  # the lanes with vertex s
+        seen = frontier = here << s
+        seen |= full & ~(here * 0xFFFF)  # no ball in a lane without s
+        r = 0
+        while short := ((full & ~seen) + low) & top:
+            if r == len(short_at):
+                short_at.append(short)
+            else:
+                short_at[r] |= short
+            reach = 0
+            f = frontier
+            for row in rows:
+                if bit := f & ones:
+                    reach |= bit * 0x7FFF & row
+                f >>= 1
+            frontier = reach & ~seen
+            if stuck := short & ~(frontier + low):
+                cut |= stuck
+                full &= ~((stuck >> 15) * 0xFFFF)
+            seen |= frontier
+            r += 1
+    count = len(graphs)
+    radii = _lane_values(sum(short >> 15 for short in short_at), count)
+    return [None if c else d for d, c in zip(radii, _lane_values(cut >> 15, count))]
+
+
+def girths(graphs: Sequence[Graph]) -> list[int | None]:
+    """girth(g) for each graph in the list, all graphs in lanes at once;
+    raises ValueError for a graph of order LANE_BOUND or more.
+
+    The witnesses are girth's: from a source s, an edge inside layer d gives
+    2d + 1, and otherwise a vertex of layer d + 1 reached twice gives
+    2d + 2.  Every witness bounds the girth and a shortest cycle's vertex
+    meets one of exactly its length, so a graph's girth is the least length
+    at which some source met one (None for a forest).  A source's lane
+    stops once 2d + 1 cannot beat the graph's shortest witness so far.
+    """
+    full, ones, rows = _lane_rows(graphs)
+    low, top = ones * 0x7FFF, ones << 15
+    found = [0, 0]  # per length 1, 2, 3, ..., the lanes with a witness
+    for s in range(len(rows)):
+        frontier = seen = (full >> s & ones) << s
+        at = 0  # the index in found of length 2d + 1
+        known = 0  # the lanes with a witness of length 2d + 1 or less
+        while frontier:
+            inside = reach = twice = 0
+            unseen = ~seen
+            f = frontier
+            for row in rows:
+                if bit := f & ones:
+                    nb = bit * 0x7FFF & row
+                    inside |= nb & frontier
+                    fresh = nb & unseen
+                    twice |= reach & fresh
+                    reach |= fresh
+                f >>= 1
+            odd = (inside + low) & top
+            even = (twice + low) & top
+            found[at] |= odd
+            found[at + 1] |= even
+            seen |= reach
+            at += 2
+            if at == len(found):
+                found += [0, 0]
+            known |= found[at - 1] | found[at]
+            frontier = reach & ~((known >> 15) * 0xFFFF)
+    before = total = 0  # the lanes with a witness so far; lengths before each lane's first
+    for witness in found:
+        before |= witness
+        total += (top & ~before) >> 15
+    count = len(graphs)
+    lengths = _lane_values(total, count)
+    forests = _lane_values((top & ~before) >> 15, count)
+    return [None if forest else 1 + length for length, forest in zip(lengths, forests)]
 
 
 def bipartition(g: Graph) -> tuple[int, int] | None:

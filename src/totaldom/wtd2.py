@@ -264,8 +264,10 @@ def recognize_triangle_free_wtd2(g: Graph) -> bool:
 #
 # Sections appear in the order H, MVC, STEP3, HPRIME, STEP4; STEP3 may be
 # empty or omitted and HPRIME/STEP4 may be omitted together.  Blank lines and
-# '#' comments are ignored.  MVC lines map a comma-separated h vertex set,
-# with no empty member, to its fresh id; STEP4 lines are `<h'-local id> <h id>`.
+# '#' comments are ignored, but for the '# labels:' line of H or HPRIME,
+# which parse_graph reads as serialize_graph writes it.  MVC lines map a
+# comma-separated h vertex set, with no empty member, to its fresh id; STEP4
+# lines are `<h'-local id> <h id>`.
 
 _SECTIONS = ("H:", "MVC:", "STEP3:", "HPRIME:", "STEP4:")
 
@@ -278,7 +280,12 @@ def parse_recipe(text: str) -> W2Recipe:
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line:
+            continue
+        if line.startswith("#"):
+            # parse_graph reads a graph section's comments (a labels line)
+            if current in ("H:", "HPRIME:"):
+                sections[current].append((lineno, line))
             continue
         if line in _SECTIONS:
             if line in sections:

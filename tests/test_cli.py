@@ -409,6 +409,11 @@ class TestConstructW2:
                 "line 12: vertex 1 out of range for n=1",
             ),
             ("H:\nn 2\n0 1\nMVC:\n0 -> 2\n\n1 3\n", "line 7: malformed MVC line '1 3'"),
+            # H:'s labels line is read, at its line in the recipe
+            (
+                "# h is an edge\nH:\nn 2\n# labels: a\n0 1\nMVC:\n0 -> 2\n1 -> 3\n",
+                "line 4: labels directive names 1 vertices, expected 2",
+            ),
         ],
     )
     def test_recipe_format_refused(self, capsys, graph_file, bad, fragment):

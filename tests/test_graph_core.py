@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import totaldom as td
-from totaldom.graphs import key_triangle, triangle_key
+from totaldom.graphs import _lane_values, _lanes, diameters, girths, key_triangle, triangle_key
+from totaldom.search import LANES_FROM
 from oracles import (
     all_graphs_up_to_iso,
     are_isomorphic,
@@ -359,6 +360,84 @@ class TestMetricsAgainstOracles:
                 g = random_graph(rng, n, 0.4 * rng.random())
             assert td.diameter(g) == brute_diameter(g)
             assert td.girth(g) == brute_girth(g)
+
+
+def lane_corpus(rng: random.Random, count: int) -> list[td.Graph]:
+    """count random graphs of orders 1-15: forests, two random parts side
+    by side, and random graphs of any density, in turn."""
+    out = []
+    for i in range(count):
+        n = rng.randint(1, 15)
+        if i % 3 == 0:  # a forest: each vertex joins an earlier one or none
+            edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.85]
+            out.append(td.Graph.from_edges(n, edges))
+        elif i % 3 == 1:
+            a = random_graph(rng, n // 2, rng.random())
+            b = random_graph(rng, n - n // 2, rng.random())
+            shift = n // 2
+            out.append(td.Graph.from_edges(
+                n, a.edges() + tuple((u + shift, v + shift) for u, v in b.edges())
+            ))
+        else:
+            out.append(random_graph(rng, n, rng.random() ** 2))
+    return out
+
+
+class TestLaneKernels:
+    """graphs.diameters and graphs.girths, one 16-bit lane per graph,
+    against diameter and girth graph by graph."""
+
+    @staticmethod
+    def assert_lanes_agree(graphs):
+        assert diameters(graphs) == [td.diameter(g) for g in graphs]
+        assert girths(graphs) == [td.girth(g) for g in graphs]
+
+    def test_lanes_round_trip(self):
+        # array("H") packs in the platform's byte order, which orders the
+        # lanes, so values go back out through the same one; each value
+        # sits whole in a 16-bit lane either way
+        values = [1, 0x7FFF, 0, 0x1234]
+        packed = _lanes(values)
+        assert sorted(packed >> 16 * i & 0xFFFF for i in range(4)) == sorted(values)
+        assert list(_lane_values(packed, len(values))) == values
+        assert list(_lane_values(0, 3)) == [0, 0, 0]
+
+    def test_atlas7(self, atlas7):
+        graphs = [g for _, g in atlas7]
+        assert len(graphs) == 995
+        self.assert_lanes_agree(graphs)  # every order 2..7 in one list
+        for start in range(0, len(graphs), 256):
+            self.assert_lanes_agree(graphs[start : start + 256])
+
+    def test_random_graphs_to_order_15(self):
+        graphs = lane_corpus(random.Random(37), 500)
+        assert {g.n for g in graphs} == set(range(1, 16))
+        assert sum(td.diameter(g) is None for g in graphs) > 100
+        assert sum(td.girth(g) is None for g in graphs) > 100
+        self.assert_lanes_agree(graphs)
+        for start in range(0, len(graphs), 64):
+            self.assert_lanes_agree(graphs[start : start + 64])
+
+    def test_long_cycles_and_paths(self):
+        # the deepest layers a lane holds: C15's girth 15, P15's diameter 14
+        graphs = [cycle_graph(n) for n in range(3, 16)] + [path_graph(n) for n in range(1, 16)]
+        self.assert_lanes_agree(graphs)
+        assert girths([cycle_graph(15)]) == [15]
+        assert diameters([path_graph(15)]) == [14]
+
+    @pytest.mark.parametrize("size", [LANES_FROM - 1, LANES_FROM, 256])
+    def test_list_sizes(self, size):
+        self.assert_lanes_agree(lane_corpus(random.Random(size), size))
+
+    def test_edge_cases(self):
+        empty = td.Graph(0, ())
+        assert diameters([]) == girths([]) == []
+        assert diameters([empty, td.Graph(1, (0,))]) == [None, 0]
+        assert girths([empty, td.Graph(1, (0,))]) == [None, None]
+        with pytest.raises(ValueError, match="order below 16"):
+            diameters([path_graph(16)])
+        with pytest.raises(ValueError, match="order below 16"):
+            girths([cycle_graph(3), cycle_graph(16)])
 
 
 def subdivided_with_trees(base: td.Graph) -> td.Graph:

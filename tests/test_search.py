@@ -709,12 +709,16 @@ class TestRunSearch:
         assert ":1:" in str(err.value)
 
     def test_parallel_matches_serial(self, tmp_path):
-        filt = td.SearchFilter(n_max=5)
-        serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-        rep1 = td.run_search(filt, out_path=str(serial))
-        rep2 = td.run_search(filt, out_path=str(parallel), jobs=2)
-        assert serial.read_bytes() == parallel.read_bytes()
-        assert rep1 == rep2
+        # n <= 5 and n <= 6 are one block each, of 31 and 143 classes, whose
+        # diameters and girths the workers take in lanes
+        for n_max in (5, 6):
+            filt = td.SearchFilter(n_max=n_max)
+            serial = tmp_path / f"serial{n_max}.jsonl"
+            parallel = tmp_path / f"parallel{n_max}.jsonl"
+            rep1 = td.run_search(filt, out_path=str(serial))
+            rep2 = td.run_search(filt, out_path=str(parallel), jobs=2)
+            assert serial.read_bytes() == parallel.read_bytes()
+            assert rep1 == rep2
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_gapped_resume_reports_in_enumeration_order(self, tmp_path, monkeypatch, jobs):
@@ -764,6 +768,16 @@ def test_every_field_recomputed_to_7(catalog7):
         fields = catalog_fields_from_graph6(record["graph6"])
         assert fields == {name: record[name] for name in fields}, line
         assert set(record) == set(fields) | {"canonical_key", "graph6"}
+
+
+@pytest.mark.parametrize("lanes_from", [1, td.search.BLOCK + 1])
+def test_catalog_does_not_depend_on_lanes(tmp_path, monkeypatch, catalog7, lanes_from):
+    # every block in lanes (one-graph profiles too), or none: the same
+    # diameters and girths, so the same catalog and report
+    monkeypatch.setattr(td.search, "LANES_FROM", lanes_from)
+    out = tmp_path / "catalog.jsonl"
+    rep = td.run_search(td.SearchFilter(n_max=7), out_path=str(out))
+    assert (out.read_bytes(), rep) == catalog7
 
 
 def test_class_set_to_7(catalog7):

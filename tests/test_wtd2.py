@@ -425,6 +425,19 @@ class TestRecipeText:
         assert "HPRIME" not in text
         assert td.parse_recipe(text) == recipe
 
+    def test_round_trip_with_labels(self):
+        # serialize_graph writes a labelled graph's '# labels:' line into
+        # the H: and HPRIME: sections, and parse_recipe hands it back
+        h = td.Graph.from_edges(2, [(0, 1)], labels=("a", "b"))
+        recipe = td.W2Recipe(h=h, mvc_vertices=((1, 2), (2, 3)))
+        assert "# labels: a b" in td.serialize_recipe(recipe)
+        assert td.parse_recipe(td.serialize_recipe(recipe)) == recipe
+        path = td.Graph.from_edges(3, [(0, 1), (1, 2)], labels=("u1", "u2", "u3"))
+        recipe = dataclasses.replace(figure_recipe(), h_prime=path)
+        parsed = td.parse_recipe(td.serialize_recipe(recipe))
+        assert parsed == recipe and parsed.h.labels is None
+        assert parsed.h_prime.labels == ("u1", "u2", "u3")
+
     def test_parse_normalizes_mvc_order(self):
         text = "H:\nn 2\n0 1\nMVC:\n1 -> 3\n0 -> 2\n"
         assert td.parse_recipe(text).mvc_vertices == ((0b01, 2), (0b10, 3))

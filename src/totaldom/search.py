@@ -33,6 +33,7 @@ from .graphs import (
     graph_from_canonical,
     is_planar,
     key_triangle,
+    mask_members,
     max_matching_of_edges,
     neighbors,
     vertex_mask,
@@ -40,6 +41,7 @@ from .graphs import (
 from .graphio import graph6_from_key
 from .hypergraph import SpernerFamily
 from .domination import TotalDominationReport, mtds, packing_number, report
+from .domination import minimal_tds_lattice, subset_lattice
 # unused here; bound because perfbench/layers.json traces search.<name> sites
 from .domination import dominating_edge_subgraph  # noqa: F401
 from .graphio import serialize_graph  # noqa: F401
@@ -183,7 +185,7 @@ def _catalog_line(entry: CatalogEntry, graph6: str) -> str:
 
 @dataclass(frozen=True)
 class Profile:
-    """Total-domination profile of one graph, shared by the catalog and the CLI.
+    """Total-domination profile of one graph, as analyze prints it.
 
     Only a graph with total domination defined (a vertex, none isolated)
     has one.  dominating_edges is None unless gamma_t is 2, and then holds
@@ -201,71 +203,43 @@ class Profile:
 # The most minimal total dominating sets a profile lists.  The family can
 # grow exponentially with n (16 disjoint copies of K4 have 6**16); past this
 # many sets profile raises CapabilityError instead, after about 1 s of
-# enumeration (0.93-1.03 s on a 2-vCPU VM, Python 3.11).  No searched graph
-# reaches it: the family is an antichain, so on CANONICAL_BOUND = 12
-# vertices it has at most C(12, 6) = 924 sets (Sperner's theorem).  The
-# largest family that analyze and construct-w2 meet on perfbench's 256
-# frozen profile-mid seeds has 320 sets.
+# enumeration (0.93-1.03 s on a 2-vCPU VM, Python 3.11).  The largest family
+# that analyze and construct-w2 meet on perfbench's 256 frozen profile-mid
+# seeds has 320 sets.  A search cannot reach it: the family is an antichain,
+# so on CANONICAL_BOUND = 12 vertices it has at most C(12, 6) = 924 sets
+# (Sperner's theorem).  _classify_block counts the lattice's sets against it
+# all the same, so a catalog record and a profile refuse the same graphs.
 MTDS_LIMIT = 100_000
 
 
+def _past_mtds_limit() -> CapabilityError:
+    return CapabilityError(
+        f"more than MTDS_LIMIT = {MTDS_LIMIT} minimal total dominating sets; "
+        "a profile stops there"
+    )
+
+
 def profile(g: Graph) -> Profile:
-    """Compute the total-domination profile of g once: a one-graph block
-    of _profile_block, the kernels every search classification runs.
+    """Compute the total-domination profile of g once, listing its minimal
+    total dominating sets by MMCS (mtds) for analyze and the self-checks of
+    construct-w2 and realize.  _classify_block reads the same values off
+    the subset lattice.
 
     Raises DominationUndefinedError, as mtds does, when g has no vertex or
     an isolated one, and CapabilityError when g has more than MTDS_LIMIT
     minimal total dominating sets.
     """
-    return _profile_block([g])[0]
-
-
-# The fewest graphs for which _profile_block takes the diameters and girths
-# of the whole list in lanes (graphs.diameters and graphs.girths), if every
-# graph has order below LANE_BOUND; a shorter list takes diameter and girth
-# graph by graph.  Diameter plus girth of 4,096 order-8 classes took 0.039 s
-# graph by graph, and in lanes 0.167 s one graph at a time, 0.037 s at 12
-# graphs a time, 0.029 s at 16, 0.024 s at 24 and 0.011 s at 256; at orders
-# 5 and 6 the lanes tie or lose at 16 graphs and win at 24 (process time,
-# least of 7-9, 2-vCPU VM, Python 3.11).
-LANES_FROM = 24
-
-
-def _profile_block(graphs: list[Graph]) -> list[Profile]:
-    """The profile of each graph, one kernel at a time over the whole list.
-    A list of at least LANES_FROM graphs, each of order below LANE_BOUND
-    (every search block of BLOCK classes), gets its diameters and girths
-    from the lane kernels; a shorter one, such as profile's single graph,
-    from diameter and girth, with the same values.
-
-    Raises DominationUndefinedError from mtds when any graph has no vertex
-    or an isolated one, and CapabilityError, naming MTDS_LIMIT, when any
-    graph has more minimal total dominating sets than that.
-    """
-    families = []
-    for g in graphs:
-        try:
-            families.append(mtds(g, max_count=MTDS_LIMIT))
-        except CapabilityError:
-            raise CapabilityError(
-                f"more than MTDS_LIMIT = {MTDS_LIMIT} minimal total dominating sets; "
-                "a profile lists the whole family, so it stops there"
-            ) from None
-    reports = list(map(report, graphs, families))
+    try:
+        family = mtds(g, max_count=MTDS_LIMIT)
+    except CapabilityError:
+        raise _past_mtds_limit() from None
+    rep = report(g, family)
     # a dominating edge is a minimal TDS of size 2: its pairs (u, v), u < v,
     # sorted, since the family lists them by mask (C4's (1, 2) before (0, 3))
-    edges = [
-        None if rep.gamma_t != 2 else tuple(sorted(
-            ((e & -e).bit_length() - 1, e.bit_length() - 1)
-            for e in fam.edges if e.bit_count() == 2
-        ))
-        for fam, rep in zip(families, reports)
-    ]
-    rhos = [packing_number(g) for g in graphs]
-    lanes = len(graphs) >= LANES_FROM and all(g.n < LANE_BOUND for g in graphs)
-    diameter_list = diameters(graphs) if lanes else [diameter(g) for g in graphs]
-    girth_list = girths(graphs) if lanes else [girth(g) for g in graphs]
-    return list(map(Profile, families, reports, rhos, diameter_list, girth_list, edges))
+    edges = None if rep.gamma_t != 2 else tuple(sorted(
+        mask_members(e) for e in family.edges if e.bit_count() == 2
+    ))
+    return Profile(family, rep, packing_number(g), diameter(g), girth(g), edges)
 
 
 def classify(g: Graph) -> CatalogEntry:
@@ -285,6 +259,17 @@ def classify(g: Graph) -> CatalogEntry:
 # lines go out in one write, so an interrupted run redoes at most one block.
 BLOCK = 256
 
+# The fewest classes for which _classify_block takes the diameters and
+# girths of the whole block in lanes (graphs.diameters and graphs.girths),
+# if every class has order below LANE_BOUND; a shorter block, such as
+# classify's one graph, takes diameter and girth graph by graph.  Diameter
+# plus girth of 4,096 order-8 classes took 0.039 s graph by graph, and in
+# lanes 0.167 s one graph at a time, 0.037 s at 12 graphs a time, 0.029 s
+# at 16, 0.024 s at 24 and 0.011 s at 256; at orders 5 and 6 the lanes tie
+# or lose at 16 graphs and win at 24 (process time, least of 7-9, 2-vCPU
+# VM, Python 3.11).
+LANES_FROM = 24
+
 
 def _classify_block(block: list[tuple]) -> list[CatalogEntry]:
     """The catalog record of each class in a block of enumerate_graphs
@@ -292,33 +277,48 @@ def _classify_block(block: list[tuple]) -> list[CatalogEntry]:
     the block.  The Graphs are built here (in the worker, under a pool);
     a planar of None is decided by is_planar.  triangle_free is read off
     the girth: a forest (girth None) or a girth of 4 or more has no triangle.
+
+    gamma_t and Gamma_t are the least and largest set sizes in a class's
+    minimal_tds_lattice, and its dominating edges are the lattice's 2-sets:
+    profile's values, without listing the family.  A block of LANES_FROM
+    or more classes, all of order below LANE_BOUND, gets its diameters and
+    girths from the lane kernels, a shorter one from diameter and girth.
     """
     keys, adjs, planars = zip(*block)
     graphs = [Graph(len(adj), adj) for adj in adjs]
-    profiles = _profile_block(graphs)
-    matchings = [
-        None if p.dominating_edges is None else max_matching_of_edges(p.dominating_edges)
-        for p in profiles
-    ]
+    lattices = list(map(minimal_tds_lattice, graphs))
+    if max(map(int.bit_count, lattices)) > MTDS_LIMIT:
+        raise _past_mtds_limit()
+    rhos = [packing_number(g) for g in graphs]
+    lanes = len(graphs) >= LANES_FROM and all(g.n < LANE_BOUND for g in graphs)
+    diameter_list = diameters(graphs) if lanes else [diameter(g) for g in graphs]
+    girth_list = girths(graphs) if lanes else [girth(g) for g in graphs]
     planars = [is_planar(g) if planar is None else planar for g, planar in zip(graphs, planars)]
     entries = []
-    for g, key, prof, nu, planar in zip(graphs, keys, profiles, matchings, planars):
-        rep = prof.report
+    for g, key, lattice, rho, diam, gir, planar in zip(
+        graphs, keys, lattices, rhos, diameter_list, girth_list, planars
+    ):
+        _, _, layer = subset_lattice(g.n)
+        sizes = [k for k, sets in enumerate(layer) if lattice & sets]
+        gamma, big_gamma = sizes[0], sizes[-1]
+        nu = None
+        if gamma == 2:  # the dominating edges, as the lattice's 2-sets
+            nu = max_matching_of_edges(map(mask_members, mask_members(lattice & layer[2])))
         entries.append(
             CatalogEntry(
                 canonical_key=key.hex(),
                 n=g.n,
                 m=g.m,
                 min_degree=g.min_degree(),
-                gamma_t=rep.gamma_t,
-                Gamma_t=rep.Gamma_t,
-                is_wtd=rep.is_wtd,
-                rho=prof.rho,
-                diameter=prof.diameter,
-                girth=prof.girth,
+                gamma_t=gamma,
+                Gamma_t=big_gamma,
+                is_wtd=gamma == big_gamma,
+                rho=rho,
+                diameter=diam,
+                girth=gir,
                 nu_gde=nu,
                 planar=planar,
-                triangle_free=prof.girth != 3,
+                triangle_free=gir != 3,
             )
         )
     return entries

@@ -52,6 +52,24 @@ def petersen_graph() -> Graph:
     return Graph.from_edges(10, outer + spokes + inner)
 
 
+def random_graph_of_kind(rng, n: int, kind: str) -> Graph:
+    """A random graph on n >= 2 vertices with no isolated vertex: a random
+    tree ("tree"), a tree with about n / 2 more random edges ("sparse"), or
+    each pair joined with probability 0.7 ("dense"), then each isolated
+    vertex joined to the next one."""
+    if kind == "dense":
+        edges = {(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.7}
+    else:
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        if kind == "sparse":
+            for _ in range(n // 2):
+                edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    for v in range(n):
+        if not any(v in e for e in edges):
+            edges.add(tuple(sorted((v, (v + 1) % n))))
+    return Graph.from_edges(n, sorted(edges))
+
+
 # ---------------------------------------------------------------------------
 # subset-sweep oracles
 

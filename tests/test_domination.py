@@ -3,6 +3,7 @@ import random
 import pytest
 
 import totaldom as td
+from totaldom.domination import minimal_tds_lattice, subset_lattice
 from oracles import (
     brute_minimal_tds,
     brute_packing_number,
@@ -13,6 +14,7 @@ from oracles import (
     cycle_graph,
     path_graph,
     petersen_graph,
+    random_graph_of_kind,
     star_graph,
 )
 
@@ -176,6 +178,50 @@ class TestMtdsEnumeration:
             built = 0
             td.mtds(g)
             assert built == 1
+
+
+class TestMinimalTdsLattice:
+    """minimal_tds_lattice's set bits, in ascending order, are mtds' family."""
+
+    def test_tables_by_definition(self):
+        for n in range(6):
+            ind, avoid, layer = subset_lattice(n)
+            masks = range(1 << n)
+            assert ind == tuple(
+                td.vertex_mask(s for s in masks if s >> w & 1) for w in range(n)
+            )
+            assert avoid == tuple(
+                td.vertex_mask(s for s in masks if not s & mask) for mask in masks
+            )
+            assert layer == tuple(
+                td.vertex_mask(s for s in masks if s.bit_count() == k) for k in range(n + 1)
+            )
+
+    def test_equals_mtds_to_7(self, atlas7):
+        assert len(atlas7) == 995
+        for _, g in atlas7:
+            assert td.mask_members(minimal_tds_lattice(g)) == td.mtds(g).edges, g.edges()
+
+    @pytest.mark.parametrize("kind", ["tree", "sparse", "dense"])
+    def test_equals_mtds_on_random_graphs(self, kind):
+        # 15 graphs of each order 2..12, 495 over the three kinds
+        rng = random.Random(38)
+        for n in range(2, 13):
+            for _ in range(15):
+                g = random_graph_of_kind(rng, n, kind)
+                assert td.mask_members(minimal_tds_lattice(g)) == td.mtds(g).edges, g.edges()
+
+    @pytest.mark.parametrize(
+        "g",
+        [pytest.param(complete_graph(n), id=f"K{n}") for n in range(2, 13)]
+        + [pytest.param(cycle_graph(n), id=f"C{n}") for n in range(3, 13)],
+    )
+    def test_equals_mtds_on_named_graphs(self, g):
+        assert td.mask_members(minimal_tds_lattice(g)) == td.mtds(g).edges
+
+    def test_order_13_refused(self):
+        with pytest.raises(td.CapabilityError, match="stops at 12 vertices, got 13"):
+            minimal_tds_lattice(cycle_graph(13))
 
 
 class TestReport:

@@ -33,6 +33,7 @@ from oracles import (
     cycle_graph,
     path_graph,
     petersen_graph,
+    random_graph_of_kind,
     random_relabel,
     relabel,
 )
@@ -494,14 +495,39 @@ class TestClassify:
 
     def test_isolated_vertex_refused(self):
         # total domination is undefined on K2+K1, K1 and K0, so they have no
-        # record: both refuse them with mtds's own message
+        # record: all three refuse them with mtds's own message
         for g in (td.Graph.from_edges(3, [(0, 1)]), td.Graph(1, (0,)), td.Graph(0, ())):
             with pytest.raises(td.DominationUndefinedError) as ref:
                 td.mtds(g)
-            for compute in (td.classify, td.search.profile):
+            for compute in (td.classify, td.search.profile, td.domination.minimal_tds_lattice):
                 with pytest.raises(td.DominationUndefinedError) as err:
                     compute(g)
                 assert str(err.value) == str(ref.value)
+
+    def test_lattice_fields_match_the_profile(self, atlas7):
+        # classify reads gamma_t, Gamma_t and the dominating edges off the
+        # subset lattice, profile off the MMCS family
+        rng = random.Random(3812)
+        graphs = [g for _, g in atlas7]
+        graphs += [
+            random_graph_of_kind(rng, rng.randint(2, 12), kind)
+            for _ in range(50)
+            for kind in ("tree", "sparse", "dense")
+        ]
+        graphs += [path_graph(2)] + [cycle_graph(n) for n in range(3, 13)]
+        graphs += [complete_graph(n) for n in range(3, 13)]
+        with_nu = 0
+        for g in graphs:
+            e = td.classify(g)
+            prof = td.search.profile(g)
+            edges = prof.dominating_edges
+            nu = None if edges is None else td.max_matching_of_edges(edges)
+            rep = prof.report
+            assert (e.gamma_t, e.Gamma_t, e.is_wtd, e.nu_gde) == (
+                rep.gamma_t, rep.Gamma_t, rep.is_wtd, nu
+            ), g.edges()
+            with_nu += nu is not None
+        assert with_nu == 894  # 794 of them in the atlas
 
     def test_relabel_invariance(self, figure1):
         rng = random.Random(53)

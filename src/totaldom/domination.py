@@ -25,7 +25,17 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, DominationUndefinedError, ValidationError
-from .graphs import CANONICAL_BOUND, MAX_VERTICES, Edge, Graph, mask_members, neighbors, vertex_mask
+from .graphs import (
+    CANONICAL_BOUND,
+    MAX_VERTICES,
+    Edge,
+    Graph,
+    Lanes,
+    distance2_masks,
+    mask_members,
+    neighbors,
+    vertex_mask,
+)
 # unused here; bound because perfbench/layers.json traces domination.diameter
 from .graphs import diameter  # noqa: F401
 from .hypergraph import (
@@ -186,6 +196,45 @@ def dominating_edge_subgraph(g: Graph) -> tuple[Edge, ...]:
     return tuple(dom_edges)
 
 
+def dominating_partners(g: Graph) -> tuple[int, ...]:
+    """For each vertex u, the mask of its dominating partners: the
+    neighbours v whose neighbourhood covers every vertex that N(u) misses,
+    so that uv is a dominating edge.  Empty for every u unless gamma_t(g) =
+    2; dominating_partners_in_lanes gives the same masks for a list of
+    graphs at once."""
+    adj, full = g.adj, g.full_mask
+    partners = []
+    for row in adj:
+        mates = 0
+        x = row
+        while x:
+            low = x & -x
+            if row | adj[low.bit_length() - 1] == full:
+                mates |= low
+            x ^= low
+        partners.append(mates)
+    return tuple(partners)
+
+
+def dominating_partners_in_lanes(lanes: Lanes) -> list[tuple[int, ...]]:
+    """dominating_partners(g) for each graph of a list in lanes, one lane
+    test per vertex pair for every graph at once: uv is a dominating edge
+    in the lanes where bit v of row u is set and full ^ (N(u) | N(v)) is
+    empty (adding 0x7FFF leaves the lane's top bit clear).  Each tuple runs
+    over every vertex of the lanes, with empty masks past its graph's
+    order."""
+    _, full, ones, rows = lanes
+    low, top = ones * 0x7FFF, ones << 15
+    mates = [0] * len(rows)
+    for v, row in enumerate(rows):
+        for u in range(v):
+            other = rows[u]
+            hit = (top & ~((full ^ (row | other)) + low)) >> 15 & other >> v
+            mates[u] |= hit << v
+            mates[v] |= hit << u
+    return list(zip(*map(lanes.values, mates)))
+
+
 def packing_number(g: Graph) -> int:
     """Maximum number of vertices with pairwise disjoint closed neighborhoods.
 
@@ -207,6 +256,17 @@ def packing_number(g: Graph) -> int:
             rest ^= low
         conflict.append(near & ~(1 << v))
     return _grow_packing(conflict, 0, g.full_mask, 0)
+
+
+def packing_numbers(lanes: Lanes) -> list[int]:
+    """packing_number(g) for each graph of a list in lanes: the same branch
+    and bound on conflict masks from graphs.distance2_masks, which a block
+    of graphs gets in one lane pass."""
+    fulls = lanes.values(lanes.full)
+    return [
+        _grow_packing(conflict, 0, full, 0)
+        for conflict, full in zip(distance2_masks(lanes), fulls)
+    ]
 
 
 def _grow_packing(conflict: list[int], size: int, avail: int, best: int) -> int:

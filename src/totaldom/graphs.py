@@ -8,8 +8,9 @@ neighbors(adj, mask) is the union of the neighborhoods of a mask, and
 component(adj, start, within) grows the vertices reachable from a mask.
 Planarity runs on the same masks: each biconnected block is tested on its
 own by path addition, with no dependency beyond the standard library.
-diameters and girths run their breadth-first searches for a whole list of
-graphs of order below 16 at once, one 16-bit lane of an int per graph.
+A list of graphs of order below 16 packs into 16-bit lanes, one lane of
+an int per graph (graphs_in_lanes, which also checks every graph there),
+and diameters, girths and distance2_masks run for the whole list at once.
 The search behind canonical keys also yields generators of the
 automorphism group (canonical_key's generators list), which the exhaustive
 search uses to try one neighbourhood per orbit of a parent.
@@ -21,7 +22,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapabilityError
 
@@ -271,16 +272,17 @@ def girth(g: Graph) -> int | None:
     return best
 
 
-# diameters and girths take a list of graphs of order below LANE_BOUND and
-# run one breadth-first search per source for all of them at once, in one
-# int per vertex set: each graph's set sits in the low 15 bits of its own
-# 16-bit lane and the lane's top bit stays clear, so adding 0x7FFF to every
-# lane carries into that top bit exactly when the lane is not empty.  A
-# vertex v of every lane's frontier is spread over its lane by multiplying
-# (frontier >> v) & ones, one bit per lane, by 0x7FFF.  Diameter plus girth
-# of one graph ran about 4 times slower than diameter and girth, and of
-# blocks of 256 order-8 classes about 3.7 times faster (search.LANES_FROM
-# chooses).
+# The lane kernels (diameters, girths, distance2_masks, and domination's
+# packing_numbers and dominating_partners_in_lanes) take a list of graphs
+# of order below LANE_BOUND, packed once by _lane_rows, and run for all of
+# them at once, in one int per vertex set: each graph's set sits in the low
+# 15 bits of its own 16-bit lane and the lane's top bit stays clear, so
+# adding 0x7FFF to every lane carries into that top bit exactly when the
+# lane is not empty.  A vertex v of every lane's frontier is spread over its
+# lane by multiplying (frontier >> v) & ones, one bit per lane, by 0x7FFF.
+# Diameter plus girth of one graph ran about 4 times slower than diameter
+# and girth, and of blocks of 256 order-8 classes about 3.7 times faster
+# (search.LANES_FROM chooses).
 LANE_BOUND = 16
 
 
@@ -299,26 +301,85 @@ def _lane_values(x: int, count: int) -> array:
     return values
 
 
-def _lane_rows(graphs: Sequence[Graph]) -> tuple[int, int, list[int]]:
-    """In lanes: the graphs' vertex sets, a 1 in every lane, and for each
-    vertex v the graphs' neighbourhoods of v (empty where a graph has no
-    v)."""
-    if any(g.n >= LANE_BOUND for g in graphs):
+class Lanes(NamedTuple):
+    """A list of graphs in lanes, as _lane_rows packs it: how many, their
+    vertex sets, a 1 in every lane, and for each vertex v the graphs'
+    neighbourhoods of v (empty where a graph has no v)."""
+
+    count: int
+    full: int
+    ones: int
+    rows: list[int]
+
+    def values(self, x: int) -> array:
+        """The per-graph values of a lane int, in list order."""
+        return _lane_values(x, self.count)
+
+
+def _lane_rows(adjs: Sequence[Sequence[int]]) -> Lanes:
+    """The graphs of the adjacency tuples (graph i has order len(adjs[i]))
+    in lanes.  Raises ValueError for an order of LANE_BOUND or more, and
+    OverflowError (or TypeError) for a row that is no 16-bit value."""
+    if any(len(adj) >= LANE_BOUND for adj in adjs):
         raise ValueError(f"lanes hold graphs of order below {LANE_BOUND}")
-    full = _lanes([g.full_mask for g in graphs])
-    ones = _lanes([1] * len(graphs))
-    return full, ones, [_lanes(col) for col in zip_longest(*(g.adj for g in graphs), fillvalue=0)]
+    count = len(adjs)
+    full = _lanes([(1 << len(adj)) - 1 for adj in adjs])
+    rows = [_lanes(col) for col in zip_longest(*adjs, fillvalue=0)]
+    return Lanes(count, full, _lanes([1] * count), rows)
 
 
-def diameters(graphs: Sequence[Graph]) -> list[int | None]:
-    """diameter(g) for each graph in the list, all graphs in lanes at once;
-    raises ValueError for a graph of order LANE_BOUND or more.
+def _lane_faults(lanes: Lanes) -> bool:
+    """Whether some graph in the lanes fails a check of Graph.__post_init__:
+    a row with a bit outside the graph's vertices, a self-loop (bit v of row
+    v), or an asymmetric pair (bit u of row v unlike bit v of row u).  Each
+    of the last two lands in the low bit of its lane.  Rows past a graph's
+    order are empty, so they pass.
+    """
+    _, full, ones, rows = lanes
+    spread = low = 0  # every row's bits; the faults in the lanes' low bits
+    for v, row in enumerate(rows):
+        spread |= row
+        low |= row >> v
+        for u in range(v):
+            low |= row >> u ^ rows[u] >> v
+    return bool(spread & ~full or low & ones)
+
+
+def graphs_in_lanes(adjs: Sequence[tuple[int, ...]]) -> tuple[list[Graph], Lanes]:
+    """Graph(len(adj), adj) for each adjacency tuple, every order below
+    LANE_BOUND, and the list in lanes (_lane_rows).
+
+    The checks Graph.__post_init__ makes run once for the whole list, in
+    lanes (_lane_faults), so the Graphs are built without them.  A list
+    with a fault, or with a row that does not fit a lane (negative, or
+    2**16 and up), is built with Graph() one graph at a time instead, so
+    the error raised is Graph's own.
+    """
+    try:
+        lanes = _lane_rows(adjs)
+    except (OverflowError, TypeError):
+        lanes = None
+    if lanes is None or _lane_faults(lanes):
+        for adj in adjs:
+            Graph(len(adj), adj)  # raises on the first fault
+        raise AssertionError("the lane checks refused a list that Graph accepts")
+    graphs = []
+    for adj in adjs:
+        # the fields set directly: Graph's __init__ would run __post_init__
+        g = object.__new__(Graph)
+        g.__dict__.update(n=len(adj), adj=adj, labels=None)
+        graphs.append(g)
+    return graphs, lanes
+
+
+def diameters(lanes: Lanes) -> list[int | None]:
+    """diameter(g) for each graph of a list in lanes, all at once.
 
     A graph's diameter is the number of radii r at which one of its balls
     B(s, r) is still short of every vertex; a ball that stops growing short
     of them makes the graph disconnected, and its lane leaves the search.
     """
-    full, ones, rows = _lane_rows(graphs)
+    _, full, ones, rows = lanes
     low, top = ones * 0x7FFF, ones << 15
     cut = top & ~(full + low)  # the lanes that are disconnected (or empty)
     short_at: list[int] = []  # per radius, the lanes with a ball still short
@@ -344,14 +405,12 @@ def diameters(graphs: Sequence[Graph]) -> list[int | None]:
                 full &= ~((stuck >> 15) * 0xFFFF)
             seen |= frontier
             r += 1
-    count = len(graphs)
-    radii = _lane_values(sum(short >> 15 for short in short_at), count)
-    return [None if c else d for d, c in zip(radii, _lane_values(cut >> 15, count))]
+    radii = lanes.values(sum(short >> 15 for short in short_at))
+    return [None if c else d for d, c in zip(radii, lanes.values(cut >> 15))]
 
 
-def girths(graphs: Sequence[Graph]) -> list[int | None]:
-    """girth(g) for each graph in the list, all graphs in lanes at once;
-    raises ValueError for a graph of order LANE_BOUND or more.
+def girths(lanes: Lanes) -> list[int | None]:
+    """girth(g) for each graph of a list in lanes, all at once.
 
     The witnesses are girth's: from a source s, an edge inside layer d gives
     2d + 1, and otherwise a vertex of layer d + 1 reached twice gives
@@ -360,7 +419,7 @@ def girths(graphs: Sequence[Graph]) -> list[int | None]:
     at which some source met one (None for a forest).  A source's lane
     stops once 2d + 1 cannot beat the graph's shortest witness so far.
     """
-    full, ones, rows = _lane_rows(graphs)
+    _, full, ones, rows = lanes
     low, top = ones * 0x7FFF, ones << 15
     found = [0, 0]  # per length 1, 2, 3, ..., the lanes with a witness
     for s in range(len(rows)):
@@ -393,10 +452,28 @@ def girths(graphs: Sequence[Graph]) -> list[int | None]:
     for witness in found:
         before |= witness
         total += (top & ~before) >> 15
-    count = len(graphs)
-    lengths = _lane_values(total, count)
-    forests = _lane_values((top & ~before) >> 15, count)
+    lengths = lanes.values(total)
+    forests = lanes.values((top & ~before) >> 15)
     return [None if forest else 1 + length for length, forest in zip(lengths, forests)]
+
+
+def distance2_masks(lanes: Lanes) -> list[tuple[int, ...]]:
+    """For each graph of a list in lanes, the mask of the vertices within
+    distance 2 of v, v itself left out, for each vertex v of the lanes
+    (empty past the graph's order): packing_number's conflict masks, each
+    a row's spread over the rows of its members at once.
+    """
+    _, _, ones, rows = lanes
+    near = []
+    for v, row in enumerate(rows):
+        reach = row
+        x = row
+        for other in rows:
+            if bit := x & ones:
+                reach |= bit * 0x7FFF & other
+            x >>= 1
+        near.append(reach & ~(ones << v))
+    return list(zip(*(lanes.values(x) for x in near)))
 
 
 def bipartition(g: Graph) -> tuple[int, int] | None:

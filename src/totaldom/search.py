@@ -23,6 +23,7 @@ from .graphs import (
     LANE_BOUND,
     Edge,
     Graph,
+    _matching,
     canonical_form,
     canonical_key,
     component,
@@ -31,16 +32,17 @@ from .graphs import (
     girth,
     girths,
     graph_from_canonical,
+    graphs_in_lanes,
     is_planar,
     key_triangle,
     mask_members,
-    max_matching_of_edges,
     neighbors,
     vertex_mask,
 )
 from .graphio import graph6_from_key
 from .hypergraph import SpernerFamily
-from .domination import TotalDominationReport, mtds, packing_number, report
+from .domination import TotalDominationReport, mtds, packing_number, packing_numbers, report
+from .domination import dominating_partners, dominating_partners_in_lanes
 from .domination import minimal_tds_lattice, subset_lattice
 # unused here; bound because perfbench/layers.json traces search.<name> sites
 from .domination import dominating_edge_subgraph  # noqa: F401
@@ -259,15 +261,23 @@ def classify(g: Graph) -> CatalogEntry:
 # lines go out in one write, so an interrupted run redoes at most one block.
 BLOCK = 256
 
-# The fewest classes for which _classify_block takes the diameters and
-# girths of the whole block in lanes (graphs.diameters and graphs.girths),
-# if every class has order below LANE_BOUND; a shorter block, such as
-# classify's one graph, takes diameter and girth graph by graph.  Diameter
-# plus girth of 4,096 order-8 classes took 0.039 s graph by graph, and in
-# lanes 0.167 s one graph at a time, 0.037 s at 12 graphs a time, 0.029 s
-# at 16, 0.024 s at 24 and 0.011 s at 256; at orders 5 and 6 the lanes tie
-# or lose at 16 graphs and win at 24 (process time, least of 7-9, 2-vCPU
-# VM, Python 3.11).
+# The fewest classes for which _classify_block takes a block in lanes, if
+# every class has order below LANE_BOUND: graphs.graphs_in_lanes packs the
+# rows once and checks the whole block there, and packing_numbers (through
+# graphs.distance2_masks), diameters, girths and
+# dominating_partners_in_lanes read that packing.  A shorter block, such as
+# classify's one graph, builds each Graph with its own checks and takes
+# packing_number, diameter, girth and dominating_partners graph by graph.
+# Diameter plus girth of 4,096 order-8 classes took 0.039 s graph by graph,
+# and in lanes 0.167 s one graph at a time, 0.037 s at 12 graphs a time,
+# 0.029 s at 16, 0.024 s at 24 and 0.011 s at 256; at orders 5 and 6 the
+# lanes tie or lose at 16 graphs and win at 24.  Over the same classes the
+# lane checks, packing numbers and dominating partners lose at 4 graphs a
+# time and win from 8: graphs_in_lanes 0.024, 0.011 and 0.005 s at 4, 8 and
+# 256 graphs against 0.021 s of Graph(), packing_numbers 0.028, 0.017 and
+# 0.008 s against 0.022 s, dominating_partners_in_lanes 0.019, 0.010 and
+# 0.002 s against 0.015 s (process time, least of 7-9, 2-vCPU VM, Python
+# 3.11).
 LANES_FROM = 24
 
 
@@ -278,45 +288,62 @@ def _classify_block(block: list[tuple]) -> list[CatalogEntry]:
     a planar of None is decided by is_planar.  triangle_free is read off
     the girth: a forest (girth None) or a girth of 4 or more has no triangle.
 
-    gamma_t and Gamma_t are the least and largest set sizes in a class's
-    minimal_tds_lattice, and its dominating edges are the lattice's 2-sets:
-    profile's values, without listing the family.  A block of LANES_FROM
-    or more classes, all of order below LANE_BOUND, gets its diameters and
-    girths from the lane kernels, a shorter one from diameter and girth.
+    A block of LANES_FROM or more classes, all of order below LANE_BOUND, is
+    packed into lanes once (graphs_in_lanes, which also checks it), and its
+    packing numbers, diameters, girths and dominating partners come from
+    the lane kernels; a shorter one takes packing_number, diameter, girth
+    and dominating_partners graph by graph.  m and min_degree come from
+    each class's degrees.  gamma_t and Gamma_t are the least and largest
+    set sizes in a class's minimal_tds_lattice, the first of its layers to
+    meet the lattice scanning up from 2 and down from n, and nu_gde is the
+    matching number (graphs._matching) of the dominating partners:
+    profile's values, without listing the family.
     """
     keys, adjs, planars = zip(*block)
-    graphs = [Graph(len(adj), adj) for adj in adjs]
+    lanes = len(adjs) >= LANES_FROM and all(len(adj) < LANE_BOUND for adj in adjs)
+    if lanes:
+        graphs, packed = graphs_in_lanes(adjs)
+    else:
+        graphs = [Graph(len(adj), adj) for adj in adjs]
     lattices = list(map(minimal_tds_lattice, graphs))
     if max(map(int.bit_count, lattices)) > MTDS_LIMIT:
         raise _past_mtds_limit()
-    rhos = [packing_number(g) for g in graphs]
-    lanes = len(graphs) >= LANES_FROM and all(g.n < LANE_BOUND for g in graphs)
-    diameter_list = diameters(graphs) if lanes else [diameter(g) for g in graphs]
-    girth_list = girths(graphs) if lanes else [girth(g) for g in graphs]
+    if lanes:
+        rhos = packing_numbers(packed)
+        diameter_list = diameters(packed)
+        girth_list = girths(packed)
+        partner_list = dominating_partners_in_lanes(packed)
+    else:
+        rhos = [packing_number(g) for g in graphs]
+        diameter_list = [diameter(g) for g in graphs]
+        girth_list = [girth(g) for g in graphs]
+        partner_list = [dominating_partners(g) for g in graphs]
     planars = [is_planar(g) if planar is None else planar for g, planar in zip(graphs, planars)]
     entries = []
-    for g, key, lattice, rho, diam, gir, planar in zip(
-        graphs, keys, lattices, rhos, diameter_list, girth_list, planars
+    for n, adj, key, lattice, rho, diam, gir, partners, planar in zip(
+        map(len, adjs), adjs, keys, lattices, rhos, diameter_list, girth_list, partner_list, planars
     ):
-        _, _, layer = subset_lattice(g.n)
-        sizes = [k for k, sets in enumerate(layer) if lattice & sets]
-        gamma, big_gamma = sizes[0], sizes[-1]
-        nu = None
-        if gamma == 2:  # the dominating edges, as the lattice's 2-sets
-            nu = max_matching_of_edges(map(mask_members, mask_members(lattice & layer[2])))
+        layer = subset_lattice(n)[2]
+        gamma = 2
+        while not lattice & layer[gamma]:
+            gamma += 1
+        big_gamma = n
+        while not lattice & layer[big_gamma]:
+            big_gamma -= 1
+        degrees = list(map(int.bit_count, adj))
         entries.append(
             CatalogEntry(
                 canonical_key=key.hex(),
-                n=g.n,
-                m=g.m,
-                min_degree=g.min_degree(),
+                n=n,
+                m=sum(degrees) // 2,
+                min_degree=min(degrees),
                 gamma_t=gamma,
                 Gamma_t=big_gamma,
                 is_wtd=gamma == big_gamma,
                 rho=rho,
                 diameter=diam,
                 girth=gir,
-                nu_gde=nu,
+                nu_gde=_matching(partners, {}, (1 << n) - 1) if gamma == 2 else None,
                 planar=planar,
                 triangle_free=gir != 3,
             )

@@ -10,8 +10,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import totaldom as td
-from totaldom.graphs import _lane_values, _lanes, diameters, girths, key_triangle, triangle_key
-from totaldom.search import LANES_FROM
+from totaldom.domination import dominating_partners_in_lanes, packing_numbers
+from totaldom.graphs import (
+    _lane_rows,
+    _lane_values,
+    _lanes,
+    diameters,
+    distance2_masks,
+    girths,
+    graphs_in_lanes,
+    key_triangle,
+    triangle_key,
+)
+from totaldom.search import BLOCK, LANES_FROM
 from oracles import (
     all_graphs_up_to_iso,
     are_isomorphic,
@@ -41,6 +52,25 @@ def random_graph(rng: random.Random, n: int, p: float) -> td.Graph:
     return td.Graph.from_edges(n, edges)
 
 
+# Graph's refusals, as (n, adj, labels, message)
+MALFORMED = [
+    (2, (0b10,), None, "adjacency length does not match vertex count"),
+    (2, (0b110, 0b001), None, "neighborhood of 0 mentions out-of-range vertices"),
+    (2, (0b01, 0b00), None, "self-loop at vertex 0"),
+    (2, (0b10, 0b01), ("a",), "label count does not match vertex count"),
+]
+# The refusals an adjacency tuple alone can carry (its length is its order,
+# and it has no labels), the asymmetric pair, and the two rows no lane can
+# hold: a negative one and one of 2**16
+BLOCK_FAULTS = [
+    (adj, message) for n, adj, labels, message in MALFORMED if labels is None and n == len(adj)
+] + [
+    ((0b10, 0b00), "adjacency not symmetric between 1 and 0"),
+    ((-1, 0b00), "neighborhood of 0 mentions out-of-range vertices"),
+    ((0b10, 1 << 16), "neighborhood of 1 mentions out-of-range vertices"),
+]
+
+
 class TestGraphBasics:
     def test_from_edges_and_accessors(self):
         g = td.Graph.from_edges(4, [(0, 1), (2, 1), (2, 3)])
@@ -64,15 +94,7 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             td.Graph(td.MAX_VERTICES + 1, tuple([0] * (td.MAX_VERTICES + 1)))
 
-    @pytest.mark.parametrize(
-        "n, adj, labels, message",
-        [
-            (2, (0b10,), None, "adjacency length does not match vertex count"),
-            (2, (0b110, 0b001), None, "neighborhood of 0 mentions out-of-range vertices"),
-            (2, (0b01, 0b00), None, "self-loop at vertex 0"),
-            (2, (0b10, 0b01), ("a",), "label count does not match vertex count"),
-        ],
-    )
+    @pytest.mark.parametrize("n, adj, labels, message", MALFORMED)
     def test_rejects_malformed_construction(self, n, adj, labels, message):
         with pytest.raises(ValueError) as err:
             td.Graph(n, adj, labels)
@@ -81,6 +103,25 @@ class TestGraphBasics:
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValueError):
             td.Graph(2, (0b10, 0b00))
+
+    @pytest.mark.parametrize("adj, message", BLOCK_FAULTS)
+    @pytest.mark.parametrize("size", [LANES_FROM, BLOCK])
+    def test_block_checks_refuse_as_graph_does(self, adj, message, size):
+        # graphs_in_lanes checks a whole list in lanes and builds its Graphs
+        # unchecked; a faulty adjacency anywhere in it raises Graph's error.
+        # Among graphs of orders to 15 a stray bit also breaks symmetry with
+        # some row; among copies of K2 no row meets it
+        rng = random.Random(size)
+        for good in ([g.adj for g in lane_corpus(rng, size - 1)], [(0b10, 0b01)] * (size - 1)):
+            for at in (0, size // 2, size - 1):
+                adjs = good[:at] + [adj] + good[at:]
+                with pytest.raises(ValueError) as err:
+                    graphs_in_lanes(adjs)
+                assert str(err.value) == message
+                # and so does a search block of those payloads
+                with pytest.raises(ValueError) as err:
+                    td.search._classify_block([(b"", a, None) for a in adjs])
+                assert str(err.value) == message
 
     def test_labels_must_be_distinct(self):
         with pytest.raises(ValueError):
@@ -383,14 +424,38 @@ def lane_corpus(rng: random.Random, count: int) -> list[td.Graph]:
     return out
 
 
+def in_lanes(graphs):
+    return _lane_rows([g.adj for g in graphs])
+
+
+def padded(masks, width):
+    return tuple(masks) + (0,) * (width - len(masks))
+
+
 class TestLaneKernels:
-    """graphs.diameters and graphs.girths, one 16-bit lane per graph,
-    against diameter and girth graph by graph."""
+    """The lane kernels, one 16-bit lane per graph, against their per-graph
+    counterparts: graphs.diameters and graphs.girths against diameter and
+    girth, graphs.distance2_masks against packing_number's conflict masks,
+    domination.packing_numbers against packing_number,
+    domination.dominating_partners_in_lanes against dominating_partners,
+    and graphs_in_lanes against Graph."""
 
     @staticmethod
     def assert_lanes_agree(graphs):
-        assert diameters(graphs) == [td.diameter(g) for g in graphs]
-        assert girths(graphs) == [td.girth(g) for g in graphs]
+        lanes = in_lanes(graphs)
+        assert diameters(lanes) == [td.diameter(g) for g in graphs]
+        assert girths(lanes) == [td.girth(g) for g in graphs]
+        width = len(lanes.rows)  # each lane's masks run over every vertex of the list
+        assert distance2_masks(lanes) == [
+            padded([(row | td.graphs.neighbors(g.adj, row)) & ~(1 << v) for v, row in enumerate(g.adj)], width)
+            for g in graphs
+        ]
+        assert packing_numbers(lanes) == [td.packing_number(g) for g in graphs]
+        assert dominating_partners_in_lanes(lanes) == [
+            padded(td.domination.dominating_partners(g), width) for g in graphs
+        ]
+        built, packed = graphs_in_lanes([g.adj for g in graphs])
+        assert built == graphs and packed == lanes
 
     def test_lanes_round_trip(self):
         # array("H") packs in the platform's byte order, which orders the
@@ -408,12 +473,25 @@ class TestLaneKernels:
         self.assert_lanes_agree(graphs)  # every order 2..7 in one list
         for start in range(0, len(graphs), 256):
             self.assert_lanes_agree(graphs[start : start + 256])
+        # the dominating partners against the dominating edges: every class
+        # is connected, so dominating_edge_subgraph takes each one
+        with_partners = 0
+        for g in graphs:
+            partners = [0] * g.n
+            for u, v in td.dominating_edge_subgraph(g):
+                partners[u] |= 1 << v
+                partners[v] |= 1 << u
+            assert td.domination.dominating_partners(g) == tuple(partners), g.edges()
+            with_partners += any(partners)
+        assert with_partners == 794  # the classes with gamma_t 2
 
     def test_random_graphs_to_order_15(self):
         graphs = lane_corpus(random.Random(37), 500)
         assert {g.n for g in graphs} == set(range(1, 16))
         assert sum(td.diameter(g) is None for g in graphs) > 100
         assert sum(td.girth(g) is None for g in graphs) > 100
+        assert len({td.packing_number(g) for g in graphs}) > 5
+        assert sum(any(td.domination.dominating_partners(g)) for g in graphs) > 20
         self.assert_lanes_agree(graphs)
         for start in range(0, len(graphs), 64):
             self.assert_lanes_agree(graphs[start : start + 64])
@@ -422,22 +500,28 @@ class TestLaneKernels:
         # the deepest layers a lane holds: C15's girth 15, P15's diameter 14
         graphs = [cycle_graph(n) for n in range(3, 16)] + [path_graph(n) for n in range(1, 16)]
         self.assert_lanes_agree(graphs)
-        assert girths([cycle_graph(15)]) == [15]
-        assert diameters([path_graph(15)]) == [14]
+        assert girths(in_lanes([cycle_graph(15)])) == [15]
+        assert diameters(in_lanes([path_graph(15)])) == [14]
+        assert packing_numbers(in_lanes([cycle_graph(15), path_graph(15)])) == [5, 5]
 
-    @pytest.mark.parametrize("size", [LANES_FROM - 1, LANES_FROM, 256])
+    @pytest.mark.parametrize("size", [LANES_FROM - 1, LANES_FROM, LANES_FROM + 1, 256])
     def test_list_sizes(self, size):
         self.assert_lanes_agree(lane_corpus(random.Random(size), size))
 
     def test_edge_cases(self):
         empty = td.Graph(0, ())
-        assert diameters([]) == girths([]) == []
-        assert diameters([empty, td.Graph(1, (0,))]) == [None, 0]
-        assert girths([empty, td.Graph(1, (0,))]) == [None, None]
-        with pytest.raises(ValueError, match="order below 16"):
-            diameters([path_graph(16)])
-        with pytest.raises(ValueError, match="order below 16"):
-            girths([cycle_graph(3), cycle_graph(16)])
+        self.assert_lanes_agree([])
+        self.assert_lanes_agree([empty, td.Graph(1, (0,))])
+        assert diameters(in_lanes([])) == girths(in_lanes([])) == []
+        assert distance2_masks(in_lanes([])) == packing_numbers(in_lanes([])) == []
+        assert diameters(in_lanes([empty, td.Graph(1, (0,))])) == [None, 0]
+        assert girths(in_lanes([empty, td.Graph(1, (0,))])) == [None, None]
+        assert packing_numbers(in_lanes([empty, td.Graph(1, (0,))])) == [0, 1]
+        for graphs in ([path_graph(16)], [cycle_graph(3), cycle_graph(16)]):
+            with pytest.raises(ValueError, match="order below 16"):
+                in_lanes(graphs)
+            with pytest.raises(ValueError, match="order below 16"):
+                graphs_in_lanes([g.adj for g in graphs])
 
 
 def subdivided_with_trees(base: td.Graph) -> td.Graph:

@@ -517,6 +517,7 @@ class TestClassify:
         graphs += [path_graph(2)] + [cycle_graph(n) for n in range(3, 13)]
         graphs += [complete_graph(n) for n in range(3, 13)]
         with_nu = 0
+        entries = []
         for g in graphs:
             e = td.classify(g)
             prof = td.search.profile(g)
@@ -527,7 +528,15 @@ class TestClassify:
                 rep.gamma_t, rep.Gamma_t, rep.is_wtd, nu
             ), g.edges()
             with_nu += nu is not None
+            entries.append(e)
         assert with_nu == 894  # 794 of them in the atlas
+        # the same graphs as search blocks, each of them long enough for the
+        # lane kernels: every record is classify's one-graph record
+        payloads = [(td.canonical_form(g), g.adj, None) for g in graphs]
+        for start in range(0, len(payloads), td.search.BLOCK):
+            block = payloads[start : start + td.search.BLOCK]
+            assert len(block) >= td.search.LANES_FROM
+            assert td.search._classify_block(block) == entries[start : start + len(block)]
 
     def test_relabel_invariance(self, figure1):
         rng = random.Random(53)

@@ -196,33 +196,15 @@ def dominating_edge_subgraph(g: Graph) -> tuple[Edge, ...]:
     return tuple(dom_edges)
 
 
-def dominating_partners(g: Graph) -> tuple[int, ...]:
-    """For each vertex u, the mask of its dominating partners: the
-    neighbours v whose neighbourhood covers every vertex that N(u) misses,
-    so that uv is a dominating edge.  Empty for every u unless gamma_t(g) =
-    2; dominating_partners_in_lanes gives the same masks for a list of
-    graphs at once."""
-    adj, full = g.adj, g.full_mask
-    partners = []
-    for row in adj:
-        mates = 0
-        x = row
-        while x:
-            low = x & -x
-            if row | adj[low.bit_length() - 1] == full:
-                mates |= low
-            x ^= low
-        partners.append(mates)
-    return tuple(partners)
-
-
 def dominating_partners_in_lanes(lanes: Lanes) -> list[tuple[int, ...]]:
-    """dominating_partners(g) for each graph of a list in lanes, one lane
-    test per vertex pair for every graph at once: uv is a dominating edge
-    in the lanes where bit v of row u is set and full ^ (N(u) | N(v)) is
-    empty (adding 0x7FFF leaves the lane's top bit clear).  Each tuple runs
-    over every vertex of the lanes, with empty masks past its graph's
-    order."""
+    """For each graph of a list in lanes, the mask of each vertex u's
+    dominating partners: the neighbours v with N(u) | N(v) every vertex, so
+    that uv is a dominating edge (no mask has a member unless gamma_t is
+    2).  One lane test per vertex pair for every graph at once: uv is a
+    dominating edge in the lanes where bit v of row u is set and
+    full ^ (N(u) | N(v)) is empty (adding 0x7FFF leaves the lane's top bit
+    clear).  Each tuple runs over every vertex of the lanes, with empty
+    masks past its graph's order."""
     _, full, ones, rows = lanes
     low, top = ones * 0x7FFF, ones << 15
     mates = [0] * len(rows)
@@ -232,7 +214,7 @@ def dominating_partners_in_lanes(lanes: Lanes) -> list[tuple[int, ...]]:
             hit = (top & ~((full ^ (row | other)) + low)) >> 15 & other >> v
             mates[u] |= hit << v
             mates[v] |= hit << u
-    return list(zip(*map(lanes.values, mates)))
+    return lanes.per_graph(mates)
 
 
 def packing_number(g: Graph) -> int:

@@ -315,6 +315,14 @@ class Lanes(NamedTuple):
         """The per-graph values of a lane int, in list order."""
         return _lane_values(x, self.count)
 
+    def per_graph(self, xs: Sequence[int]) -> list[tuple[int, ...]]:
+        """For lane ints xs, one per vertex of the lanes, each graph's tuple
+        of its values, in list order (one empty tuple per graph when the
+        lanes have no vertex)."""
+        if not xs:
+            return [()] * self.count
+        return list(zip(*map(self.values, xs)))
+
 
 def _lane_rows(adjs: Sequence[Sequence[int]]) -> Lanes:
     """The graphs of the adjacency tuples (graph i has order len(adjs[i]))
@@ -473,7 +481,7 @@ def distance2_masks(lanes: Lanes) -> list[tuple[int, ...]]:
                 reach |= bit * 0x7FFF & other
             x >>= 1
         near.append(reach & ~(ones << v))
-    return list(zip(*(lanes.values(x) for x in near)))
+    return lanes.per_graph(near)
 
 
 def bipartition(g: Graph) -> tuple[int, int] | None:

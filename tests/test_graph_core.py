@@ -432,12 +432,24 @@ def padded(masks, width):
     return tuple(masks) + (0,) * (width - len(masks))
 
 
+def partners_from_edges(g):
+    """Each vertex's dominating partners, from dominating_edge_subgraph; none
+    for a graph with no vertex or an isolated one, which no pair of
+    neighbourhoods covers and which dominating_edge_subgraph refuses."""
+    partners = [0] * g.n
+    if g.n and not g.has_isolated_vertex():
+        for u, v in td.dominating_edge_subgraph(g):
+            partners[u] |= 1 << v
+            partners[v] |= 1 << u
+    return tuple(partners)
+
+
 class TestLaneKernels:
     """The lane kernels, one 16-bit lane per graph, against their per-graph
     counterparts: graphs.diameters and graphs.girths against diameter and
     girth, graphs.distance2_masks against packing_number's conflict masks,
     domination.packing_numbers against packing_number,
-    domination.dominating_partners_in_lanes against dominating_partners,
+    domination.dominating_partners_in_lanes against dominating_edge_subgraph,
     and graphs_in_lanes against Graph."""
 
     @staticmethod
@@ -452,7 +464,7 @@ class TestLaneKernels:
         ]
         assert packing_numbers(lanes) == [td.packing_number(g) for g in graphs]
         assert dominating_partners_in_lanes(lanes) == [
-            padded(td.domination.dominating_partners(g), width) for g in graphs
+            padded(partners_from_edges(g), width) for g in graphs
         ]
         built, packed = graphs_in_lanes([g.adj for g in graphs])
         assert built == graphs and packed == lanes
@@ -473,17 +485,8 @@ class TestLaneKernels:
         self.assert_lanes_agree(graphs)  # every order 2..7 in one list
         for start in range(0, len(graphs), 256):
             self.assert_lanes_agree(graphs[start : start + 256])
-        # the dominating partners against the dominating edges: every class
-        # is connected, so dominating_edge_subgraph takes each one
-        with_partners = 0
-        for g in graphs:
-            partners = [0] * g.n
-            for u, v in td.dominating_edge_subgraph(g):
-                partners[u] |= 1 << v
-                partners[v] |= 1 << u
-            assert td.domination.dominating_partners(g) == tuple(partners), g.edges()
-            with_partners += any(partners)
-        assert with_partners == 794  # the classes with gamma_t 2
+        # the classes with gamma_t 2, whose partner masks are not all empty
+        assert sum(any(partners_from_edges(g)) for g in graphs) == 794
 
     def test_random_graphs_to_order_15(self):
         graphs = lane_corpus(random.Random(37), 500)
@@ -491,7 +494,7 @@ class TestLaneKernels:
         assert sum(td.diameter(g) is None for g in graphs) > 100
         assert sum(td.girth(g) is None for g in graphs) > 100
         assert len({td.packing_number(g) for g in graphs}) > 5
-        assert sum(any(td.domination.dominating_partners(g)) for g in graphs) > 20
+        assert sum(any(partners_from_edges(g)) for g in graphs) > 20
         self.assert_lanes_agree(graphs)
         for start in range(0, len(graphs), 64):
             self.assert_lanes_agree(graphs[start : start + 64])
@@ -511,9 +514,15 @@ class TestLaneKernels:
     def test_edge_cases(self):
         empty = td.Graph(0, ())
         self.assert_lanes_agree([])
+        self.assert_lanes_agree([empty])
+        self.assert_lanes_agree([empty, empty])
         self.assert_lanes_agree([empty, td.Graph(1, (0,))])
         assert diameters(in_lanes([])) == girths(in_lanes([])) == []
         assert distance2_masks(in_lanes([])) == packing_numbers(in_lanes([])) == []
+        # lanes with no vertex still give one entry per graph
+        assert distance2_masks(in_lanes([empty])) == [()]
+        assert dominating_partners_in_lanes(in_lanes([empty, empty])) == [(), ()]
+        assert packing_numbers(in_lanes([empty])) == [0]
         assert diameters(in_lanes([empty, td.Graph(1, (0,))])) == [None, 0]
         assert girths(in_lanes([empty, td.Graph(1, (0,))])) == [None, None]
         assert packing_numbers(in_lanes([empty, td.Graph(1, (0,))])) == [0, 1]

@@ -8,7 +8,8 @@ Two formats are supported:
   display names.  UTF-8, LF.
 * ``graph6``: the standard printable ASCII encoding, one graph per input
   (blank lines aside), with the optional ``>>graph6<<`` header tolerated.
-  Counts 63..64 use the '~'-prefixed long size form.
+  Counts 63..64 use the '~'-prefixed long size form.  The bits that pad
+  the upper triangle to whole characters must be zero.
 """
 
 from __future__ import annotations
@@ -144,7 +145,10 @@ def _parse_graph6(text: str) -> Graph:
     bits = 0
     for x in data[idx:]:
         bits = (bits << 6) | x
-    return graph_from_triangle(n, bits >> (6 * need_chars - need_bits))  # drop padding
+    pad = 6 * need_chars - need_bits
+    if bits & ((1 << pad) - 1):
+        raise ParseError(f"line {lineno}: graph6 padding bits must be zero")
+    return graph_from_triangle(n, bits >> pad)
 
 
 def _serialize_graph6(g: Graph) -> str:

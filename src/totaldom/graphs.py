@@ -281,8 +281,9 @@ def girth(g: Graph) -> int | None:
 # lane is not empty.  A vertex v of every lane's frontier is spread over its
 # lane by multiplying (frontier >> v) & ones, one bit per lane, by 0x7FFF.
 # Diameter plus girth of one graph ran about 4 times slower than diameter
-# and girth, and of blocks of 256 order-8 classes about 3.7 times faster
-# (search.LANES_FROM chooses).
+# and girth, and of blocks of 256 order-8 classes about 3.7 times faster.
+# search._classify_block packs every block this way, classify's one graph
+# included; diameter and girth serve profile.
 LANE_BOUND = 16
 
 

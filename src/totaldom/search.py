@@ -20,10 +20,8 @@ from json.encoder import encode_basestring_ascii
 from .errors import CapabilityError
 from .graphs import (
     CANONICAL_BOUND,
-    LANE_BOUND,
     Edge,
     Graph,
-    _lane_rows,
     _matching,
     canonical_form,
     canonical_key,
@@ -247,7 +245,8 @@ def profile(g: Graph) -> Profile:
 
 def classify(g: Graph) -> CatalogEntry:
     """The full catalog record of g, key and planarity included: a one-graph
-    block of _classify_block, the path every search classification takes.
+    block of _classify_block, the path every search classification takes,
+    so it too is packed into lanes and read by the lane kernels.
 
     Raises CapabilityError above CANONICAL_BOUND vertices, and as profile
     does: DominationUndefinedError for a graph with no vertex or an isolated
@@ -262,24 +261,6 @@ def classify(g: Graph) -> CatalogEntry:
 # lines go out in one write, so an interrupted run redoes at most one block.
 BLOCK = 256
 
-# The fewest classes for which _classify_block takes a block in lanes, if
-# every class has order below LANE_BOUND: graphs.graphs_in_lanes packs the
-# rows once and checks the whole block there, and packing_numbers (through
-# graphs.distance2_masks), diameters and girths read that packing.  A
-# shorter block, such as classify's one graph, builds each Graph with its
-# own checks and takes packing_number, diameter and girth graph by graph.
-# dominating_partners_in_lanes reads the lanes for every block, a short
-# one packed by graphs._lane_rows.  Diameter plus girth of 4,096 order-8
-# classes took 0.039 s graph by graph, and in lanes 0.167 s one graph at a
-# time, 0.037 s at 12 graphs a time, 0.029 s at 16, 0.024 s at 24 and
-# 0.011 s at 256; at orders 5 and 6 the lanes tie or lose at 16 graphs and
-# win at 24.  Over the same classes the lane checks and packing numbers
-# lose at 4 graphs a time and win from 8: graphs_in_lanes 0.024, 0.011 and
-# 0.005 s at 4, 8 and 256 graphs against 0.021 s of Graph(),
-# packing_numbers 0.028, 0.017 and 0.008 s against 0.022 s (process time,
-# least of 7-9, 2-vCPU VM, Python 3.11).
-LANES_FROM = 24
-
 
 def _classify_block(block: list[tuple]) -> list[CatalogEntry]:
     """The catalog record of each class in a block of enumerate_graphs
@@ -288,38 +269,26 @@ def _classify_block(block: list[tuple]) -> list[CatalogEntry]:
     a planar of None is decided by is_planar.  triangle_free is read off
     the girth: a forest (girth None) or a girth of 4 or more has no triangle.
 
-    A block of LANES_FROM or more classes, all of order below LANE_BOUND, is
-    packed into lanes once (graphs_in_lanes, which also checks it), and its
-    packing numbers, diameters and girths come from the lane kernels; a
-    shorter one takes packing_number, diameter and girth graph by graph,
-    and packs its rows (every class of a search or of classify has order
-    at most CANONICAL_BOUND) only for the dominating partners, which every
-    block takes from dominating_partners_in_lanes.  m and min_degree come
-    from each class's degrees.  gamma_t and Gamma_t are the least and
-    largest set sizes in a class's minimal_tds_lattice, the first of its
-    layers to meet the lattice scanning up from 2 and down from n, and
-    nu_gde is the matching number (graphs._matching) of the dominating
-    partners: profile's values, without listing the family.
+    Every block, classify's one graph included, is packed into lanes once
+    by graphs_in_lanes, which also checks it (every class of a search or
+    of classify has order at most CANONICAL_BOUND, below LANE_BOUND), and
+    its packing numbers, diameters, girths and dominating partners come
+    from the lane kernels.  m and min_degree come from each class's
+    degrees.  gamma_t and Gamma_t are the least and largest set
+    sizes in a class's minimal_tds_lattice, the first of its layers to
+    meet the lattice scanning up from 2 and down from n, and nu_gde is the
+    matching number (graphs._matching) of the dominating partners:
+    profile's values, without listing the family.
     """
     keys, adjs, planars = zip(*block)
-    lanes = len(adjs) >= LANES_FROM and all(len(adj) < LANE_BOUND for adj in adjs)
-    if lanes:
-        graphs, packed = graphs_in_lanes(adjs)
-    else:
-        graphs = [Graph(len(adj), adj) for adj in adjs]
-        packed = _lane_rows(adjs)
+    graphs, lanes = graphs_in_lanes(adjs)
     lattices = list(map(minimal_tds_lattice, graphs))
     if max(map(int.bit_count, lattices)) > MTDS_LIMIT:
         raise _past_mtds_limit()
-    if lanes:
-        rhos = packing_numbers(packed)
-        diameter_list = diameters(packed)
-        girth_list = girths(packed)
-    else:
-        rhos = [packing_number(g) for g in graphs]
-        diameter_list = [diameter(g) for g in graphs]
-        girth_list = [girth(g) for g in graphs]
-    partner_list = dominating_partners_in_lanes(packed)
+    rhos = packing_numbers(lanes)
+    diameter_list = diameters(lanes)
+    girth_list = girths(lanes)
+    partner_list = dominating_partners_in_lanes(lanes)
     planars = [is_planar(g) if planar is None else planar for g, planar in zip(graphs, planars)]
     entries = []
     for n, adj, key, lattice, rho, diam, gir, partners, planar in zip(

@@ -140,6 +140,15 @@ class TestGraph6:
             td.parse_graph("\n\nC~~~\n", td.GRAPH6)
         with pytest.raises(td.ParseError, match="^line 2: graph6 characters"):
             td.parse_graph("\nC!\n", td.GRAPH6)
+        # padding bits fill the triangle to whole characters and must be
+        # zero: K2's one bit and five of padding is "A_", K5's ten bits and
+        # two of padding "D~{"; "A`", "D~~" and "D~|" set padding bits
+        assert td.parse_graph("A_", td.GRAPH6) == complete_graph(2)
+        assert td.parse_graph("D~{", td.GRAPH6) == complete_graph(5)
+        for text in ("\nA`\n", "\nD~~\n", "\nD~|\n"):
+            with pytest.raises(td.ParseError) as err:
+                td.parse_graph(text, td.GRAPH6)
+            assert str(err.value) == "line 2: graph6 padding bits must be zero"
 
     @given(st.integers(min_value=0, max_value=10), st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)

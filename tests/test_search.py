@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -18,6 +21,7 @@ from totaldom.search import (
     _new_vertex_is_least,
     _parts_without,
 )
+import fields
 from oracles import (
     _connected,
     all_graphs_up_to_iso,
@@ -506,7 +510,8 @@ class TestClassify:
 
     def test_lattice_fields_match_the_profile(self, atlas7):
         # classify reads gamma_t, Gamma_t and the dominating edges off the
-        # subset lattice, profile off the MMCS family
+        # subset lattice and rho, diameter and girth off the lane kernels,
+        # profile off the MMCS family and the per-graph kernels
         rng = random.Random(3812)
         graphs = [g for _, g in atlas7]
         graphs += [
@@ -527,16 +532,21 @@ class TestClassify:
             assert (e.gamma_t, e.Gamma_t, e.is_wtd, e.nu_gde) == (
                 rep.gamma_t, rep.Gamma_t, rep.is_wtd, nu
             ), g.edges()
+            assert (e.rho, e.diameter, e.girth) == (prof.rho, prof.diameter, prof.girth)
             with_nu += nu is not None
             entries.append(e)
         assert with_nu == 894  # 794 of them in the atlas
-        # the same graphs as search blocks, each of them long enough for the
-        # lane kernels: every record is classify's one-graph record
+        # the same graphs as search blocks of 1, 2, 23 and BLOCK classes:
+        # every record is classify's one-graph record, whatever block holds it
         payloads = [(td.canonical_form(g), g.adj, None) for g in graphs]
-        for start in range(0, len(payloads), td.search.BLOCK):
-            block = payloads[start : start + td.search.BLOCK]
-            assert len(block) >= td.search.LANES_FROM
-            assert td.search._classify_block(block) == entries[start : start + len(block)]
+        for size in (1, 2, 23, td.search.BLOCK):
+            for start in range(0, len(payloads), size):
+                block = payloads[start : start + size]
+                assert td.search._classify_block(block) == entries[start : start + size]
+        # and a block across the atlas's step from order 6 to order 7
+        at = [g.n for g in graphs].index(7) - 1
+        assert [g.n for g in graphs[at : at + 2]] == [6, 7]
+        assert td.search._classify_block(payloads[at : at + 2]) == entries[at : at + 2]
 
     def test_relabel_invariance(self, figure1):
         rng = random.Random(53)
@@ -589,6 +599,52 @@ class TestClassify:
         assert wtd_by_n == {4: 6, 5: 18}
 
 
+# Records on both sides of each holds boundary and each applies boundary of
+# ASSERTIONS: (id, base record's graph, fields replaced, applies, violated),
+# each record's derived fields consistent with the rest.  K4 is planar,
+# uniform size 2, min degree 3, nu_gde 2, girth 3; C4 is triangle-free,
+# uniform size 2, as T11EQ's recognizer finds it.
+NOT_WTD = {"Gamma_t": 3, "is_wtd": False}
+BOUNDARIES = [
+    ("L12B", "K4", {"nu_gde": 2}, True, False),
+    ("L12B", "K4", {"nu_gde": 1}, True, True),
+    ("L12B", "K4", {"nu_gde": 1, "min_degree": 2}, False, False),
+    ("L12B", "K4", {"nu_gde": 1, **NOT_WTD}, False, False),
+    ("T12", "K4", {"n": 16}, True, False),
+    ("T12", "K4", {"n": 17}, True, True),
+    ("T12", "K4", {"n": 17, "min_degree": 2}, False, False),
+    ("T12", "K4", {"n": 17, "planar": False}, False, False),
+    ("T12", "K4", {"n": 17, **NOT_WTD}, False, False),
+    ("L12A", "K4", {"n": 8, "nu_gde": 3}, True, False),
+    ("L12A", "K4", {"n": 9, "nu_gde": 3}, True, True),
+    ("L12A", "K4", {"n": 9, "nu_gde": 2}, False, False),
+    ("L12A", "K4", {"n": 9, "nu_gde": 3, "planar": False}, False, False),
+    ("P7A", "K4", {"n": 9, "nu_gde": 2}, True, False),
+    ("P7A", "K4", {"n": 9, "nu_gde": 3}, True, True),
+    ("P7A", "K4", {"n": 9, "nu_gde": 1}, True, True),
+    ("P7A", "K4", {"n": 8, "nu_gde": 3}, True, False),
+    ("P7A", "K4", {"n": 9, "nu_gde": 3, "min_degree": 2}, False, False),
+    ("P7A", "K4", {"n": 9, "nu_gde": 3, "planar": False}, False, False),
+    ("T14", "K4", {"girth": 12}, True, False),
+    ("T14", "K4", {"girth": 13}, True, True),
+    ("T14", "K4", {"girth": None}, True, False),
+    ("T14", "K4", {"girth": 13, "min_degree": 2}, False, False),
+    ("T14", "K4", {"girth": 13, **NOT_WTD}, False, False),
+    ("HR97", "K4", {"girth": 14, "min_degree": 2}, True, False),
+    ("HR97", "K4", {"girth": 15, "min_degree": 2}, True, True),
+    ("HR97", "K4", {"girth": None, "min_degree": 2}, True, False),
+    ("HR97", "K4", {"girth": 15, "min_degree": 1}, False, False),
+    ("HR97", "K4", {"girth": 15, "min_degree": 2, **NOT_WTD}, False, False),
+    ("DIAM3", "K4", {"diameter": 3, "rho": 2}, True, False),
+    ("DIAM3", "K4", {"diameter": 3, "rho": 1}, True, True),
+    ("DIAM3", "K4", {"diameter": 2, "rho": 2}, True, True),
+    ("DIAM3", "K4", {"diameter": 3, "rho": 1, "gamma_t": 3, "Gamma_t": 3, "nu_gde": None}, False, False),
+    ("T11EQ", "C4", {}, True, False),
+    ("T11EQ", "C4", NOT_WTD, True, True),
+    ("T11EQ", "C4", {"girth": 3, "triangle_free": False, **NOT_WTD}, False, False),
+]
+
+
 class TestAssertionIds:
     def test_diam3_reports_violation(self):
         # P4 has gamma_t 2, diameter 3 and rho 2; a catalog entry whose rho
@@ -597,6 +653,36 @@ class TestAssertionIds:
         assert (entry.gamma_t, entry.diameter, entry.rho) == (2, 3, 1)
         _, _, applies, holds = td.ASSERTIONS["DIAM3"]
         assert applies(entry) and not holds(entry)
+
+    @pytest.mark.parametrize("name, base, changes, applies, violated", BOUNDARIES)
+    def test_boundaries(self, name, base, changes, applies, violated):
+        graph = {"K4": complete_graph(4), "C4": cycle_graph(4)}[base]
+        entry = dataclasses.replace(td.classify(graph), **changes)
+        _, _, applies_to, holds = td.ASSERTIONS[name]
+        assert applies_to(entry) == applies
+        assert (applies_to(entry) and not holds(entry)) == violated
+
+    def test_every_assertion_has_boundaries(self):
+        assert {case[0] for case in BOUNDARIES} == set(td.ASSERTIONS)
+
+    def test_planted_violation_reported(self, tmp_path, catalog7):
+        # one WTD2 line with min degree >= 3 given nu_gde 1 in a copy of the
+        # n <= 7 catalog: a resume folds it, and its report lists exactly that
+        # key under L12B, every other count and list as the fresh search's
+        lines = catalog7[0].decode().splitlines(keepends=True)
+        at = next(
+            i for i, line in enumerate(lines)
+            if (r := json.loads(line))["is_wtd"] and r["gamma_t"] == 2 and r["min_degree"] >= 3
+        )
+        record = json.loads(lines[at])
+        record["nu_gde"] = 1
+        lines[at] = json.dumps(record, sort_keys=True) + "\n"
+        out = tmp_path / "catalog.jsonl"
+        out.write_text("".join(lines))
+        rep = td.run_search(td.SearchFilter(n_max=7), out_path=str(out))
+        expected = json.loads(json.dumps(catalog7[1]))
+        expected["assertions"]["L12B"]["violations"] = [record["canonical_key"]]
+        assert rep == expected
 
 
 class TestRunSearch:
@@ -805,14 +891,40 @@ def test_every_field_recomputed_to_7(catalog7):
         assert set(record) == set(fields) | {"canonical_key", "graph6"}
 
 
-@pytest.mark.parametrize("lanes_from", [1, td.search.BLOCK + 1])
-def test_catalog_does_not_depend_on_lanes(tmp_path, monkeypatch, catalog7, lanes_from):
-    # every block in lanes (one-graph profiles too), or none: the same
-    # diameters and girths, so the same catalog and report
-    monkeypatch.setattr(td.search, "LANES_FROM", lanes_from)
-    out = tmp_path / "catalog.jsonl"
-    rep = td.run_search(td.SearchFilter(n_max=7), out_path=str(out))
-    assert (out.read_bytes(), rep) == catalog7
+def test_fields_script(tmp_path, capsys, catalog7):
+    # CI's field steps run tests/fields.py on the n <= 8 catalog and on the
+    # order-9, -10 and -11 lines of larger ones; here it runs on the n <= 7
+    # catalog, then on a copy with one wrong rho on line 501 (order 7, the
+    # 359th of that order, so in half 1)
+    good = tmp_path / "catalog.jsonl"
+    good.write_bytes(catalog7[0])
+    tests = os.path.dirname(fields.__file__)
+    src = os.path.dirname(os.path.dirname(td.__file__))
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, fields.__file__, str(good), "995"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "995 of 995 lines, 0 disagree with the recomputation\n")
+    assert fields.main([str(good), "853", "--order", "7", "--half", "0"]) == 0
+    assert capsys.readouterr().out == "426 of 853 order-7 lines, 0 disagree with the recomputation\n"
+    # a count the catalog does not hold, though half 0 of 852 lines would
+    # also be 426 lines
+    assert fields.main([str(good), "852", "--order", "7", "--half", "0"]) == 1
+    lines = catalog7[0].decode().splitlines(keepends=True)
+    record = json.loads(lines[500])
+    record["rho"] += 1
+    lines[500] = json.dumps(record, sort_keys=True) + "\n"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines))
+    capsys.readouterr()
+    assert fields.main([str(bad), "995"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"{bad}:501: recomputed ")
+    assert out.endswith("995 of 995 lines, 1 disagree with the recomputation\n")
+    # half 1 holds the wrong line, half 0 does not
+    assert fields.main([str(bad), "853", "--order", "7", "--half", "1"]) == 1
+    assert fields.main([str(bad), "853", "--order", "7", "--half", "0"]) == 0
 
 
 def test_class_set_to_7(catalog7):

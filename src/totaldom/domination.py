@@ -12,10 +12,11 @@ the adjacency itself, a chosen vertex's critical edges are its private
 neighbors, and the uncovered edges are the vertices not yet dominated.
 Only `recognize_wtd_k` minimizes the neighborhoods into a SpernerFamily.
 
-`minimal_tds_lattice` finds the same sets on at most CANONICAL_BOUND
-vertices without listing them: one int whose bit S is set when the vertex
-mask S is a minimal TDS.  The search reads its catalog records off it;
-`mtds` keeps MMCS, which lists the family and scales past 12 vertices.
+`minimal_tds_lattice` finds the same sets from the adjacency rows of at
+most CANONICAL_BOUND vertices without listing them: one int whose bit S is
+set when the vertex mask S is a minimal TDS.  The search reads its catalog
+records off it; `mtds` keeps MMCS, which lists the family and scales past
+12 vertices.
 """
 
 from __future__ import annotations
@@ -123,9 +124,12 @@ def subset_lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int,
     return tuple(ind), tuple(avoid), tuple(layer)
 
 
-def minimal_tds_lattice(g: Graph) -> int:
-    """The minimal total dominating sets of g as one int: bit S is set when
-    the vertex mask S is one, so the bits in ascending order are mtds(g).edges.
+def minimal_tds_lattice(adj: Sequence[int]) -> int:
+    """The minimal total dominating sets of the graph with adjacency rows
+    adj as one int: bit S is set when the vertex mask S is one, so the bits
+    in ascending order are mtds(Graph(len(adj), adj)).edges.  The rows are
+    not checked, and neither is the domain: a graph with an isolated vertex
+    has no TDS, and its int is 0 (search.classify checks the caller's Graph).
 
     The TDSs are the masks in no avoid[N(v)].  Being a TDS is monotone, so
     one is minimal when no single-vertex removal is one (is_minimal_tds):
@@ -134,12 +138,12 @@ def minimal_tds_lattice(g: Graph) -> int:
     MB of avoid at order 16), so past CANONICAL_BOUND it raises
     CapabilityError.
     """
-    require_total_domination(g)
-    if g.n > CANONICAL_BOUND:
-        raise CapabilityError(f"the subset lattice stops at {CANONICAL_BOUND} vertices, got {g.n}")
-    ind, avoid, _ = subset_lattice(g.n)
+    n = len(adj)
+    if n > CANONICAL_BOUND:
+        raise CapabilityError(f"the subset lattice stops at {CANONICAL_BOUND} vertices, got {n}")
+    ind, avoid, _ = subset_lattice(n)
     missed = 0
-    for row in g.adj:
+    for row in adj:
         missed |= avoid[row]
     tds = avoid[0] ^ missed
     shrinkable = 0

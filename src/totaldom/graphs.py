@@ -8,9 +8,10 @@ neighbors(adj, mask) is the union of the neighborhoods of a mask, and
 component(adj, start, within) grows the vertices reachable from a mask.
 Planarity runs on the same masks: each biconnected block is tested on its
 own by path addition, with no dependency beyond the standard library.
-A list of graphs of order below 16 packs into 16-bit lanes, one lane of
-an int per graph (graphs_in_lanes, which also checks every graph there),
-and diameters, girths and distance2_masks run for the whole list at once.
+A list of adjacency rows of order below 16 packs into 16-bit lanes, one
+lane of an int per graph (graphs_in_lanes, which also makes Graph's checks
+for the whole list there, so a search block stays rows and builds no
+Graph), and diameters, girths and distance2_masks run for it all at once.
 The search behind canonical keys also yields generators of the
 automorphism group (canonical_key's generators list), which the exhaustive
 search uses to try one neighbourhood per orbit of a parent.
@@ -274,16 +275,18 @@ def girth(g: Graph) -> int | None:
 
 # The lane kernels (diameters, girths, distance2_masks, and domination's
 # packing_numbers and dominating_partners_in_lanes) take a list of graphs
-# of order below LANE_BOUND, packed once by _lane_rows, and run for all of
-# them at once, in one int per vertex set: each graph's set sits in the low
-# 15 bits of its own 16-bit lane and the lane's top bit stays clear, so
-# adding 0x7FFF to every lane carries into that top bit exactly when the
-# lane is not empty.  A vertex v of every lane's frontier is spread over its
-# lane by multiplying (frontier >> v) & ones, one bit per lane, by 0x7FFF.
-# Diameter plus girth of one graph ran about 4 times slower than diameter
-# and girth, and of blocks of 256 order-8 classes about 3.7 times faster.
-# search._classify_block packs every block this way, classify's one graph
-# included; diameter and girth serve profile.
+# of order below LANE_BOUND, packed and checked once from their adjacency
+# rows by graphs_in_lanes, and run for all of them at once, in one int per
+# vertex set: each graph's set sits in the low 15 bits of its own 16-bit
+# lane and the lane's top bit stays clear, so adding 0x7FFF to every lane
+# carries into that top bit exactly when the lane is not empty.  A vertex
+# v of every lane's frontier is spread over its lane by multiplying
+# (frontier >> v) & ones, one bit per lane, by 0x7FFF.  Diameter plus girth
+# of one graph ran about 4 times slower than diameter and girth, and of
+# blocks of 256 order-8 classes about 3.7 times faster.  A search block
+# (search._classify_block, classify's one graph included) stays rows
+# packed this way, and builds a Graph only for a class whose planarity is
+# still undecided; diameter and girth serve profile.
 LANE_BOUND = 16
 
 
@@ -303,7 +306,7 @@ def _lane_values(x: int, count: int) -> array:
 
 
 class Lanes(NamedTuple):
-    """A list of graphs in lanes, as _lane_rows packs it: how many, their
+    """A list of graphs in lanes, as graphs_in_lanes packs it: how many, their
     vertex sets, a 1 in every lane, and for each vertex v the graphs'
     neighbourhoods of v (empty where a graph has no v)."""
 
@@ -325,18 +328,6 @@ class Lanes(NamedTuple):
         return list(zip(*map(self.values, xs)))
 
 
-def _lane_rows(adjs: Sequence[Sequence[int]]) -> Lanes:
-    """The graphs of the adjacency tuples (graph i has order len(adjs[i]))
-    in lanes.  Raises ValueError for an order of LANE_BOUND or more, and
-    OverflowError (or TypeError) for a row that is no 16-bit value."""
-    if any(len(adj) >= LANE_BOUND for adj in adjs):
-        raise ValueError(f"lanes hold graphs of order below {LANE_BOUND}")
-    count = len(adjs)
-    full = _lanes([(1 << len(adj)) - 1 for adj in adjs])
-    rows = [_lanes(col) for col in zip_longest(*adjs, fillvalue=0)]
-    return Lanes(count, full, _lanes([1] * count), rows)
-
-
 def _lane_faults(lanes: Lanes) -> bool:
     """Whether some graph in the lanes fails a check of Graph.__post_init__:
     a row with a bit outside the graph's vertices, a self-loop (bit v of row
@@ -354,31 +345,32 @@ def _lane_faults(lanes: Lanes) -> bool:
     return bool(spread & ~full or low & ones)
 
 
-def graphs_in_lanes(adjs: Sequence[tuple[int, ...]]) -> tuple[list[Graph], Lanes]:
-    """Graph(len(adj), adj) for each adjacency tuple, every order below
-    LANE_BOUND, and the list in lanes (_lane_rows).
-
-    The checks Graph.__post_init__ makes run once for the whole list, in
-    lanes (_lane_faults), so the Graphs are built without them.  A list
-    with a fault, or with a row that does not fit a lane (negative, or
-    2**16 and up), is built with Graph() one graph at a time instead, so
-    the error raised is Graph's own.
+def graphs_in_lanes(adjs: Sequence[Sequence[int]]) -> Lanes:
+    """The graphs of the adjacency rows (graph i is Graph(len(adjs[i]),
+    adjs[i])) in lanes, every order below LANE_BOUND, after the checks
+    Graph.__post_init__ makes, run once for the whole list in lanes
+    (_lane_faults).  No Graph is built unless a check fails: a list with a
+    fault, or with a row that does not fit a lane (negative, or 2**16 and
+    up), is then built with Graph() one graph at a time, so the error raised
+    is Graph's own.  Raises ValueError for an order of LANE_BOUND or more.
     """
+    if any(len(adj) >= LANE_BOUND for adj in adjs):
+        raise ValueError(f"lanes hold graphs of order below {LANE_BOUND}")
+    count = len(adjs)
     try:
-        lanes = _lane_rows(adjs)
+        lanes = Lanes(
+            count,
+            _lanes([(1 << len(adj)) - 1 for adj in adjs]),
+            _lanes([1] * count),
+            [_lanes(col) for col in zip_longest(*adjs, fillvalue=0)],
+        )
     except (OverflowError, TypeError):
         lanes = None
     if lanes is None or _lane_faults(lanes):
         for adj in adjs:
             Graph(len(adj), adj)  # raises on the first fault
         raise AssertionError("the lane checks refused a list that Graph accepts")
-    graphs = []
-    for adj in adjs:
-        # the fields set directly: Graph's __init__ would run __post_init__
-        g = object.__new__(Graph)
-        g.__dict__.update(n=len(adj), adj=adj, labels=None)
-        graphs.append(g)
-    return graphs, lanes
+    return lanes
 
 
 def diameters(lanes: Lanes) -> list[int | None]:

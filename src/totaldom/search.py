@@ -41,7 +41,7 @@ from .graphs import (
 from .graphio import graph6_from_key
 from .hypergraph import SpernerFamily
 from .domination import TotalDominationReport, mtds, packing_number, packing_numbers, report
-from .domination import dominating_partners_in_lanes
+from .domination import dominating_partners_in_lanes, require_total_domination
 from .domination import minimal_tds_lattice, subset_lattice
 # unused here; bound because perfbench/layers.json traces search.<name> sites
 from .domination import dominating_edge_subgraph  # noqa: F401
@@ -245,14 +245,18 @@ def profile(g: Graph) -> Profile:
 
 def classify(g: Graph) -> CatalogEntry:
     """The full catalog record of g, key and planarity included: a one-graph
-    block of _classify_block, the path every search classification takes,
-    so it too is packed into lanes and read by the lane kernels.
+    block of _classify_block, the path every search classification takes.
+    The domain check is made here, once, on g itself, so a refusal names g's
+    vertex as mtds's does (by its label when g has labels); the block gets
+    g's rows and is_planar(g) as its planar fact.
 
     Raises CapabilityError above CANONICAL_BOUND vertices, and as profile
     does: DominationUndefinedError for a graph with no vertex or an isolated
     one, CapabilityError past MTDS_LIMIT minimal total dominating sets.
     """
-    return _classify_block([(canonical_form(g), g.adj, None)])[0]
+    key = canonical_form(g)
+    require_total_domination(g)
+    return _classify_block([(key, g.adj, is_planar(g))])[0]
 
 
 # enumerate_graphs expands parents, and run_search folds catalogued classes
@@ -265,31 +269,28 @@ BLOCK = 256
 def _classify_block(block: list[tuple]) -> list[CatalogEntry]:
     """The catalog record of each class in a block of enumerate_graphs
     payloads (canonical key, adjacency, planar), one kernel at a time over
-    the block.  The Graphs are built here (in the worker, under a pool);
-    a planar of None is decided by is_planar.  triangle_free is read off
-    the girth: a forest (girth None) or a girth of 4 or more has no triangle.
-
-    Every block, classify's one graph included, is packed into lanes once
-    by graphs_in_lanes, which also checks it (every class of a search or
-    of classify has order at most CANONICAL_BOUND, below LANE_BOUND), and
-    its packing numbers, diameters, girths and dominating partners come
-    from the lane kernels.  m and min_degree come from each class's
-    degrees.  gamma_t and Gamma_t are the least and largest set
-    sizes in a class's minimal_tds_lattice, the first of its layers to
-    meet the lattice scanning up from 2 and down from n, and nu_gde is the
-    matching number (graphs._matching) of the dominating partners:
-    profile's values, without listing the family.
+    the block, each class with total domination defined (classify checks
+    its graph).  A block stays rows: graphs_in_lanes packs it and makes
+    Graph's checks once (every order is at most CANONICAL_BOUND, below
+    LANE_BOUND), and Graph() builds a Graph only for is_planar, for a class
+    whose planar is still None.  Packing numbers, diameters, girths and
+    dominating partners come from the lane kernels, m and min_degree from
+    the degrees.  gamma_t and Gamma_t are the least and largest set sizes
+    in minimal_tds_lattice, its first layers met scanning up from 2 and down
+    from n, and nu_gde is the matching number (graphs._matching) of the
+    dominating partners: profile's values, without listing the family.
+    triangle_free is girth != 3 (a forest's girth is None).
     """
     keys, adjs, planars = zip(*block)
-    graphs, lanes = graphs_in_lanes(adjs)
-    lattices = list(map(minimal_tds_lattice, graphs))
+    lanes = graphs_in_lanes(adjs)
+    lattices = list(map(minimal_tds_lattice, adjs))
     if max(map(int.bit_count, lattices)) > MTDS_LIMIT:
         raise _past_mtds_limit()
     rhos = packing_numbers(lanes)
     diameter_list = diameters(lanes)
     girth_list = girths(lanes)
     partner_list = dominating_partners_in_lanes(lanes)
-    planars = [is_planar(g) if planar is None else planar for g, planar in zip(graphs, planars)]
+    planars = [is_planar(Graph(len(a), a)) if p is None else p for a, p in zip(adjs, planars)]
     entries = []
     for n, adj, key, lattice, rho, diam, gir, partners, planar in zip(
         map(len, adjs), adjs, keys, lattices, rhos, diameter_list, girth_list, partner_list, planars

@@ -529,16 +529,18 @@ def catalog_fields_from_graph6(text: str) -> dict:
     }
 
 
-def catalog_class_counts(graph6s) -> dict[int, int]:
+def catalog_class_counts(graph6s, triangle_free: bool = False) -> dict[int, int]:
     """The number of graph6 strings per order, after checking with no
-    totaldom code that each is connected and no two are isomorphic.
+    totaldom code that each is connected (and, with triangle_free, holds no
+    triangle by networkx's triangle count) and no two are isomorphic.
 
     Each graph is bucketed by (n, m, degree sequence, networkx's
     Weisfeiler-Lehman hash with 3 iterations), which isomorphic graphs
     share, and networkx's is_isomorphic runs on every pair inside a bucket.
-    With the counts equal to OEIS A001349, that shows each connected class
-    is there exactly once.  Raises AssertionError naming a disconnected
-    graph or the first isomorphic pair.
+    With the counts equal to OEIS A001349 (A024607 with triangle_free),
+    that shows each connected (triangle-free) class is there exactly once.
+    Raises AssertionError naming a disconnected graph, a graph with a
+    triangle, or the first isomorphic pair.
     """
     import warnings
 
@@ -553,6 +555,8 @@ def catalog_class_counts(graph6s) -> dict[int, int]:
         g.add_edges_from(edges)
         if not nx.is_connected(g):
             raise AssertionError(f"{text}: disconnected")
+        if triangle_free and any(nx.triangles(g).values()):
+            raise AssertionError(f"{text}: has a triangle")
         with warnings.catch_warnings():
             # networkx 3.5 changed its hashes and says so; isomorphic graphs
             # still hash alike, which is all the bucketing needs

@@ -181,7 +181,8 @@ class TestMtdsEnumeration:
 
 
 class TestMinimalTdsLattice:
-    """minimal_tds_lattice's set bits, in ascending order, are mtds' family."""
+    """minimal_tds_lattice's set bits, in ascending order, are mtds' family;
+    it takes a graph's adjacency rows."""
 
     def test_tables_by_definition(self):
         for n in range(6):
@@ -200,7 +201,7 @@ class TestMinimalTdsLattice:
     def test_equals_mtds_to_7(self, atlas7):
         assert len(atlas7) == 995
         for _, g in atlas7:
-            assert td.mask_members(minimal_tds_lattice(g)) == td.mtds(g).edges, g.edges()
+            assert td.mask_members(minimal_tds_lattice(g.adj)) == td.mtds(g).edges, g.edges()
 
     @pytest.mark.parametrize("kind", ["tree", "sparse", "dense"])
     def test_equals_mtds_on_random_graphs(self, kind):
@@ -209,7 +210,7 @@ class TestMinimalTdsLattice:
         for n in range(2, 13):
             for _ in range(15):
                 g = random_graph_of_kind(rng, n, kind)
-                assert td.mask_members(minimal_tds_lattice(g)) == td.mtds(g).edges, g.edges()
+                assert td.mask_members(minimal_tds_lattice(g.adj)) == td.mtds(g).edges, g.edges()
 
     @pytest.mark.parametrize(
         "g",
@@ -217,11 +218,17 @@ class TestMinimalTdsLattice:
         + [pytest.param(cycle_graph(n), id=f"C{n}") for n in range(3, 13)],
     )
     def test_equals_mtds_on_named_graphs(self, g):
-        assert td.mask_members(minimal_tds_lattice(g)) == td.mtds(g).edges
+        assert td.mask_members(minimal_tds_lattice(g.adj)) == td.mtds(g).edges
 
     def test_order_13_refused(self):
         with pytest.raises(td.CapabilityError, match="stops at 12 vertices, got 13"):
-            minimal_tds_lattice(cycle_graph(13))
+            minimal_tds_lattice(cycle_graph(13).adj)
+
+    def test_isolated_vertex_gives_no_set(self):
+        # no domain check: with an isolated vertex no set dominates, so the
+        # int is 0, and the caller (search.classify) makes the check
+        assert minimal_tds_lattice((0b10, 0b01, 0)) == 0
+        assert minimal_tds_lattice((0,)) == 0
 
 
 class TestReport:

@@ -21,7 +21,9 @@ from totaldom.search import (
     _new_vertex_is_least,
     _parts_without,
 )
+import class_sets
 import fields
+import stream_census
 from oracles import (
     _connected,
     all_graphs_up_to_iso,
@@ -31,7 +33,6 @@ from oracles import (
     brute_minimal_tds,
     brute_packing_number,
     brute_planar,
-    catalog_class_counts,
     catalog_fields_from_graph6,
     complete_graph,
     cycle_graph,
@@ -312,39 +313,27 @@ def catalog_entries_of(path):
     return list(td.search._read_catalog(str(path), set()))
 
 
-# stream_digest of SearchFilter(n_max=7)
-N7_STREAM = "199f0739eb85862654af777bb17d50ac671e069d199996e2ab05d11a43b16c54"
-
-
-def stream_digest(filt):
-    """sha256 of repr((key, adjacency, planar)) over enumerate_graphs(filt),
-    which must strictly ascend by key: run_search sorts its violation lists
-    and picks its frontier on that order."""
-    h = hashlib.sha256()
-    last = b""
-    for item in td.enumerate_graphs(filt):
-        assert item[0] > last
-        last = item[0]
-        h.update(repr(item).encode())
-    return h.hexdigest()
-
-
-# the frozen stream digest of each filter
+# the class count and frozen stream digest (stream_census.stream_digest)
+# of each filter
 STREAMS = [
-    pytest.param(td.SearchFilter(n_max=7), N7_STREAM, id="n7"),
+    pytest.param(
+        td.SearchFilter(n_max=7),
+        (995, "199f0739eb85862654af777bb17d50ac671e069d199996e2ab05d11a43b16c54"),
+        id="n7",
+    ),
     pytest.param(
         td.SearchFilter(n_max=8, planar_only=True),
-        "d57e000a5e03c123db8b2a8aeb5a36da4f32af141429bbb51a1b374bc688ac2c",
+        (6748, "d57e000a5e03c123db8b2a8aeb5a36da4f32af141429bbb51a1b374bc688ac2c"),
         id="planar8",
     ),
     pytest.param(
         td.SearchFilter(n_max=8, triangle_free_only=True),
-        "13b6a1de8c4bfba723019fd997959d30b4b64543cf061161d875c521039daec7",
+        (356, "13b6a1de8c4bfba723019fd997959d30b4b64543cf061161d875c521039daec7"),
         id="triangle_free8",
     ),
     pytest.param(
         td.SearchFilter(n_max=8, min_degree=3),
-        "2ea435d66643189c6ab7a4998e25bd176ac8efb26f427d14fef40eef625eba87",
+        (2762, "2ea435d66643189c6ab7a4998e25bd176ac8efb26f427d14fef40eef625eba87"),
         id="min_degree3_8",
     ),
 ]
@@ -357,7 +346,16 @@ class TestEnumerationStream:
     # with which parents' facts are merged.
     @pytest.mark.parametrize("filt, digest", STREAMS)
     def test_stream_frozen(self, filt, digest):
-        assert stream_digest(filt) == digest
+        assert stream_census.stream_digest(filt) == digest
+
+    def test_stream_script(self, capsys):
+        # CI runs the order-9 stream through tests/stream_census.py; here
+        # the order-7 stream, with its frozen digest and with a wrong one
+        digest = "c440211461b5fb68cd45c036cd746948771ba914d00de53d16363048ad059b80"
+        assert stream_census.main(["stream", "7", "853", digest]) == 0
+        assert capsys.readouterr().out == f"order 7: 853 classes, stream sha256 {digest}\n"
+        assert stream_census.main(["stream", "7", "852", digest]) == 1
+        assert stream_census.main(["stream", "7", "853", digest[::-1]]) == 1
 
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("filt, digest", STREAMS)
@@ -367,7 +365,7 @@ class TestEnumerationStream:
         # the same child and the same planar fact, and a triangle-free
         # parent drops the same children, across block boundaries
         monkeypatch.setattr(td.search, "BLOCK", block)
-        assert stream_digest(filt) == digest
+        assert stream_census.stream_digest(filt) == digest
 
 
 def random_connected_graph(rng, n):
@@ -499,14 +497,20 @@ class TestClassify:
 
     def test_isolated_vertex_refused(self):
         # total domination is undefined on K2+K1, K1 and K0, so they have no
-        # record: all three refuse them with mtds's own message
-        for g in (td.Graph.from_edges(3, [(0, 1)]), td.Graph(1, (0,)), td.Graph(0, ())):
+        # record: both refuse them with mtds's own message, which names a
+        # labelled graph's isolated vertex by its label
+        labelled = td.Graph.from_edges(3, [(0, 1)], labels=("a", "b", "c"))
+        graphs = (td.Graph.from_edges(3, [(0, 1)]), labelled, td.Graph(1, (0,)), td.Graph(0, ()))
+        for g in graphs:
             with pytest.raises(td.DominationUndefinedError) as ref:
                 td.mtds(g)
-            for compute in (td.classify, td.search.profile, td.domination.minimal_tds_lattice):
+            for compute in (td.classify, td.search.profile):
                 with pytest.raises(td.DominationUndefinedError) as err:
                     compute(g)
                 assert str(err.value) == str(ref.value)
+        with pytest.raises(td.DominationUndefinedError) as err:
+            td.classify(labelled)
+        assert str(err.value) == "total domination undefined: vertex c is isolated"
 
     def test_lattice_fields_match_the_profile(self, atlas7):
         # classify reads gamma_t, Gamma_t and the dominating edges off the
@@ -891,19 +895,24 @@ def test_every_field_recomputed_to_7(catalog7):
         assert set(record) == set(fields) | {"canonical_key", "graph6"}
 
 
+def script_path() -> str:
+    """PYTHONPATH for a script under tests/ run in a child process: the
+    totaldom this process imports, installed or not, then tests/."""
+    src = os.path.dirname(os.path.dirname(td.__file__))
+    tests = os.path.dirname(fields.__file__)
+    return os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+
+
 def test_fields_script(tmp_path, capsys, catalog7):
     # CI's field steps run tests/fields.py on the n <= 8 catalog and on the
     # order-9, -10 and -11 lines of larger ones; here it runs on the n <= 7
-    # catalog, then on a copy with one wrong rho on line 501 (order 7, the
-    # 359th of that order, so in half 1)
+    # catalog, then on copies with one wrong rho or key on line 501 (order
+    # 7, the 359th of that order, so in half 1)
     good = tmp_path / "catalog.jsonl"
     good.write_bytes(catalog7[0])
-    tests = os.path.dirname(fields.__file__)
-    src = os.path.dirname(os.path.dirname(td.__file__))
-    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, fields.__file__, str(good), "995"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=script_path()),
     )
     assert (proc.returncode, proc.stdout) == (0, "995 of 995 lines, 0 disagree with the recomputation\n")
     assert fields.main([str(good), "853", "--order", "7", "--half", "0"]) == 0
@@ -925,27 +934,89 @@ def test_fields_script(tmp_path, capsys, catalog7):
     # half 1 holds the wrong line, half 0 does not
     assert fields.main([str(bad), "853", "--order", "7", "--half", "1"]) == 1
     assert fields.main([str(bad), "853", "--order", "7", "--half", "0"]) == 0
+    # line 501's key with its first triangle bit flipped, then with its last
+    # padding bit set (21 triangle bits of order 7 in 3 bytes), graph6 and
+    # fields untouched: the script decodes the key itself, so both fail
+    record = json.loads(catalog7[0].decode().splitlines()[500])
+    key = bytes.fromhex(record["canonical_key"])
+    assert len(key) == 4 and key[3] & 0b111 == 0
+    for wrong in (key[:1] + bytes([key[1] ^ 0x80]) + key[2:], key[:3] + bytes([key[3] | 1])):
+        lines[500] = json.dumps({**record, "canonical_key": wrong.hex()}, sort_keys=True) + "\n"
+        bad.write_text("".join(lines))
+        capsys.readouterr()
+        assert fields.main([str(bad), "995"]) == 1
+        assert capsys.readouterr().out == (
+            f"{bad}:501: the key and the graph6 string disagree\n"
+            "995 of 995 lines, 1 disagree with the recomputation\n"
+        )
 
 
-def test_class_set_to_7(catalog7):
-    # each connected class of order <= 7 exactly once: no two lines are
-    # isomorphic (tests/oracles.py, networkx alone), and each order holds
-    # A001349's count
-    graph6s = [json.loads(line)["graph6"] for line in catalog7[0].decode().splitlines()]
-    assert catalog_class_counts(graph6s) == {n: c for n, c in A001349.items() if n <= 7}
+@pytest.fixture(scope="module")
+def triangle_free_catalog7(tmp_path_factory):
+    """The bytes of the triangle-free n <= 7 catalog."""
+    out = tmp_path_factory.mktemp("tfcatalog7") / "catalog.jsonl"
+    td.run_search(td.SearchFilter(n_max=7, triangle_free_only=True), out_path=str(out))
+    return out.read_bytes()
 
 
-def test_class_set_refuses_a_doubled_class(catalog7):
-    # one order-7 line replaced by a relabelled copy of another order-7
-    # class: every count holds, so only the pairwise check can see it
-    graph6s = [json.loads(line)["graph6"] for line in catalog7[0].decode().splitlines()]
-    kept, lost = len(graph6s) - 500, len(graph6s) - 400
-    g = td.parse_graph(graph6s[kept], td.GRAPH6)
+def test_class_set_to_7(tmp_path, capsys, catalog7, triangle_free_catalog7):
+    # CI runs tests/class_sets.py on the n <= 8, n <= 9 and triangle-free
+    # n <= 11 catalogs; here it runs on the n <= 7 ones: each connected
+    # (triangle-free) class of order <= 7 exactly once, no two lines
+    # isomorphic (tests/oracles.py, networkx alone), and each order holding
+    # A001349's (A024607's) count
+    full = tmp_path / "catalog.jsonl"
+    full.write_bytes(catalog7[0])
+    proc = subprocess.run(
+        [sys.executable, class_sets.__file__, str(full), "A001349", "7"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=script_path()),
+    )
+    assert (proc.returncode, proc.stdout) == (
+        0, f"{full}: 995 classes, per order {{2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}}\n"
+    )
+    free = tmp_path / "free.jsonl"
+    free.write_bytes(triangle_free_catalog7)
+    assert class_sets.main([str(free), "A024607", "7"]) == 0
+    # a count short of the table's: the catalog stops at order 7
+    assert class_sets.main([str(full), "A001349", "8"]) == 1
+    assert class_sets.main([str(free), "A024607", "6"]) == 1
+    assert capsys.readouterr().out.endswith(
+        f"{free}: A024607 has {{2: 1, 3: 1, 4: 3, 5: 6, 6: 19}}\n"
+    )
+
+
+def test_class_set_refuses_a_doubled_class(tmp_path, capsys, catalog7):
+    # one order-7 line replaced by one whose graph6 is a relabelled copy of
+    # another order-7 class: every count holds, so only the pairwise check
+    # can see it
+    lines = catalog7[0].decode().splitlines(keepends=True)
+    kept, lost = len(lines) - 500, len(lines) - 400
+    g = td.parse_graph(json.loads(lines[kept])["graph6"], td.GRAPH6)
     copy = td.serialize_graph(random_relabel(g, random.Random(3)), td.GRAPH6).strip()
-    assert g.n == 7 and copy not in graph6s
-    graph6s[lost] = copy
-    with pytest.raises(AssertionError, match="are isomorphic"):
-        catalog_class_counts(graph6s)
+    assert g.n == 7 and copy not in catalog7[0].decode()
+    lines[lost] = json.dumps({**json.loads(lines[lost]), "graph6": copy}, sort_keys=True) + "\n"
+    bad = tmp_path / "doubled.jsonl"
+    bad.write_text("".join(lines))
+    assert class_sets.main([str(bad), "A001349", "7"]) == 1
+    assert capsys.readouterr().out.endswith("are isomorphic\n")
+
+
+def test_class_set_refuses_a_triangle(tmp_path, capsys, catalog7, triangle_free_catalog7):
+    # an order-7 line of the triangle-free catalog replaced by an order-7
+    # line with a triangle: the counts hold and no two lines are isomorphic,
+    # so only the triangle check can see it
+    lines = triangle_free_catalog7.decode().splitlines(keepends=True)
+    triangle = next(
+        line for line in catalog7[0].decode().splitlines(keepends=True)
+        if json.loads(line)["n"] == 7 and not json.loads(line)["triangle_free"]
+    )
+    assert json.loads(lines[-1])["n"] == 7
+    lines[-1] = triangle
+    bad = tmp_path / "triangle.jsonl"
+    bad.write_text("".join(lines))
+    assert class_sets.main([str(bad), "A024607", "7"]) == 1
+    graph6 = json.loads(triangle)["graph6"]
+    assert capsys.readouterr().out == f"{bad}: {graph6}: has a triangle\n"
 
 
 class TestCrossFilterResume:

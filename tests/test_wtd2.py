@@ -1,16 +1,17 @@
 import dataclasses
+import json
 import random
 
 import pytest
 
 import totaldom as td
+import stream_census
 from oracles import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
     path_graph,
     random_relabel,
-    w2_recipe_graphs,
 )
 
 
@@ -396,21 +397,29 @@ class TestTriangleFreeRecognizer:
 
 
 class TestW2Census:
-    def test_recipe_graphs_are_the_catalog_w2_classes(self, tmp_path):
+    def test_recipe_graphs_are_the_catalog_w2_classes(self, tmp_path, capsys):
         # both directions of the characterization at each order n <= 8: the
         # four-step recipe, built by the oracle from its steps alone, yields
-        # exactly the catalog's classes with uniform size 2 and packing 2
-        built: dict[int, set[str]] = {}
-        for g in w2_recipe_graphs(8):
-            built.setdefault(g.n, set()).add(td.canonical_form(g).hex())
+        # exactly the catalog's classes with uniform size 2 and packing 2;
+        # CI runs the same census through tests/stream_census.py at order 9
         out = str(tmp_path / "catalog.jsonl")
         td.run_search(td.SearchFilter(n_max=8), out_path=out)
-        catalog: dict[int, set[str]] = {}
-        for e in td.search._read_catalog(out, set()):
-            if e.is_wtd and e.gamma_t == 2 and e.rho == 2:
-                catalog.setdefault(e.n, set()).add(e.canonical_key)
-        assert built == catalog
-        assert {n: len(keys) for n, keys in catalog.items()} == {4: 1, 5: 4, 6: 23, 7: 134, 8: 1036}
+        counts = {}
+        for n in range(2, 9):
+            built, catalog = stream_census.w2_census(out, n)
+            assert built == catalog, n
+            counts[n] = len(catalog)
+        assert counts == {2: 0, 3: 0, 4: 1, 5: 4, 6: 23, 7: 134, 8: 1036}
+        assert stream_census.main(["census", out, "8"]) == 0
+        assert capsys.readouterr().out == "order 8: 1036 recipe classes, 1036 catalog classes\n"
+        # a catalog that lost one of its order-8 W2 lines
+        with open(out) as f:
+            lines = f.readlines()
+        keys = [json.loads(line)["canonical_key"] for line in lines]
+        del lines[next(i for i, key in enumerate(keys) if key in catalog)]
+        with open(out, "w") as f:
+            f.writelines(lines)
+        assert stream_census.main(["census", out, "8"]) == 1
 
 
 class TestRecipeText:

@@ -509,10 +509,13 @@ def is_planar(g: Graph) -> bool:
 
     A graph is planar exactly when each of its biconnected blocks is.  A
     block of two vertices is a bridge, which is planar; path addition
-    (_embeds) decides every block of three or more.
+    (_embeds) decides every block of three or more, the same routine that
+    gives the search's face rule its faces.
     """
     adj = g.adj
-    return all(block.bit_count() < 3 or _embeds(adj, block) for block in _blocks(adj))
+    return all(
+        block.bit_count() < 3 or _embeds(adj, block) is not None for block in _blocks(adj)
+    )
 
 
 def _blocks(adj: Sequence[int]) -> list[int]:
@@ -572,11 +575,16 @@ def _lowpoint(
     return clock
 
 
-def _embeds(adj: Sequence[int], block: int) -> bool:
-    """Whether the biconnected block (a vertex mask of adj) is planar.
+def _embeds(adj: Sequence[int], block: int) -> list[int] | None:
+    """The vertex masks of the faces of a plane embedding of the biconnected
+    block (a vertex mask of adj), or None when the block is not planar.
 
     The block must have at least three vertices: a bridge holds no cycle,
-    and the first _path call raises on one.
+    and the first _path call raises on one.  Each face of a biconnected
+    plane graph is bounded by a cycle, and its mask holds that cycle's
+    vertices.  A 3-connected planar block has only this embedding, up to
+    mirroring (Whitney), so its faces are its own; another block may have
+    others.
 
     Path addition of Demoucron, Malgrange and Pertuiset (Gibbons,
     Algorithmic Graph Theory, 7.4).  A plane subgraph H grows from a cycle;
@@ -619,12 +627,12 @@ def _embeds(adj: Sequence[int], block: int) -> bool:
             fragments.append((neighbors(adj, part) & placed, part))
             rest &= ~part
         if not fragments:
-            return True
+            return [mask for _, mask in faces]
         choice = None
         for attachments, part in fragments:
             fits = [i for i, (_, mask) in enumerate(faces) if not attachments & ~mask]
             if not fits:
-                return False
+                return None
             if len(fits) == 1 or choice is None:
                 choice = fits[0], attachments, part
                 if len(fits) == 1:
@@ -651,6 +659,18 @@ def _embeds(adj: Sequence[int], block: int) -> bool:
         for a, b in zip(path, path[1:]):
             embedded[a] |= 1 << b
             embedded[b] |= 1 << a
+
+
+def _three_connected(adj: Sequence[int], block: int) -> bool:
+    """Whether the biconnected block (a vertex mask of adj, at least four
+    vertices) stays connected after deleting any two of its vertices."""
+    members = mask_members(block)
+    for i, x in enumerate(members):
+        for y in members[i + 1 :]:
+            rest = block & ~(1 << x | 1 << y)
+            if component(adj, rest & -rest, rest) != rest:
+                return False
+    return True
 
 
 def _path(adj: Sequence[int], u: int, inside: int, targets: int) -> list[int]:

@@ -5,7 +5,8 @@
 
 stream enumerates the classes of order ORDER alone, without classifying
 them, and exits 0 when there are COUNT of them, their keys strictly ascend
-and stream_digest is SHA256.  census exits 0 when the order-ORDER graphs of
+and stream_digest is SHA256; it also prints the digest of the stream
+without its planar facts.  census exits 0 when the order-ORDER graphs of
 the four-step W2 recipe (tests/oracles.w2_recipe_graphs, built from its
 steps alone) are exactly the order-ORDER classes of the catalog at PATH that
 are WTD with gamma_t 2 and packing number 2.  Each prints its counts, and
@@ -21,21 +22,25 @@ import totaldom as td
 from oracles import w2_recipe_graphs
 
 
-def stream_digest(filt: td.SearchFilter) -> tuple[int, str]:
-    """The number of classes enumerate_graphs(filt) yields, and the sha256
-    of repr((key, adjacency, planar)) over them, which also pins which
-    labelled child each key keeps.  Raises AssertionError unless the keys
-    strictly ascend: run_search sorts its violation lists and picks its
-    frontier on that order."""
+def stream_digest(filt: td.SearchFilter) -> tuple[int, str, str]:
+    """The number of classes enumerate_graphs(filt) yields, the sha256 of
+    repr((key, adjacency, planar)) over them, which also pins which
+    labelled child each key keeps, and the sha256 of repr((key, adjacency))
+    alone, which a change that decides more planar facts during the
+    enumeration must keep.  Raises AssertionError unless the keys strictly
+    ascend: run_search sorts its violation lists and picks its frontier on
+    that order."""
     h = hashlib.sha256()
+    keyed = hashlib.sha256()
     count = 0
     last = b""
     for item in td.enumerate_graphs(filt):
         assert item[0] > last, f"key {item[0].hex()} does not ascend"
         last = item[0]
         h.update(repr(item).encode())
+        keyed.update(repr(item[:2]).encode())
         count += 1
-    return count, h.hexdigest()
+    return count, h.hexdigest(), keyed.hexdigest()
 
 
 def w2_census(path: str, order: int) -> tuple[set[str], set[str]]:
@@ -64,8 +69,9 @@ def main(argv=None) -> int:
     census.add_argument("order", type=int)
     args = parser.parse_args(argv)
     if args.command == "stream":
-        count, digest = stream_digest(td.SearchFilter(n_max=args.order, n_min=args.order))
-        print(f"order {args.order}: {count} classes, stream sha256 {digest}")
+        count, digest, keyed = stream_digest(td.SearchFilter(n_max=args.order, n_min=args.order))
+        print(f"order {args.order}: {count} classes, stream sha256 {digest}, "
+              f"(key, adjacency) sha256 {keyed}")
         return int((count, digest) != (args.count, args.sha256))
     built, catalog = w2_census(args.path, args.order)
     print(f"order {args.order}: {len(built)} recipe classes, {len(catalog)} catalog classes")

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -6,6 +5,7 @@ import random
 import subprocess
 import sys
 from itertools import combinations
+from typing import get_type_hints
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,13 +16,14 @@ from totaldom.search import (
     _below,
     _catalog_line,
     _degree_cap,
-    _fits_in_a_face,
+    _keyed_children,
     _neighbour_degree_sums,
     _new_vertex_is_least,
     _parts_without,
 )
 import class_sets
 import fields
+import search_checks
 import stream_census
 from oracles import (
     _connected,
@@ -186,8 +187,9 @@ class TestEnumeration:
         assert inherited[True] > 0 and inherited[False] > 0
 
     def test_last_level_planarity(self):
-        # on the last level planar is inherited in both directions or None;
-        # the classification keeps an inherited value and decides the rest
+        # on the last level planar is a fact its children brought (False
+        # from a non-planar parent, True or False by the face rule) or None;
+        # the classification keeps such a fact and decides the rest
         inherited = {True: 0, False: 0, None: 0}
         for key, adj, planar in td.enumerate_graphs(td.SearchFilter(n_max=7, n_min=7)):
             g = td.Graph(7, adj)
@@ -198,19 +200,51 @@ class TestEnumeration:
             assert entry.planar == brute_planar(g), key.hex()
         assert all(inherited.values())
 
-    def test_fits_in_a_face(self):
-        # K5 minus the edge 0-1 is planar; a new vertex joined to an edge of
-        # it (or to one vertex) keeps it planar, one joined to 0 and 1 makes
-        # a subdivided K5
+    @staticmethod
+    def facts(n, adj, planar_only=False):
+        """The planar fact of each child _keyed_children emits for the
+        planar parent adj, by the child's neighbourhood mask."""
+        keyed = _keyed_children(n, [(adj, True, None)], False, planar_only, False)
+        return {child[-1]: fact for _, child, fact, _ in keyed}
+
+    def test_face_rule_on_a_3_connected_parent(self):
+        # K5 minus the edge 0-1 is 3-connected and planar, so its one
+        # embedding decides: a new vertex joined to 0 and 1 makes a
+        # subdivided K5, one joined to an edge (or to one vertex) fits in a
+        # face; a planar search keys no child decided non-planar
         adj = complete_graph(5).adj
         adj = (adj[0] & ~2, adj[1] & ~1) + adj[2:]
-        assert _fits_in_a_face(adj, 0b00001)
-        assert _fits_in_a_face(adj, 0b00101)
-        assert not _fits_in_a_face(adj, 0b00011)
-        assert not _fits_in_a_face(adj, 0b00111)
+        assert td.search._three_connected(adj, 0b11111)
+        facts = self.facts(5, adj)
+        assert facts[0b00011] is False
+        assert facts[0b00101] is True
+        assert facts[0b00001] is True
         parent = td.Graph(5, adj)
         child = td.Graph(6, (adj[0] | 1 << 5, adj[1] | 1 << 5) + adj[2:] + (0b11,))
         assert brute_planar(parent) and not brute_planar(child)
+        planar_facts = self.facts(5, adj, planar_only=True)
+        assert planar_facts == {nb: f for nb, f in facts.items() if f is not False}
+
+    def test_face_rule_leaves_another_embedding_open(self):
+        # triangle 0-1-2 with 3 joined to 0, 1 and 4 joined to 0, 2: one
+        # block, but {0, 1} separates 3, so it has more than one embedding;
+        # the one _embeds builds has no face holding 3 and 4, and the one
+        # with 3 flipped across the edge 0-1 has, so the child joining 3 and
+        # 4 is planar, left None here and decided by the classification
+        adj = (0b11110, 0b01101, 0b10011, 0b00011, 0b00101)
+        assert td.search._blocks(adj) == [0b11111]
+        assert not td.search._three_connected(adj, 0b11111)
+        assert not any(not 0b11000 & ~face for face in td.search._embeds(adj, 0b11111))
+        assert self.facts(5, adj)[0b11000] is None
+        child = (0b011110, 0b001101, 0b010011, 0b100011, 0b100101, 0b011000)
+        assert brute_planar(td.Graph(6, child))
+        key = td.canonical_key(6, child)
+        assert td.search._classify_block([(key, child, None)])[0].planar is True
+
+    def test_face_rule_leaves_two_blocks_open(self):
+        # the path 0-1-2 has two blocks (bridges); a new vertex joined to
+        # 0 and 2 spans both, and the rule leaves the child (C4) to is_planar
+        assert self.facts(3, (0b010, 0b101, 0b010))[0b101] is None
 
     def test_one_key_per_orbit_of_neighbourhoods(self, monkeypatch):
         # a parent's neighbourhoods are tried once per automorphism orbit,
@@ -231,6 +265,27 @@ class TestEnumeration:
         digest = hashlib.sha256(b"".join(keys)).hexdigest()
         assert digest == "4fdef5f6794d8a02bff18249da7145d2fe7410be2991e319ea8687f83264a104"
         assert len(calls) == 1049
+
+    def test_planar_search_keys_no_child_decided_non_planar(self, monkeypatch):
+        # a planar search drops a child the face rule decides non-planar
+        # before keying it: 7,798 keys to n = 8, against 8,258 when the rule
+        # decides nothing non-planar, and the stream (key, adjacency and
+        # planar, test_stream_frozen's planar8) is the same either way
+        calls = []
+        real = td.search.canonical_key
+
+        def counted(n, adj, generators=None):
+            calls.append(n)
+            return real(n, adj, generators)
+
+        monkeypatch.setattr(td.search, "canonical_key", counted)
+        filt = td.SearchFilter(n_max=8, planar_only=True)
+        assert stream_census.stream_digest(filt) == STREAMS[1].values[1]
+        assert len(calls) == 7798
+        monkeypatch.setattr(td.search, "_three_connected", lambda adj, block: False)
+        calls.clear()
+        assert stream_census.stream_digest(filt) == STREAMS[1].values[1]
+        assert len(calls) == 8258
 
     def test_one_labelling_search_per_key(self, monkeypatch):
         # the generators a parent's orbits need come from the search that
@@ -313,27 +368,44 @@ def catalog_entries_of(path):
     return list(td.search._read_catalog(str(path), set()))
 
 
-# the class count and frozen stream digest (stream_census.stream_digest)
-# of each filter
+# the class count and frozen stream digests (stream_census.stream_digest)
+# of each filter: of (key, adjacency, planar), then of (key, adjacency)
+# alone, which holds whichever planar facts the enumeration decides
 STREAMS = [
     pytest.param(
         td.SearchFilter(n_max=7),
-        (995, "199f0739eb85862654af777bb17d50ac671e069d199996e2ab05d11a43b16c54"),
+        (
+            995,
+            "829959163c8ed6a07c34df194f6478a6bb7e0bec3b8d1150653492a6525cb093",
+            "f094e1dfa9ed03b4e84fd9c6efab6139bf6fbab7daa782df829b8df93dbbe8ef",
+        ),
         id="n7",
     ),
     pytest.param(
         td.SearchFilter(n_max=8, planar_only=True),
-        (6748, "d57e000a5e03c123db8b2a8aeb5a36da4f32af141429bbb51a1b374bc688ac2c"),
+        (
+            6748,
+            "d57e000a5e03c123db8b2a8aeb5a36da4f32af141429bbb51a1b374bc688ac2c",
+            "7e3ce0a984b14d13d8100bb1260eb58d18a439f8dbd0f3448471b45635605f91",
+        ),
         id="planar8",
     ),
     pytest.param(
         td.SearchFilter(n_max=8, triangle_free_only=True),
-        (356, "13b6a1de8c4bfba723019fd997959d30b4b64543cf061161d875c521039daec7"),
+        (
+            356,
+            "1cd1043b964ba721f6c4cf5aa49bff56ccd33b4571f94978b1a21fd7d9598db9",
+            "66cf49ba00cb468127e069f9f1dc11f1be5e725a61fc0a681a845991b33a1411",
+        ),
         id="triangle_free8",
     ),
     pytest.param(
         td.SearchFilter(n_max=8, min_degree=3),
-        (2762, "2ea435d66643189c6ab7a4998e25bd176ac8efb26f427d14fef40eef625eba87"),
+        (
+            2762,
+            "5370468bece72206453703a4d6c71a63c4f3d466d5b33398587b20ec51ddf665",
+            "0851065bd6728089a81067aed8033eed19d348b33ffe43968149216a9a250b01",
+        ),
         id="min_degree3_8",
     ),
 ]
@@ -351,11 +423,40 @@ class TestEnumerationStream:
     def test_stream_script(self, capsys):
         # CI runs the order-9 stream through tests/stream_census.py; here
         # the order-7 stream, with its frozen digest and with a wrong one
-        digest = "c440211461b5fb68cd45c036cd746948771ba914d00de53d16363048ad059b80"
+        digest = "2eacb2be8ee6c842b06fe877e83db3cb8a1aba6838d0829449a0ba6d1bab6dfb"
+        keyed = "4adc89248f2063e6d57c2e38748a0692383bf9c2cbae4f8987101404153cefe9"
         assert stream_census.main(["stream", "7", "853", digest]) == 0
-        assert capsys.readouterr().out == f"order 7: 853 classes, stream sha256 {digest}\n"
+        assert capsys.readouterr().out == (
+            f"order 7: 853 classes, stream sha256 {digest}, (key, adjacency) sha256 {keyed}\n"
+        )
         assert stream_census.main(["stream", "7", "852", digest]) == 1
         assert stream_census.main(["stream", "7", "853", digest[::-1]]) == 1
+
+    @pytest.mark.parametrize("filt, digest", STREAMS)
+    def test_every_child_fact_is_exact(self, monkeypatch, filt, digest):
+        # every child _keyed_children emits under the filter carries None
+        # or its planarity: is_planar's answer, and brute_planar's (an
+        # independent oracle, Kuratowski by brute force) to order 7
+        emitted = []
+        real = td.search._keyed_children
+
+        def spy(n, *args):
+            keyed = real(n, *args)
+            emitted.extend(keyed)
+            return keyed
+
+        monkeypatch.setattr(td.search, "_keyed_children", spy)
+        assert sum(1 for _ in td.enumerate_graphs(filt)) == digest[0]
+        seen = {True: 0, False: 0, None: 0}
+        for key, child, fact, _ in emitted:
+            seen[fact] += 1
+            if fact is not None:
+                g = td.Graph(len(child), child)
+                assert fact == td.is_planar(g), key.hex()
+                if g.n <= 7:
+                    assert fact == brute_planar(g), key.hex()
+        # a planar search drops the children decided False before keying
+        assert seen[True] and seen[None] and bool(seen[False]) != filt.planar_only, seen
 
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("filt, digest", STREAMS)
@@ -569,7 +670,7 @@ class TestClassify:
         for entry in entries:
             g = td.graph_from_canonical(bytes.fromhex(entry.canonical_key))
             got = td.classify(random_relabel(g, rng))
-            assert dataclasses.asdict(got) == dataclasses.asdict(entry)
+            assert got == entry
 
     @staticmethod
     def checked_gamma_t_2(graphs):
@@ -653,7 +754,7 @@ class TestAssertionIds:
     def test_diam3_reports_violation(self):
         # P4 has gamma_t 2, diameter 3 and rho 2; a catalog entry whose rho
         # disagrees with its diameter must count as a DIAM3 violation
-        entry = dataclasses.replace(td.classify(path_graph(4)), rho=1)
+        entry = td.classify(path_graph(4))._replace(rho=1)
         assert (entry.gamma_t, entry.diameter, entry.rho) == (2, 3, 1)
         _, _, applies, holds = td.ASSERTIONS["DIAM3"]
         assert applies(entry) and not holds(entry)
@@ -661,7 +762,7 @@ class TestAssertionIds:
     @pytest.mark.parametrize("name, base, changes, applies, violated", BOUNDARIES)
     def test_boundaries(self, name, base, changes, applies, violated):
         graph = {"K4": complete_graph(4), "C4": cycle_graph(4)}[base]
-        entry = dataclasses.replace(td.classify(graph), **changes)
+        entry = td.classify(graph)._replace(**changes)
         _, _, applies_to, holds = td.ASSERTIONS[name]
         assert applies_to(entry) == applies
         assert (applies_to(entry) and not holds(entry)) == violated
@@ -745,7 +846,7 @@ class TestRunSearch:
         rep = td.run_search(filt, out_path=str(out))
         lines = out.read_text().splitlines()
         assert len(lines) == rep["classified"] == 9
-        field_names = set(td.CatalogEntry.__dataclass_fields__)
+        field_names = set(td.CatalogEntry._fields)
         keys_in_file = []
         for line in lines:
             record = json.loads(line)
@@ -951,6 +1052,31 @@ def test_fields_script(tmp_path, capsys, catalog7):
         )
 
 
+def test_search_checks_script(capsys, catalog7):
+    # CI runs tests/search_checks.py's mtds sweep at order 8, its gc check
+    # on the n <= 8 search and its RSS launcher on the n <= 9 searches under
+    # 150 MB; here each at n <= 7, the launcher with a roomy bound and with
+    # one no Python process meets
+    report = json.loads(json.dumps(catalog7[1]))
+    assert search_checks.main(["mtds", "7", "853"]) == 0
+    assert capsys.readouterr().out == "order 7: mtds equals the subset sweep on 853 classes\n"
+    assert search_checks.main(["mtds", "7", "852"]) == 1
+    capsys.readouterr()
+    assert search_checks.main(["gc", "7"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == report
+    assert err == "unreachable objects after the search: 0\n"
+    for limit, code in [("500", 0), ("1", 1)]:
+        proc = subprocess.run(
+            [sys.executable, search_checks.__file__, "rss", limit, "--n-max", "7"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=script_path()),
+        )
+        assert proc.returncode == code, proc.stderr
+        assert json.loads(proc.stdout) == report
+        assert proc.stderr.startswith("peak RSS of search --n-max 7: ")
+        assert proc.stderr.endswith(f" MB (at most {limit} MB)\n")
+
+
 @pytest.fixture(scope="module")
 def triangle_free_catalog7(tmp_path_factory):
     """The bytes of the triangle-free n <= 7 catalog."""
@@ -1056,17 +1182,17 @@ class TestCrossFilterResume:
 
 # a strategy for each field type of CatalogEntry, by its annotation
 by_type = {
-    "str": st.binary(max_size=12).map(bytes.hex),
-    "int": st.integers(),
-    "int | None": st.none() | st.integers(),
-    "bool": st.booleans(),
+    str: st.binary(max_size=12).map(bytes.hex),
+    int: st.integers(),
+    int | None: st.none() | st.integers(),
+    bool: st.booleans(),
 }
 
 
 @st.composite
 def catalog_entries(draw):
     values = {
-        f.name: draw(by_type[f.type]) for f in dataclasses.fields(td.CatalogEntry)
+        name: draw(by_type[kind]) for name, kind in get_type_hints(td.CatalogEntry).items()
     }
     return td.CatalogEntry(**values)
 
@@ -1084,7 +1210,7 @@ class TestCatalogLine:
     @settings(max_examples=300, deadline=None)
     def test_equals_sorted_json_dumps(self, entry, graph6):
         # the reference: the record json.dumps writes with sorted keys
-        record = dataclasses.asdict(entry)
+        record = entry._asdict()
         record["graph6"] = graph6
         assert _catalog_line(entry, graph6) == json.dumps(record, sort_keys=True) + "\n"
 

@@ -53,20 +53,21 @@ from .graphio import serialize_graph  # noqa: F401
 
 
 # Connected graphs on n vertices, n = 0..CANONICAL_BOUND: all of them (OEIS
-# A001349) and the triangle-free ones (A024607).
+# A001349), the triangle-free ones (A024607) and the planar ones (A003094).
 CONNECTED_CLASSES = (
     1, 1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571, 1006700565, 164059830476
 )
 CONNECTED_TRIANGLE_FREE = (1, 1, 1, 1, 3, 6, 19, 59, 267, 1380, 9832, 90842, 1144061)
+CONNECTED_PLANAR = (1, 1, 1, 2, 6, 20, 99, 646, 5974, 71885, 1052805, 17449299, 313372298)
 # The most classes, summed over orders 2..n_max, that a search may key.  n <=
 # 10 holds 11,989,763 connected classes, whose order-10 level dict alone
 # would need about 5 GB: 11,716,571 records of about 416 B each (record and
 # dict slot by sys.getsizeof, measured on the children of 3,000 random
 # order-9 classes; an order-9 record takes 315 B, as the n <= 9
 # enumeration's peak RSS of about 350 B per class agrees).  A triangle-free
-# search drops children with a triangle before keying them, so A024607
-# bounds its keys.  A planar search also keys the non-planar children of
-# planar parents that the face rule leaves undecided, so A001349 bounds it.
+# search drops children with a triangle, and a planar search non-planar
+# children, before keying them, so A024607 and A003094 bound their keys;
+# A024607 when both filters are set.
 SEARCH_BUDGET = 1_000_000
 
 
@@ -96,6 +97,8 @@ class SearchFilter:
             )
         if self.triangle_free_only:
             table, kind = CONNECTED_TRIANGLE_FREE, "connected triangle-free classes (OEIS A024607)"
+        elif self.planar_only:
+            table, kind = CONNECTED_PLANAR, "connected planar classes (OEIS A003094)"
         else:
             table, kind = CONNECTED_CLASSES, "connected classes (OEIS A001349)"
         count = sum(table[2 : self.n_max + 1])
@@ -276,10 +279,10 @@ def _classify_block(block: list[tuple]) -> list[CatalogEntry]:
     """The catalog record of each class in a block of enumerate_graphs
     payloads (canonical key, adjacency, planar), one kernel at a time over
     the block, each class with total domination defined (classify checks
-    its graph).  A block stays rows: graphs_in_lanes packs it and makes
-    Graph's checks once (every order is at most CANONICAL_BOUND, below
-    LANE_BOUND), and Graph() builds a Graph only for is_planar, for a class
-    whose planar is still None.  Packing numbers, diameters, girths and
+    its graph) and planar its exact planarity, kept as given.  A block
+    stays rows: graphs_in_lanes packs it and makes Graph's checks once
+    (every order is at most CANONICAL_BOUND, below LANE_BOUND), and no
+    Graph is built.  Packing numbers, diameters, girths and
     dominating partners come from the lane kernels, m and min_degree from
     the degrees.  gamma_t and Gamma_t are the least and largest set sizes
     in minimal_tds_lattice, its first layers met scanning up from 2 and down
@@ -296,7 +299,6 @@ def _classify_block(block: list[tuple]) -> list[CatalogEntry]:
     diameter_list = diameters(lanes)
     girth_list = girths(lanes)
     partner_list = dominating_partners_in_lanes(lanes)
-    planars = [is_planar(Graph(len(a), a)) if p is None else p for a, p in zip(adjs, planars)]
     entries = []
     for n, adj, key, lattice, rho, diam, gir, partners, planar in zip(
         map(len, adjs), adjs, keys, lattices, rhos, diameter_list, girth_list, partner_list, planars
@@ -445,7 +447,8 @@ def _orbit_labels(n: int, gens: list[tuple[int, ...]]) -> list[int] | None:
 
 def _face_fact(adj: tuple[int, ...], nb: int, blocks: dict[int, list | None]) -> bool | None:
     """The planarity of the child that joins a new vertex to nb in the
-    planar parent adj, or None when this rule cannot tell.  blocks is empty
+    planar parent adj, or None when this rule cannot tell; _keyed_children
+    then calls is_planar, so the rule only saves that test.  blocks is empty
     until the first child that needs the parent's biconnected blocks, then
     maps each to None until a child that lies in it asks, then to [its faces
     by _embeds, whether it is 3-connected or None until needed]; a caller
@@ -490,7 +493,7 @@ def _keyed_children(
 ) -> list[tuple]:
     """The children of a block of order-n parents, each parent an
     (adjacency, planar, generators) record, as (key, child adjacency,
-    planar fact, generators) in parent order, then neighbourhood-mask order.
+    planar, generators) in parent order, then neighbourhood-mask order.
 
     Each parent table (_orbit_labels, _below, _parts_without,
     _neighbour_degree_sums, _degree_cap) is built for the whole block
@@ -498,11 +501,12 @@ def _keyed_children(
     canonical_key in one pass after it.  A parent tries the least mask of
     each orbit of masks with at most _degree_cap members, and keeps it when
     it passes _new_vertex_is_least and, if triangle_free is set, no two of
-    its members are adjacent.  The fact is False under a non-planar parent
-    and the face rule's answer (_face_fact) under a planar one, True, False
-    or None; the parent's blocks, and a block's faces and 3-connectivity,
-    are computed the first time a child asks for them.  With planar_only
-    set, a child whose fact is False is dropped before it is keyed.
+    its members are adjacent.  planar is the child's exact planarity, a
+    bool: False under a non-planar parent, and under a planar one the face
+    rule's answer (_face_fact), or is_planar's where the rule leaves it
+    None; the parent's blocks, and a block's faces and 3-connectivity, are
+    computed the first time a child asks for them.  With planar_only set, a
+    non-planar child is dropped before it is keyed.
     generators is the list canonical_key fills when keep_gens is set, else
     None.  A pure function of its arguments, so it may run in any process.
     """
@@ -526,31 +530,18 @@ def _keyed_children(
                 continue
             if not _new_vertex_is_least(nb, adj, below, parts, sums):
                 continue
-            fact = _face_fact(adj, nb, blocks) if planar else False
-            if planar_only and fact is False:
-                continue
             child = tuple(row | ((nb >> i & 1) << n) for i, row in enumerate(adj)) + (nb,)
+            fact = _face_fact(adj, nb, blocks) if planar else False
+            if fact is None:
+                fact = is_planar(Graph(n + 1, child))
+            if planar_only and not fact:
+                continue
             children.append((child, fact))
     keyed = []
     for child, fact in children:
         gens = [] if keep_gens else None
         keyed.append((canonical_key(n + 1, child, gens), child, fact, gens))
     return keyed
-
-
-def _merge(level: dict[bytes, tuple], keyed: list[tuple]) -> None:
-    """Merge _keyed_children's output into a level dict, key -> (adjacency,
-    planar, generators): the first child to reach a key is its record, and
-    planar is the first fact that is not None among the key's children.
-    Merged block by block in walk order, a level keeps what one merge of
-    all its children in parent order would keep.
-    """
-    for key, child, fact, gens in keyed:
-        record = level.get(key)
-        if record is None:
-            level[key] = (child, fact, gens)
-        elif record[1] is None and fact is not None:
-            level[key] = (record[0], fact, record[2])
 
 
 def enumerate_graphs(filt: SearchFilter):
@@ -585,21 +576,17 @@ def enumerate_graphs(filt: SearchFilter):
     labelling search that keyed the parent, so each class runs one.
 
     The search runs in three steps.  This walk takes each level, a dict
-    that _merge fills, in key order, BLOCK classes at a time.  A class's
-    planar is the first fact its children brought from their parents:
-    False under a non-planar parent, and under a planar one what the face
-    rule (_face_fact) decides from the parent's blocks and faces, exactly,
-    or None.  A planar still None is decided by is_planar, once per class,
-    when its level is expanded further or filtered on planarity; on the
-    last level, which is not expanded and keeps no generators, it stays
-    None unless a child brought a fact (at n <= 8, 549 of its 11,117
-    classes stay None), and _classify_block decides it.  A planar search
-    keys no child that the rule finds non-planar.  Each block's classes are
-    yielded, then _keyed_children expands and keys the block and _merge
-    folds its children into the next level.  The yielded adjacency is the
-    first labelled child that reached its key, so another walk order could
-    yield another labelling of the same class; the keys and their order
-    would not change.  The planar and triangle-free restrictions prune whole
+    key -> (adjacency, planar, generators), in key order, BLOCK classes at
+    a time.  Each block's classes are yielded, then _keyed_children expands
+    and keys the block, and the first child to reach a key is its record
+    in the next level.  Its planar is that child's planarity, exact: False
+    under a non-planar parent, and under a planar one what the face rule
+    (_face_fact) decides from the parent's blocks and faces, or is_planar
+    where the rule cannot tell.  A planar search keys no non-planar child,
+    so every class it walks is planar.  The yielded adjacency is the first
+    labelled child that reached its key, so another walk order could yield
+    another labelling of the same class; the keys and their order would
+    not change.  The planar and triangle-free restrictions prune whole
     subtrees, since a child can qualify only if its parent does.
     """
     level: dict[bytes, tuple] = {canonical_key(1, (0,)): ((0,), True, [])}
@@ -611,10 +598,6 @@ def enumerate_graphs(filt: SearchFilter):
             parents = []
             for key in keys[start : start + BLOCK]:
                 adj, planar, gens = level[key]
-                if planar is None and (deepen or filt.planar_only):
-                    planar = is_planar(Graph(n, adj))
-                if filt.planar_only and not planar:
-                    continue
                 if n >= filt.n_min and (
                     filt.min_degree is None
                     or min(row.bit_count() for row in adj) >= filt.min_degree
@@ -622,9 +605,10 @@ def enumerate_graphs(filt: SearchFilter):
                     yield key, adj, planar
                 if deepen:
                     parents.append((adj, planar, gens))
-            _merge(nxt, _keyed_children(
+            for key, child, fact, gens in _keyed_children(
                 n, parents, filt.triangle_free_only, filt.planar_only, n + 1 < filt.n_max
-            ))
+            ):
+                nxt.setdefault(key, (child, fact, gens))
         level = nxt
 
 

@@ -1,14 +1,15 @@
 """Check that a search catalog holds each connected class of its orders once.
 
-    PYTHONPATH=src:tests python tests/class_sets.py PATH {A001349,A024607} N_MAX
+    PYTHONPATH=src:tests python tests/class_sets.py PATH {A001349,A003094,A024607} N_MAX
 
 tests/oracles.catalog_class_counts, networkx with no totaldom code, checks
 that every line of the catalog at PATH is connected and that no two lines
-are isomorphic; with A024607 it also checks that no line has a triangle.
-The number of lines of each order must then be the table's, OEIS A001349
-(connected graphs) or A024607 (connected triangle-free graphs), for every
-order from 2 to N_MAX and no other.  Exits 0 when all of that holds, else
-1, printing what failed.
+are isomorphic; with A024607 it also checks that no line has a triangle,
+and with A003094 that every line is planar.  The number of lines of each
+order must then be the table's, OEIS A001349 (connected graphs), A003094
+(connected planar graphs) or A024607 (connected triangle-free graphs), for
+every order from 2 to N_MAX and no other.  Exits 0 when all of that holds,
+else 1, printing what failed.
 """
 
 import argparse
@@ -17,9 +18,11 @@ import sys
 
 from oracles import catalog_class_counts
 
-# connected graphs, and connected triangle-free graphs, on n vertices (OEIS)
+# connected graphs, connected planar graphs, and connected triangle-free
+# graphs, on n vertices (OEIS)
 TABLES = {
     "A001349": {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117, 9: 261080},
+    "A003094": {2: 1, 3: 2, 4: 6, 5: 20, 6: 99, 7: 646, 8: 5974, 9: 71885},
     "A024607": {2: 1, 3: 1, 4: 3, 5: 6, 6: 19, 7: 59, 8: 267, 9: 1380, 10: 9832, 11: 90842},
 }
 
@@ -37,7 +40,9 @@ def main(argv=None) -> int:
     try:
         with open(args.path) as f:
             graph6s = (json.loads(line)["graph6"] for line in f)
-            counts = catalog_class_counts(graph6s, triangle_free=args.table == "A024607")
+            counts = catalog_class_counts(
+                graph6s, triangle_free=args.table == "A024607", planar=args.table == "A003094"
+            )
     except AssertionError as exc:
         print(f"{args.path}: {exc}")
         return 1

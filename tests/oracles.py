@@ -529,10 +529,13 @@ def catalog_fields_from_graph6(text: str) -> dict:
     }
 
 
-def catalog_class_counts(graph6s, triangle_free: bool = False) -> dict[int, int]:
+def catalog_class_counts(
+    graph6s, triangle_free: bool = False, planar: bool = False
+) -> dict[int, int]:
     """The number of graph6 strings per order, after checking with no
-    totaldom code that each is connected (and, with triangle_free, holds no
-    triangle by networkx's triangle count) and no two are isomorphic.
+    totaldom code that each is connected (with triangle_free, that it holds
+    no triangle by networkx's triangle count, and with planar, that
+    networkx's check_planarity finds it planar) and no two are isomorphic.
 
     Each graph is bucketed by (n, m, degree sequence, networkx's
     Weisfeiler-Lehman hash with 3 iterations), which isomorphic graphs
@@ -541,10 +544,10 @@ def catalog_class_counts(graph6s, triangle_free: bool = False) -> dict[int, int]
     two or more are built again when its pairs are compared: a networkx
     graph per line held to the end peaks at about 1.5 GB of RSS on the
     n <= 9 catalog, the strings at about 160 MB.  With the counts equal to
-    OEIS A001349 (A024607 with triangle_free), that shows each connected
-    (triangle-free) class is there exactly once.  Raises AssertionError
-    naming a disconnected graph, a graph with a triangle, or the first
-    isomorphic pair.
+    OEIS A001349 (A024607 with triangle_free, A003094 with planar), that
+    shows each connected (triangle-free, planar) class is there exactly
+    once.  Raises AssertionError naming a disconnected graph, a graph with
+    a triangle, a non-planar graph, or the first isomorphic pair.
     """
     import warnings
 
@@ -566,6 +569,8 @@ def catalog_class_counts(graph6s, triangle_free: bool = False) -> dict[int, int]
             raise AssertionError(f"{text}: disconnected")
         if triangle_free and any(nx.triangles(g).values()):
             raise AssertionError(f"{text}: has a triangle")
+        if planar and not nx.check_planarity(g)[0]:
+            raise AssertionError(f"{text}: not planar")
         with warnings.catch_warnings():
             # networkx 3.5 changed its hashes and says so; isomorphic graphs
             # still hash alike, which is all the bucketing needs

@@ -820,12 +820,12 @@ class TestSearch:
 
     @pytest.mark.parametrize(
         "restriction, n_max, count",
-        [("--planar", "10", "11,989,763"), ("--triangle-free", "12", "1,246,471")],
+        [("--planar", "10", "1,131,438"), ("--triangle-free", "12", "1,246,471")],
     )
     def test_restricted_search_past_budget(self, capsys, restriction, n_max, count):
-        # a planar search also keys non-planar children, so it is bounded by
-        # all connected classes; a triangle-free one by its own OEIS table
-        sequence = {"--planar": "A001349", "--triangle-free": "A024607"}[restriction]
+        # each restricted search drops the children outside its class before
+        # keying them, so it is bounded by its own OEIS table
+        sequence = {"--planar": "A003094", "--triangle-free": "A024607"}[restriction]
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "search", restriction, "--n-max", n_max)
         assert time.perf_counter() - start < 1

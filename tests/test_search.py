@@ -94,7 +94,7 @@ class TestSearchFilter:
     @pytest.mark.parametrize(
         "restriction, accepted, count, sequence",
         [
-            ({"planar_only": True}, 9, "11,989,763", "A001349"),
+            ({"planar_only": True}, 9, "1,131,438", "A003094"),
             ({"triangle_free_only": True}, 11, "1,246,471", "A024607"),
             ({"planar_only": True, "triangle_free_only": True}, 11, "1,246,471", "A024607"),
         ],
@@ -110,29 +110,28 @@ class TestSearchFilter:
 
     def test_budget_tables_match_enumerated_counts(self):
         # test_restricted_counts and test_connected_counts_to_8 enumerate
-        # these orders; the rest of each table is cited from OEIS
-        for table, counts in [
-            (td.search.CONNECTED_CLASSES, A001349),
-            (td.search.CONNECTED_TRIANGLE_FREE, A024607),
+        # these orders; the rest of each table is cited from OEIS.  Each
+        # search admits exactly the n_max whose classes fit its table's
+        # budget, the triangle-free table taking precedence over the planar
+        for table, counts, restriction in [
+            (td.search.CONNECTED_CLASSES, A001349, {}),
+            (td.search.CONNECTED_TRIANGLE_FREE, A024607, {"triangle_free_only": True}),
+            (td.search.CONNECTED_PLANAR, A003094, {"planar_only": True}),
+            (
+                td.search.CONNECTED_TRIANGLE_FREE, A024607,
+                {"planar_only": True, "triangle_free_only": True},
+            ),
         ]:
             assert len(table) == td.CANONICAL_BOUND + 1
             assert {n: table[n] for n in counts} == counts
-
-    def test_planar_budget_decides_as_a003094_would(self):
-        # a planar search is budgeted by all connected classes (A001349), as
-        # it also keys non-planar children; it accepts exactly the n_max
-        # whose connected planar classes (OEIS A003094, n = 2..12) fit
-        planar = (1, 2, 6, 20, 99, 646, 5974, 71885, 1052805, 17449299, 313372298)
-        assert {n: planar[n - 2] for n in A003094} == A003094
-        assert td.CANONICAL_BOUND == 12
-        for n_max in range(2, 13):
-            fits = sum(planar[: n_max - 1]) <= td.search.SEARCH_BUDGET
-            try:
-                td.SearchFilter(n_max=n_max, planar_only=True)
-            except td.CapabilityError:
-                assert not fits, n_max
-            else:
-                assert fits, n_max
+            for n_max in range(2, td.CANONICAL_BOUND + 1):
+                fits = sum(table[2 : n_max + 1]) <= td.search.SEARCH_BUDGET
+                try:
+                    td.SearchFilter(n_max=n_max, **restriction)
+                except td.CapabilityError:
+                    assert not fits, (restriction, n_max)
+                else:
+                    assert fits, (restriction, n_max)
 
     def test_min_degree_sign(self):
         with pytest.raises(ValueError):
@@ -174,31 +173,25 @@ class TestEnumeration:
         assert got == expect
 
     def test_planarity_matches_oracle_to_7(self, enumerated8):
-        # below the last level every class carries its planarity, decided by
-        # is_planar or inherited; on the last level planar is inherited or
-        # None, and every inherited value is right
-        inherited = {True: 0, False: 0}
+        # every class of every order carries its planarity as a bool:
+        # brute_planar's to order 7, and is_planar's on the last level
+        seen = {True: 0, False: 0}
         for key, g, planar in enumerated8:
-            if g.n <= 7:
-                assert planar == brute_planar(g), key.hex()
-            elif planar is not None:
-                assert planar == brute_planar(g), key.hex()
-                inherited[planar] += 1
-        assert inherited[True] > 0 and inherited[False] > 0
+            assert isinstance(planar, bool), key.hex()
+            assert planar == (brute_planar(g) if g.n <= 7 else td.is_planar(g)), key.hex()
+            seen[planar] += 1
+        assert all(seen.values())
 
     def test_last_level_planarity(self):
-        # on the last level planar is a fact its children brought (False
-        # from a non-planar parent, True or False by the face rule) or None;
-        # the classification keeps such a fact and decides the rest
-        inherited = {True: 0, False: 0, None: 0}
+        # the last level, which is not expanded, also carries a bool equal
+        # to brute_planar's answer, and the classification keeps it
+        seen = {True: 0, False: 0}
         for key, adj, planar in td.enumerate_graphs(td.SearchFilter(n_max=7, n_min=7)):
-            g = td.Graph(7, adj)
-            if planar is not None:
-                assert planar == brute_planar(g), key.hex()
-            inherited[planar] += 1
-            entry = td.search._classify_block([(key, adj, planar)])[0]
-            assert entry.planar == brute_planar(g), key.hex()
-        assert all(inherited.values())
+            assert isinstance(planar, bool), key.hex()
+            assert planar == brute_planar(td.Graph(7, adj)), key.hex()
+            seen[planar] += 1
+            assert td.search._classify_block([(key, adj, planar)])[0].planar is planar
+        assert all(seen.values())
 
     @staticmethod
     def facts(n, adj, planar_only=False):
@@ -230,21 +223,23 @@ class TestEnumeration:
         # block, but {0, 1} separates 3, so it has more than one embedding;
         # the one _embeds builds has no face holding 3 and 4, and the one
         # with 3 flipped across the edge 0-1 has, so the child joining 3 and
-        # 4 is planar, left None here and decided by the classification
+        # 4 is planar: the rule leaves it None, and _keyed_children emits
+        # is_planar's True
         adj = (0b11110, 0b01101, 0b10011, 0b00011, 0b00101)
         assert td.search._blocks(adj) == [0b11111]
         assert not td.search._three_connected(adj, 0b11111)
         assert not any(not 0b11000 & ~face for face in td.search._embeds(adj, 0b11111))
-        assert self.facts(5, adj)[0b11000] is None
+        assert td.search._face_fact(adj, 0b11000, {}) is None
+        assert self.facts(5, adj)[0b11000] is True
         child = (0b011110, 0b001101, 0b010011, 0b100011, 0b100101, 0b011000)
         assert brute_planar(td.Graph(6, child))
-        key = td.canonical_key(6, child)
-        assert td.search._classify_block([(key, child, None)])[0].planar is True
 
     def test_face_rule_leaves_two_blocks_open(self):
         # the path 0-1-2 has two blocks (bridges); a new vertex joined to
         # 0 and 2 spans both, and the rule leaves the child (C4) to is_planar
-        assert self.facts(3, (0b010, 0b101, 0b010))[0b101] is None
+        adj = (0b010, 0b101, 0b010)
+        assert td.search._face_fact(adj, 0b101, {}) is None
+        assert self.facts(3, adj)[0b101] is True
 
     def test_one_key_per_orbit_of_neighbourhoods(self, monkeypatch):
         # a parent's neighbourhoods are tried once per automorphism orbit,
@@ -267,10 +262,11 @@ class TestEnumeration:
         assert len(calls) == 1049
 
     def test_planar_search_keys_no_child_decided_non_planar(self, monkeypatch):
-        # a planar search drops a child the face rule decides non-planar
-        # before keying it: 7,798 keys to n = 8, against 8,258 when the rule
-        # decides nothing non-planar, and the stream (key, adjacency and
-        # planar, test_stream_frozen's planar8) is the same either way
+        # a planar search drops every non-planar child before keying it:
+        # 7,382 keys to n = 8, whether the face rule or is_planar decides
+        # it (with _three_connected False the rule decides nothing
+        # non-planar), so the rule changes only the cost; the stream (key,
+        # adjacency and planar, test_stream_frozen's planar8) is the same
         calls = []
         real = td.search.canonical_key
 
@@ -281,11 +277,11 @@ class TestEnumeration:
         monkeypatch.setattr(td.search, "canonical_key", counted)
         filt = td.SearchFilter(n_max=8, planar_only=True)
         assert stream_census.stream_digest(filt) == STREAMS[1].values[1]
-        assert len(calls) == 7798
+        assert len(calls) == 7382
         monkeypatch.setattr(td.search, "_three_connected", lambda adj, block: False)
         calls.clear()
         assert stream_census.stream_digest(filt) == STREAMS[1].values[1]
-        assert len(calls) == 8258
+        assert len(calls) == 7382
 
     def test_one_labelling_search_per_key(self, monkeypatch):
         # the generators a parent's orbits need come from the search that
@@ -376,7 +372,7 @@ STREAMS = [
         td.SearchFilter(n_max=7),
         (
             995,
-            "829959163c8ed6a07c34df194f6478a6bb7e0bec3b8d1150653492a6525cb093",
+            "a381d20cdf20b7119e8583cd8532232879b70f63850dcc77126d1c799ddd7984",
             "f094e1dfa9ed03b4e84fd9c6efab6139bf6fbab7daa782df829b8df93dbbe8ef",
         ),
         id="n7",
@@ -394,7 +390,7 @@ STREAMS = [
         td.SearchFilter(n_max=8, triangle_free_only=True),
         (
             356,
-            "1cd1043b964ba721f6c4cf5aa49bff56ccd33b4571f94978b1a21fd7d9598db9",
+            "c4557c74df3962fce5be42316d2594b3d9e74bfa1fc317b0aa68c82f42ea14ac",
             "66cf49ba00cb468127e069f9f1dc11f1be5e725a61fc0a681a845991b33a1411",
         ),
         id="triangle_free8",
@@ -403,7 +399,7 @@ STREAMS = [
         td.SearchFilter(n_max=8, min_degree=3),
         (
             2762,
-            "5370468bece72206453703a4d6c71a63c4f3d466d5b33398587b20ec51ddf665",
+            "20e6dd5ce8e509fd848a3327366860c963cf93edc84f8b11d586174a06293877",
             "0851065bd6728089a81067aed8033eed19d348b33ffe43968149216a9a250b01",
         ),
         id="min_degree3_8",
@@ -414,8 +410,7 @@ STREAMS = [
 class TestEnumerationStream:
     # The whole stream is pinned, not only its keys: the adjacency a key
     # yields is the first labelled child that reached it, so it moves with
-    # the order in which children are keyed and merged, and planar moves
-    # with which parents' facts are merged.
+    # the order in which children are keyed.
     @pytest.mark.parametrize("filt, digest", STREAMS)
     def test_stream_frozen(self, filt, digest):
         assert stream_census.stream_digest(filt) == digest
@@ -423,7 +418,7 @@ class TestEnumerationStream:
     def test_stream_script(self, capsys):
         # CI runs the order-9 stream through tests/stream_census.py; here
         # the order-7 stream, with its frozen digest and with a wrong one
-        digest = "2eacb2be8ee6c842b06fe877e83db3cb8a1aba6838d0829449a0ba6d1bab6dfb"
+        digest = "099c2a1fdfc6e132138c3cd35a24fa488e11035c5105de4bf48953649eed0c9f"
         keyed = "4adc89248f2063e6d57c2e38748a0692383bf9c2cbae4f8987101404153cefe9"
         assert stream_census.main(["stream", "7", "853", digest]) == 0
         assert capsys.readouterr().out == (
@@ -434,9 +429,10 @@ class TestEnumerationStream:
 
     @pytest.mark.parametrize("filt, digest", STREAMS)
     def test_every_child_fact_is_exact(self, monkeypatch, filt, digest):
-        # every child _keyed_children emits under the filter carries None
-        # or its planarity: is_planar's answer, and brute_planar's (an
-        # independent oracle, Kuratowski by brute force) to order 7
+        # every child _keyed_children emits under the filter carries its
+        # planarity as a bool, never None: is_planar's answer, and
+        # brute_planar's (an independent oracle, Kuratowski by brute force)
+        # to order 7
         emitted = []
         real = td.search._keyed_children
 
@@ -447,24 +443,24 @@ class TestEnumerationStream:
 
         monkeypatch.setattr(td.search, "_keyed_children", spy)
         assert sum(1 for _ in td.enumerate_graphs(filt)) == digest[0]
-        seen = {True: 0, False: 0, None: 0}
+        seen = {True: 0, False: 0}
         for key, child, fact, _ in emitted:
+            assert isinstance(fact, bool), key.hex()
             seen[fact] += 1
-            if fact is not None:
-                g = td.Graph(len(child), child)
-                assert fact == td.is_planar(g), key.hex()
-                if g.n <= 7:
-                    assert fact == brute_planar(g), key.hex()
-        # a planar search drops the children decided False before keying
-        assert seen[True] and seen[None] and bool(seen[False]) != filt.planar_only, seen
+            g = td.Graph(len(child), child)
+            assert fact == td.is_planar(g), key.hex()
+            if g.n <= 7:
+                assert fact == brute_planar(g), key.hex()
+        # a planar search drops the non-planar children before keying
+        assert seen[True] and bool(seen[False]) != filt.planar_only, seen
 
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("filt, digest", STREAMS)
     def test_stream_does_not_depend_on_block_size(self, monkeypatch, filt, digest, block):
         # a level is expanded BLOCK parents at a time; every block size
-        # keys and merges the children in the same order, so a key keeps
-        # the same child and the same planar fact, and a triangle-free
-        # parent drops the same children, across block boundaries
+        # keys the children in the same order, so a key keeps the same
+        # child and the same planar fact, and a triangle-free parent drops
+        # the same children, across block boundaries
         monkeypatch.setattr(td.search, "BLOCK", block)
         assert stream_census.stream_digest(filt) == digest
 
@@ -643,7 +639,7 @@ class TestClassify:
         assert with_nu == 894  # 794 of them in the atlas
         # the same graphs as search blocks of 1, 2, 23 and BLOCK classes:
         # every record is classify's one-graph record, whatever block holds it
-        payloads = [(td.canonical_form(g), g.adj, None) for g in graphs]
+        payloads = [(td.canonical_form(g), g.adj, td.is_planar(g)) for g in graphs]
         for size in (1, 2, 23, td.search.BLOCK):
             for start in range(0, len(payloads), size):
                 block = payloads[start : start + size]
@@ -1085,12 +1081,20 @@ def triangle_free_catalog7(tmp_path_factory):
     return out.read_bytes()
 
 
-def test_class_set_to_7(tmp_path, capsys, catalog7, triangle_free_catalog7):
-    # CI runs tests/class_sets.py on the n <= 8, n <= 9 and triangle-free
-    # n <= 11 catalogs; here it runs on the n <= 7 ones: each connected
-    # (triangle-free) class of order <= 7 exactly once, no two lines
-    # isomorphic (tests/oracles.py, networkx alone), and each order holding
-    # A001349's (A024607's) count
+@pytest.fixture(scope="module")
+def planar_catalog7(tmp_path_factory):
+    """The bytes of the planar n <= 7 catalog."""
+    out = tmp_path_factory.mktemp("pcatalog7") / "catalog.jsonl"
+    td.run_search(td.SearchFilter(n_max=7, planar_only=True), out_path=str(out))
+    return out.read_bytes()
+
+
+def test_class_set_to_7(tmp_path, capsys, catalog7, triangle_free_catalog7, planar_catalog7):
+    # CI runs tests/class_sets.py on the n <= 8, n <= 9, planar n <= 9 and
+    # triangle-free n <= 11 catalogs; here it runs on the n <= 7 ones: each
+    # connected (triangle-free, planar) class of order <= 7 exactly once, no
+    # two lines isomorphic (tests/oracles.py, networkx alone), and each
+    # order holding A001349's (A024607's, A003094's) count
     full = tmp_path / "catalog.jsonl"
     full.write_bytes(catalog7[0])
     proc = subprocess.run(
@@ -1103,6 +1107,12 @@ def test_class_set_to_7(tmp_path, capsys, catalog7, triangle_free_catalog7):
     free = tmp_path / "free.jsonl"
     free.write_bytes(triangle_free_catalog7)
     assert class_sets.main([str(free), "A024607", "7"]) == 0
+    planar = tmp_path / "planar.jsonl"
+    planar.write_bytes(planar_catalog7)
+    assert class_sets.main([str(planar), "A003094", "7"]) == 0
+    assert capsys.readouterr().out.endswith(
+        f"{planar}: 774 classes, per order {{2: 1, 3: 2, 4: 6, 5: 20, 6: 99, 7: 646}}\n"
+    )
     # a count short of the table's: the catalog stops at order 7
     assert class_sets.main([str(full), "A001349", "8"]) == 1
     assert class_sets.main([str(free), "A024607", "6"]) == 1
@@ -1143,6 +1153,25 @@ def test_class_set_refuses_a_triangle(tmp_path, capsys, catalog7, triangle_free_
     assert class_sets.main([str(bad), "A024607", "7"]) == 1
     graph6 = json.loads(triangle)["graph6"]
     assert capsys.readouterr().out == f"{bad}: {graph6}: has a triangle\n"
+
+
+def test_class_set_refuses_a_non_planar_line(tmp_path, capsys, catalog7, planar_catalog7):
+    # an order-7 line of the planar catalog replaced by a non-planar order-7
+    # line: the counts hold and no two lines are isomorphic, so only the
+    # planarity check can see it, as it would see a class the enumeration
+    # wrongly kept in a planar search
+    lines = planar_catalog7.decode().splitlines(keepends=True)
+    non_planar = next(
+        line for line in catalog7[0].decode().splitlines(keepends=True)
+        if json.loads(line)["n"] == 7 and not json.loads(line)["planar"]
+    )
+    assert json.loads(lines[-1])["n"] == 7
+    lines[-1] = non_planar
+    bad = tmp_path / "non_planar.jsonl"
+    bad.write_text("".join(lines))
+    assert class_sets.main([str(bad), "A003094", "7"]) == 1
+    graph6 = json.loads(non_planar)["graph6"]
+    assert capsys.readouterr().out == f"{bad}: {graph6}: not planar\n"
 
 
 class TestCrossFilterResume:

@@ -133,6 +133,23 @@ class TestSearchFilter:
                 else:
                     assert fits, (restriction, n_max)
 
+    def test_planar_budget_decides_as_a003094_would(self):
+        # a planar search keys only planar children, so it is budgeted by the
+        # connected planar classes (OEIS A003094, n = 2..12): it accepts
+        # exactly the n_max whose classes fit
+        planar = (1, 2, 6, 20, 99, 646, 5974, 71885, 1052805, 17449299, 313372298)
+        assert {n: planar[n - 2] for n in A003094} == A003094
+        assert td.CANONICAL_BOUND == 12
+        assert td.search.CONNECTED_PLANAR[2:] == planar
+        for n_max in range(2, 13):
+            fits = sum(planar[: n_max - 1]) <= td.search.SEARCH_BUDGET
+            try:
+                td.SearchFilter(n_max=n_max, planar_only=True)
+            except td.CapabilityError:
+                assert not fits, n_max
+            else:
+                assert fits, n_max
+
     def test_min_degree_sign(self):
         with pytest.raises(ValueError):
             td.SearchFilter(n_max=4, min_degree=-1)

@@ -32,7 +32,6 @@ from .graphs import (
     Edge,
     Graph,
     Lanes,
-    distance2_masks,
     mask_members,
     neighbors,
     vertex_mask,
@@ -244,14 +243,12 @@ def packing_number(g: Graph) -> int:
     return _grow_packing(conflict, 0, g.full_mask, 0)
 
 
-def packing_numbers(lanes: Lanes) -> list[int]:
+def packing_numbers(lanes: Lanes, conflicts: Sequence[Sequence[int]]) -> list[int]:
     """packing_number(g) for each graph of a list in lanes: the same branch
-    and bound on conflict masks from graphs.distance2_masks, which a block
-    of graphs gets in one lane pass."""
-    fulls = lanes.values(lanes.full)
+    and bound on the conflict masks that graphs.distances gives the list."""
     return [
         _grow_packing(conflict, 0, full, 0)
-        for conflict, full in zip(distance2_masks(lanes), fulls)
+        for conflict, full in zip(conflicts, lanes.values(lanes.full))
     ]
 
 

@@ -11,7 +11,8 @@ own by path addition, with no dependency beyond the standard library.
 A list of adjacency rows of order below 16 packs into 16-bit lanes, one
 lane of an int per graph (graphs_in_lanes, which also makes Graph's checks
 for the whole list there, so a search block stays rows and builds no
-Graph), and diameters, girths and distance2_masks run for it all at once.
+Graph), and distances runs one breadth-first search per source for it all
+at once, which gives every graph's diameter, girth and packing conflicts.
 The search behind canonical keys also yields generators of the
 automorphism group (canonical_key's generators list), which the exhaustive
 search uses to try one neighbourhood per orbit of a parent.
@@ -211,7 +212,7 @@ def diameter(g: Graph) -> int | None:
     One layered bitmask BFS per source: the eccentricity is the number of
     layers after the source.  A source stops once it has reached every
     vertex, and the whole call returns None at the first layer that comes
-    up empty before that.  diameters gives the same value for each graph of
+    up empty before that.  distances gives the same value for each graph of
     a list at once; a search block of classes takes that one.
     """
     if g.n == 0:
@@ -242,8 +243,8 @@ def girth(g: Graph) -> int | None:
     no longer than itself.  For s on a shortest cycle the first such witness
     has exactly its length, so the minimum over sources is exact.  A source
     stops at its first witness, or once 2d + 1 cannot beat the best so far.
-    girths gives the same value for each graph of a list at once; a search
-    block of classes takes that one.
+    distances gives the same value for each graph of a list at once; a
+    search block of classes takes that one.
     """
     adj = g.adj
     best: int | None = None
@@ -273,20 +274,21 @@ def girth(g: Graph) -> int | None:
     return best
 
 
-# The lane kernels (diameters, girths, distance2_masks, and domination's
-# packing_numbers and dominating_partners_in_lanes) take a list of graphs
+# The lane kernels (distances, and domination's packing_numbers and
+# dominating_partners_in_lanes) take a list of graphs
 # of order below LANE_BOUND, packed and checked once from their adjacency
 # rows by graphs_in_lanes, and run for all of them at once, in one int per
 # vertex set: each graph's set sits in the low 15 bits of its own 16-bit
 # lane and the lane's top bit stays clear, so adding 0x7FFF to every lane
 # carries into that top bit exactly when the lane is not empty.  A vertex
 # v of every lane's frontier is spread over its lane by multiplying
-# (frontier >> v) & ones, one bit per lane, by 0x7FFF.  Diameter plus girth
-# of one graph ran about 4 times slower than diameter and girth, and of
-# blocks of 256 order-8 classes about 3.7 times faster.  A search block
+# (frontier >> v) & ones, one bit per lane, by 0x7FFF.  Over the 11,117
+# order-8 classes, distances took about 2.8 times as long as diameter,
+# girth and the conflict masks one graph at a time, and about an eighth of
+# that time in blocks of 256 (Python 3.11, a 2-vCPU VM).  A search block
 # (search._classify_block, classify's one graph included) stays rows
-# packed this way, and builds a Graph only for a class whose planarity is
-# still undecided; diameter and girth serve profile.
+# packed this way and builds no Graph; diameter, girth and packing_number
+# serve profile.
 LANE_BOUND = 16
 
 
@@ -373,61 +375,41 @@ def graphs_in_lanes(adjs: Sequence[Sequence[int]]) -> Lanes:
     return lanes
 
 
-def diameters(lanes: Lanes) -> list[int | None]:
-    """diameter(g) for each graph of a list in lanes, all at once.
+def distances(lanes: Lanes) -> tuple[list[int | None], list[int | None], list[tuple[int, ...]]]:
+    """diameter(g), girth(g) and packing_number's conflict masks for each
+    graph of a list in lanes, from one breadth-first search per source over
+    every lane that holds it.
 
     A graph's diameter is the number of radii r at which one of its balls
     B(s, r) is still short of every vertex; a ball that stops growing short
-    of them makes the graph disconnected, and its lane leaves the search.
+    of them makes the graph disconnected, and its lane stops counting radii
+    but stays in the search.  The girth witnesses are girth's: from s, an
+    edge inside layer d gives 2d + 1, and otherwise a vertex of layer d + 1
+    reached twice gives 2d + 2.  Every witness bounds the girth and a
+    shortest cycle's vertex meets one of exactly its length, so a graph's
+    girth is the least length at which some source met one (None for a
+    forest).  The conflict mask of s
+    is B(s, 2) without s, one per vertex of the lanes (empty past a graph's
+    order).
     """
     _, full, ones, rows = lanes
     low, top = ones * 0x7FFF, ones << 15
     cut = top & ~(full + low)  # the lanes that are disconnected (or empty)
+    span = full  # the vertices of the lanes not cut
     short_at: list[int] = []  # per radius, the lanes with a ball still short
+    found = [0, 0]  # per length 1, 2, 3, ..., the lanes with a girth witness
+    near = []
     for s in range(len(rows)):
         here = full >> s & ones  # the lanes with vertex s
-        seen = frontier = here << s
-        seen |= full & ~(here * 0xFFFF)  # no ball in a lane without s
-        r = 0
-        while short := ((full & ~seen) + low) & top:
-            if r == len(short_at):
-                short_at.append(short)
-            else:
-                short_at[r] |= short
-            reach = 0
-            f = frontier
-            for row in rows:
-                if bit := f & ones:
-                    reach |= bit * 0x7FFF & row
-                f >>= 1
-            frontier = reach & ~seen
-            if stuck := short & ~(frontier + low):
-                cut |= stuck
-                full &= ~((stuck >> 15) * 0xFFFF)
-            seen |= frontier
-            r += 1
-    radii = lanes.values(sum(short >> 15 for short in short_at))
-    return [None if c else d for d, c in zip(radii, lanes.values(cut >> 15))]
-
-
-def girths(lanes: Lanes) -> list[int | None]:
-    """girth(g) for each graph of a list in lanes, all at once.
-
-    The witnesses are girth's: from a source s, an edge inside layer d gives
-    2d + 1, and otherwise a vertex of layer d + 1 reached twice gives
-    2d + 2.  Every witness bounds the girth and a shortest cycle's vertex
-    meets one of exactly its length, so a graph's girth is the least length
-    at which some source met one (None for a forest).  A source's lane
-    stops once 2d + 1 cannot beat the graph's shortest witness so far.
-    """
-    _, full, ones, rows = lanes
-    low, top = ones * 0x7FFF, ones << 15
-    found = [0, 0]  # per length 1, 2, 3, ..., the lanes with a witness
-    for s in range(len(rows)):
-        frontier = seen = (full >> s & ones) << s
-        at = 0  # the index in found of length 2d + 1
-        known = 0  # the lanes with a witness of length 2d + 1 or less
+        frontier = seen = ball = here << s
+        todo = span & here * 0xFFFF  # the vertices of those lanes not cut
+        d = 0  # the layer of the frontier
         while frontier:
+            if short := ((todo & ~seen) + low) & top:
+                if d == len(short_at):
+                    short_at.append(short)
+                else:
+                    short_at[d] |= short
             inside = reach = twice = 0
             unseen = ~seen
             f = frontier
@@ -439,42 +421,33 @@ def girths(lanes: Lanes) -> list[int | None]:
                     twice |= reach & fresh
                     reach |= fresh
                 f >>= 1
-            odd = (inside + low) & top
-            even = (twice + low) & top
-            found[at] |= odd
-            found[at + 1] |= even
+            found[2 * d] |= (inside + low) & top
+            found[2 * d + 1] |= (twice + low) & top
+            if stuck := short & ~(reach + low):
+                cut |= stuck
+                stuck = (stuck >> 15) * 0xFFFF
+                span &= ~stuck
+                todo &= ~stuck
             seen |= reach
-            at += 2
-            if at == len(found):
+            frontier = reach
+            d += 1
+            if d <= 2:  # the ball after two layers, or at the search's end
+                ball = seen
+            if 2 * d == len(found):
                 found += [0, 0]
-            known |= found[at - 1] | found[at]
-            frontier = reach & ~((known >> 15) * 0xFFFF)
+        near.append(ball & ~(ones << s))
+    radii = lanes.values(sum(short >> 15 for short in short_at))
     before = total = 0  # the lanes with a witness so far; lengths before each lane's first
     for witness in found:
         before |= witness
         total += (top & ~before) >> 15
     lengths = lanes.values(total)
     forests = lanes.values((top & ~before) >> 15)
-    return [None if forest else 1 + length for length, forest in zip(lengths, forests)]
-
-
-def distance2_masks(lanes: Lanes) -> list[tuple[int, ...]]:
-    """For each graph of a list in lanes, the mask of the vertices within
-    distance 2 of v, v itself left out, for each vertex v of the lanes
-    (empty past the graph's order): packing_number's conflict masks, each
-    a row's spread over the rows of its members at once.
-    """
-    _, _, ones, rows = lanes
-    near = []
-    for v, row in enumerate(rows):
-        reach = row
-        x = row
-        for other in rows:
-            if bit := x & ones:
-                reach |= bit * 0x7FFF & other
-            x >>= 1
-        near.append(reach & ~(ones << v))
-    return lanes.per_graph(near)
+    return (
+        [None if c else r for r, c in zip(radii, lanes.values(cut >> 15))],
+        [None if forest else 1 + length for length, forest in zip(lengths, forests)],
+        lanes.per_graph(near),
+    )
 
 
 def bipartition(g: Graph) -> tuple[int, int] | None:

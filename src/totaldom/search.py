@@ -31,9 +31,8 @@ from .graphs import (
     canonical_key,
     component,
     diameter,
-    diameters,
+    distances,
     girth,
-    girths,
     graph_from_canonical,
     graphs_in_lanes,
     is_planar,
@@ -282,11 +281,12 @@ def _classify_block(block: list[tuple]) -> list[CatalogEntry]:
     its graph) and planar its exact planarity, kept as given.  A block
     stays rows: graphs_in_lanes packs it and makes Graph's checks once
     (every order is at most CANONICAL_BOUND, below LANE_BOUND), and no
-    Graph is built.  Packing numbers, diameters, girths and
-    dominating partners come from the lane kernels, m and min_degree from
-    the degrees.  gamma_t and Gamma_t are the least and largest set sizes
-    in minimal_tds_lattice, its first layers met scanning up from 2 and down
-    from n, and nu_gde is the matching number (graphs._matching) of the
+    Graph is built.  One breadth-first search per source (distances)
+    gives the diameters, the girths and the conflict masks of the packing
+    numbers; the dominating partners come from their own lane kernel, m
+    and min_degree from the degrees.  gamma_t and Gamma_t are the least and
+    largest set sizes in minimal_tds_lattice, its first layers met scanning
+    up from 2 and down from n, and nu_gde is the matching number (graphs._matching) of the
     dominating partners: profile's values, without listing the family.
     triangle_free is girth != 3 (a forest's girth is None).
     """
@@ -295,9 +295,8 @@ def _classify_block(block: list[tuple]) -> list[CatalogEntry]:
     lattices = list(map(minimal_tds_lattice, adjs))
     if max(map(int.bit_count, lattices)) > MTDS_LIMIT:
         raise _past_mtds_limit()
-    rhos = packing_numbers(lanes)
-    diameter_list = diameters(lanes)
-    girth_list = girths(lanes)
+    diameter_list, girth_list, conflicts = distances(lanes)
+    rhos = packing_numbers(lanes, conflicts)
     partner_list = dominating_partners_in_lanes(lanes)
     entries = []
     for n, adj, key, lattice, rho, diam, gir, partners, planar in zip(

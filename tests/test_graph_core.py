@@ -14,9 +14,7 @@ from totaldom.domination import dominating_partners_in_lanes, packing_numbers
 from totaldom.graphs import (
     _lane_values,
     _lanes,
-    diameters,
-    distance2_masks,
-    girths,
+    distances,
     graphs_in_lanes,
     key_triangle,
     triangle_key,
@@ -118,7 +116,7 @@ class TestGraphBasics:
                 assert str(err.value) == message
                 # and so does a search block of those payloads
                 with pytest.raises(ValueError) as err:
-                    td.search._classify_block([(b"", a, None) for a in adjs])
+                    td.search._classify_block([(b"", a, False) for a in adjs])
                 assert str(err.value) == message
 
     def test_labels_must_be_distinct(self):
@@ -444,23 +442,24 @@ def partners_from_edges(g):
 
 class TestLaneKernels:
     """The lane kernels, one 16-bit lane per graph, against their per-graph
-    counterparts: graphs.diameters and graphs.girths against diameter and
-    girth, graphs.distance2_masks against packing_number's conflict masks,
-    domination.packing_numbers against packing_number,
-    and domination.dominating_partners_in_lanes against
+    counterparts: graphs.distances' three lists against diameter, girth and
+    packing_number's conflict masks, domination.packing_numbers on those
+    masks against packing_number, and
+    domination.dominating_partners_in_lanes against
     dominating_edge_subgraph, on lists packed by graphs_in_lanes."""
 
     @staticmethod
     def assert_lanes_agree(graphs):
         lanes = in_lanes(graphs)
-        assert diameters(lanes) == [td.diameter(g) for g in graphs]
-        assert girths(lanes) == [td.girth(g) for g in graphs]
+        diameter_list, girth_list, conflicts = distances(lanes)
+        assert diameter_list == [td.diameter(g) for g in graphs]
+        assert girth_list == [td.girth(g) for g in graphs]
         width = len(lanes.rows)  # each lane's masks run over every vertex of the list
-        assert distance2_masks(lanes) == [
+        assert conflicts == [
             padded([(row | td.graphs.neighbors(g.adj, row)) & ~(1 << v) for v, row in enumerate(g.adj)], width)
             for g in graphs
         ]
-        assert packing_numbers(lanes) == [td.packing_number(g) for g in graphs]
+        assert packing_numbers(lanes, conflicts) == [td.packing_number(g) for g in graphs]
         assert dominating_partners_in_lanes(lanes) == [
             padded(partners_from_edges(g), width) for g in graphs
         ]
@@ -499,9 +498,10 @@ class TestLaneKernels:
         # the deepest layers a lane holds: C15's girth 15, P15's diameter 14
         graphs = [cycle_graph(n) for n in range(3, 16)] + [path_graph(n) for n in range(1, 16)]
         self.assert_lanes_agree(graphs)
-        assert girths(in_lanes([cycle_graph(15)])) == [15]
-        assert diameters(in_lanes([path_graph(15)])) == [14]
-        assert packing_numbers(in_lanes([cycle_graph(15), path_graph(15)])) == [5, 5]
+        assert distances(in_lanes([cycle_graph(15)]))[1] == [15]
+        assert distances(in_lanes([path_graph(15)]))[0] == [14]
+        lanes = in_lanes([cycle_graph(15), path_graph(15)])
+        assert packing_numbers(lanes, distances(lanes)[2]) == [5, 5]
 
     @pytest.mark.parametrize("size", [1, 23, 24, 25, 256])
     def test_list_sizes(self, size):
@@ -513,15 +513,17 @@ class TestLaneKernels:
         self.assert_lanes_agree([empty])
         self.assert_lanes_agree([empty, empty])
         self.assert_lanes_agree([empty, td.Graph(1, (0,))])
-        assert diameters(in_lanes([])) == girths(in_lanes([])) == []
-        assert distance2_masks(in_lanes([])) == packing_numbers(in_lanes([])) == []
+        assert distances(in_lanes([])) == ([], [], [])
+        assert packing_numbers(in_lanes([]), []) == []
         # lanes with no vertex still give one entry per graph
-        assert distance2_masks(in_lanes([empty])) == [()]
+        assert distances(in_lanes([empty])) == ([None], [None], [()])
         assert dominating_partners_in_lanes(in_lanes([empty, empty])) == [(), ()]
-        assert packing_numbers(in_lanes([empty])) == [0]
-        assert diameters(in_lanes([empty, td.Graph(1, (0,))])) == [None, 0]
-        assert girths(in_lanes([empty, td.Graph(1, (0,))])) == [None, None]
-        assert packing_numbers(in_lanes([empty, td.Graph(1, (0,))])) == [0, 1]
+        assert packing_numbers(in_lanes([empty]), [()]) == [0]
+        lanes = in_lanes([empty, td.Graph(1, (0,))])
+        diameter_list, girth_list, conflicts = distances(lanes)
+        assert diameter_list == [None, 0]
+        assert girth_list == [None, None]
+        assert packing_numbers(lanes, conflicts) == [0, 1]
         for graphs in ([path_graph(16)], [cycle_graph(3), cycle_graph(16)]):
             with pytest.raises(ValueError, match="order below 16"):
                 in_lanes(graphs)

@@ -949,7 +949,8 @@ class TestRunSearch:
 
     def test_parallel_matches_serial(self, tmp_path):
         # n <= 5 and n <= 6 are one block each, of 31 and 143 classes, whose
-        # diameters and girths the workers take in lanes
+        # diameters, girths and packing conflicts the workers take from one
+        # breadth-first search per source in lanes
         for n_max in (5, 6):
             filt = td.SearchFilter(n_max=n_max)
             serial = tmp_path / f"serial{n_max}.jsonl"

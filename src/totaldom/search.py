@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Set
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import islice
@@ -447,11 +448,15 @@ def _orbit_labels(n: int, gens: list[tuple[int, ...]]) -> list[int] | None:
 def _face_fact(adj: tuple[int, ...], nb: int, blocks: dict[int, list | None]) -> bool | None:
     """The planarity of the child that joins a new vertex to nb in the
     planar parent adj, or None when this rule cannot tell; _keyed_children
-    then calls is_planar, so the rule only saves that test.  blocks is empty
-    until the first child that needs the parent's biconnected blocks, then
-    maps each to None until a child that lies in it asks, then to [its faces
-    by _embeds, whether it is 3-connected or None until needed]; a caller
-    keeps one per parent, so each is computed at most once.
+    then calls is_planar, so the rule only saves that test.  It is asked
+    about every child before the child is keyed, but on a resume's last
+    level, where it is asked only about each child whose key the skip set
+    lacks, after keying (a planar search still asks first).  blocks is
+    empty until the first child that needs the parent's biconnected
+    blocks, then maps each to None until a child that lies in it asks, then
+    to [its faces by _embeds, whether it is 3-connected or None until
+    needed]; a caller keeps one per parent, so each is computed at most
+    once.
 
     A new vertex with one neighbour, or two adjacent ones, fits in a face
     beside that vertex or edge.  Otherwise, the new vertex and the block B
@@ -488,11 +493,17 @@ def _face_fact(adj: tuple[int, ...], nb: int, blocks: dict[int, list | None]) ->
 
 
 def _keyed_children(
-    n: int, parents: list[tuple], triangle_free: bool, planar_only: bool, keep_gens: bool
+    n: int,
+    parents: list[tuple],
+    triangle_free: bool,
+    planar_only: bool,
+    keep_gens: bool,
+    skip: Set[bytes] = frozenset(),
 ) -> list[tuple]:
     """The children of a block of order-n parents, each parent an
     (adjacency, planar, generators) record, as (key, child adjacency,
-    planar, generators) in parent order, then neighbourhood-mask order.
+    planar, generators) in parent order, then neighbourhood-mask order,
+    without the children whose key is in skip.
 
     Each parent table (_orbit_labels, _below, _parts_without,
     _neighbour_degree_sums, _degree_cap) is built for the whole block
@@ -504,8 +515,11 @@ def _keyed_children(
     bool: False under a non-planar parent, and under a planar one the face
     rule's answer (_face_fact), or is_planar's where the rule leaves it
     None; the parent's blocks, and a block's faces and 3-connectivity, are
-    computed the first time a child asks for them.  With planar_only set, a
-    non-planar child is dropped before it is keyed.
+    computed the first time a child asks for them.  That decision runs
+    once per child it is made for, as the child is listed (so with
+    planar_only set a non-planar child is dropped unkeyed), but when skip
+    is nonempty and planar_only unset: then it runs after keying, and only
+    for a child whose key skip lacks.
     generators is the list canonical_key fills when keep_gens is set, else
     None.  A pure function of its arguments, so it may run in any process.
     """
@@ -515,6 +529,15 @@ def _keyed_children(
     partss = [_parts_without(n, adj) for adj in adjs]
     sumss = list(map(_neighbour_degree_sums, adjs))
     caps = list(map(_degree_cap, adjs, partss))
+
+    def decide(child, adj, planar, nb, blocks) -> bool:
+        fact = _face_fact(adj, nb, blocks) if planar else False
+        return is_planar(Graph(n + 1, child)) if fact is None else fact
+
+    # a child decided as it is listed costs less than one decided in the
+    # keying pass (the order-8 expansion ran about 5% slower with every
+    # child deferred), so only a child that skip may drop waits for its key
+    defer = bool(skip) and not planar_only
     children = []
     for (adj, planar, _), orbit, below, parts, sums, cap in zip(
         parents, orbits, belows, partss, sumss, caps
@@ -530,27 +553,32 @@ def _keyed_children(
             if not _new_vertex_is_least(nb, adj, below, parts, sums):
                 continue
             child = tuple(row | ((nb >> i & 1) << n) for i, row in enumerate(adj)) + (nb,)
-            fact = _face_fact(adj, nb, blocks) if planar else False
-            if fact is None:
-                fact = is_planar(Graph(n + 1, child))
-            if planar_only and not fact:
+            if defer:
+                children.append((child, (adj, planar, nb, blocks)))
                 continue
-            children.append((child, fact))
+            fact = decide(child, adj, planar, nb, blocks)
+            if fact or not planar_only:
+                children.append((child, fact))
     keyed = []
     for child, fact in children:
         gens = [] if keep_gens else None
-        keyed.append((canonical_key(n + 1, child, gens), child, fact, gens))
+        key = canonical_key(n + 1, child, gens)
+        if key not in skip:
+            keyed.append((key, child, decide(child, *fact) if defer else fact, gens))
     return keyed
 
 
-def enumerate_graphs(filt: SearchFilter):
+def enumerate_graphs(filt: SearchFilter, skip: Set[bytes] = frozenset()):
     """Yield (canonical key, adjacency, planar) per isomorphism class, by
-    level then key.
+    level then key, but for the classes whose key is in skip.
 
     The adjacency is a tuple of neighbourhood masks over vertices 0..n-1,
-    n = len(adjacency); no Graph is built for the yield, so a caller that
-    skips a class (a resumed search, for one already in its catalog) pays
-    nothing for it.
+    n = len(adjacency); no Graph is built for the yield.  skip holds keys
+    a caller has already (a resumed search, its catalog's): such a class is
+    not yielded, but on an inner level it is still expanded, since it is a
+    parent.  On the last level it is dropped as it is keyed, so it takes
+    no planarity test unless a planar search needs one to key it, and no
+    slot in the level.  With skip empty every class is yielded.
 
     Only connected classes are enumerated.  Augmentation: each level-k class
     spawns level-(k+1) children by attaching a new vertex to a nonempty
@@ -576,13 +604,17 @@ def enumerate_graphs(filt: SearchFilter):
 
     The search runs in three steps.  This walk takes each level, a dict
     key -> (adjacency, planar, generators), in key order, BLOCK classes at
-    a time.  Each block's classes are yielded, then _keyed_children expands
-    and keys the block, and the first child to reach a key is its record
-    in the next level.  Its planar is that child's planarity, exact: False
-    under a non-planar parent, and under a planar one what the face rule
-    (_face_fact) decides from the parent's blocks and faces, or is_planar
-    where the rule cannot tell.  A planar search keys no non-planar child,
-    so every class it walks is planar.  The yielded adjacency is the first
+    a time.  Each block's classes not in skip are yielded, then
+    _keyed_children expands and keys the block, and the first child to
+    reach a key is its record in the next level; on the last level, a
+    child whose key is in skip is not recorded.  Its planar is that
+    child's planarity, exact: False under a non-planar parent, and under a
+    planar one what the face rule (_face_fact) decides from the parent's
+    blocks and faces, or is_planar where the rule cannot tell.  A child is
+    decided before it is keyed, but on the last level when skip is
+    nonempty, where it is decided after keying if its key is not in skip.
+    A planar search always decides first and keys no non-planar child, so
+    every class it walks is planar.  The yielded adjacency is the first
     labelled child that reached its key, so another walk order could yield
     another labelling of the same class; the keys and their order would
     not change.  The planar and triangle-free restrictions prune whole
@@ -591,13 +623,14 @@ def enumerate_graphs(filt: SearchFilter):
     level: dict[bytes, tuple] = {canonical_key(1, (0,)): ((0,), True, [])}
     for n in range(1, filt.n_max + 1):
         deepen = n < filt.n_max
+        last = n + 1 == filt.n_max  # the children are the last level
         nxt: dict[bytes, tuple] = {}
         keys = sorted(level)
         for start in range(0, len(keys), BLOCK):
             parents = []
             for key in keys[start : start + BLOCK]:
                 adj, planar, gens = level[key]
-                if n >= filt.n_min and (
+                if n >= filt.n_min and key not in skip and (
                     filt.min_degree is None
                     or min(row.bit_count() for row in adj) >= filt.min_degree
                 ):
@@ -605,7 +638,8 @@ def enumerate_graphs(filt: SearchFilter):
                 if deepen:
                     parents.append((adj, planar, gens))
             for key, child, fact, gens in _keyed_children(
-                n, parents, filt.triangle_free_only, filt.planar_only, n + 1 < filt.n_max
+                n, parents, filt.triangle_free_only, filt.planar_only, not last,
+                skip if last else frozenset(),
             ):
                 nxt.setdefault(key, (child, fact, gens))
         level = nxt
@@ -760,8 +794,10 @@ def run_search(filt: SearchFilter, *, out_path: str | None = None, jobs: int = 1
     with uniform size 2 and minimum degree 3 (the open range for the size
     bounds), if any showed up.  Each class is folded into the report as it
     is reached and dropped.  A resume holds only the catalogued keys: it
-    folds the lines that filt.admits as it reads them, then classifies the
-    enumerated classes whose key it lacks; a repeated class is refused.
+    folds the lines that filt.admits as it reads them, then hands the keys
+    to enumerate_graphs as its skip set, so the enumeration yields only the
+    classes to classify and decides no planarity for a catalogued class
+    of the last level; a repeated class is refused.
     ``jobs`` must be at least 1; more workers than CPUs are clamped to the
     CPU count.
     """
@@ -805,7 +841,7 @@ def run_search(filt: SearchFilter, *, out_path: str | None = None, jobs: int = 1
         sink = None
         if out_path is not None:
             sink = stack.enter_context(open(out_path, "a", encoding="utf-8"))
-        fresh = _batches(payload for payload in enumerate_graphs(filt) if payload[0] not in done)
+        fresh = _batches(enumerate_graphs(filt, done))
         if jobs > 1:
             # imported here: serial runs and the per-graph commands never pay for it
             from concurrent.futures import ProcessPoolExecutor

@@ -471,6 +471,26 @@ class TestEnumerationStream:
         # a planar search drops the non-planar children before keying
         assert seen[True] and bool(seen[False]) != filt.planar_only, seen
 
+    @pytest.mark.parametrize(
+        "restriction", [{}, {"planar_only": True}, {"triangle_free_only": True}],
+        ids=["unrestricted", "planar", "triangle-free"],
+    )
+    def test_skip_set_removes_only_its_keys(self, restriction):
+        # enumerate_graphs(filt, skip) is the stream with skip's keys taken
+        # out and every other (key, adjacency, planar) triple unchanged;
+        # skip is every other key of n <= 7, so it holds inner-level
+        # classes, which are still expanded, and last-level ones, which are
+        # dropped as they are keyed
+        skip = {key for key, _, _ in td.enumerate_graphs(td.SearchFilter(n_max=7))}
+        skip = set(sorted(skip)[::2])
+        filt = td.SearchFilter(n_max=7, **restriction)
+        full = list(td.enumerate_graphs(filt))
+        kept = list(td.enumerate_graphs(filt, skip))
+        assert kept == [payload for payload in full if payload[0] not in skip]
+        skipped_orders = {len(adj) for key, adj, _ in full if key in skip}
+        assert min(skipped_orders) == 2 and max(skipped_orders) == 7, skipped_orders
+        assert len(kept) < len(full)
+
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("filt, digest", STREAMS)
     def test_stream_does_not_depend_on_block_size(self, monkeypatch, filt, digest, block):
@@ -803,6 +823,15 @@ class TestAssertionIds:
         assert rep == expected
 
 
+def counting(counts, name, fn):
+    """fn, adding each of its calls to counts[name]."""
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 class TestRunSearch:
     def test_no_violations_up_to_6(self, tmp_path):
         out = tmp_path / "catalog.jsonl"
@@ -912,32 +941,47 @@ class TestRunSearch:
     def test_full_resume_builds_no_graph_per_class(self, tmp_path, monkeypatch, classified):
         # a resumed run builds a Graph only where the enumeration tests
         # planarity and where T11EQ rebuilds a class from its key: none for
-        # the yield, and no classification for a catalogued class
+        # the yield, and no classification for a catalogued class; and it
+        # tests planarity only where a fresh search one order shorter does,
+        # since it decides no child of the last level that it has
         out = tmp_path / "catalog.jsonl"
         filt = td.SearchFilter(n_max=6)
         rep = td.run_search(filt, out_path=str(out))
         data = out.read_bytes()
         assert len(classified) == rep["classified"] == 142
-        classified.clear()
         counts = {"graphs": 0, "is_planar": 0, "graph_from_canonical": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
         real_post_init = td.Graph.__post_init__
-        monkeypatch.setattr(td.Graph, "__post_init__", counting("graphs", real_post_init))
+        monkeypatch.setattr(td.Graph, "__post_init__", counting(counts, "graphs", real_post_init))
         for name in ("is_planar", "graph_from_canonical"):
-            monkeypatch.setattr(td.search, name, counting(name, getattr(td.search, name)))
+            monkeypatch.setattr(td.search, name, counting(counts, name, getattr(td.search, name)))
+        td.run_search(td.SearchFilter(n_max=5))
+        fresh5 = counts["is_planar"]
+        counts.update(dict.fromkeys(counts, 0))
+        classified.clear()
         assert td.run_search(filt, out_path=str(out)) == rep
         assert classified == [], "a catalogued class was classified again"
         assert out.read_bytes() == data
-        assert counts["is_planar"] > 0 and counts["graph_from_canonical"] > 0
+        assert counts["is_planar"] == fresh5 > 0 and counts["graph_from_canonical"] > 0
         assert counts["graphs"] == counts["is_planar"] + counts["graph_from_canonical"]
         assert counts["graphs"] < rep["classified"]
+
+    def test_full_resume_decides_as_a_shorter_fresh_search(self, tmp_path, monkeypatch, catalog7):
+        # a resume from the complete n <= 7 catalog hands its keys to the
+        # enumeration, which drops each catalogued last-level child as it is
+        # keyed: it keys as many children as a fresh n <= 7 search (1,049,
+        # test_one_key_per_orbit_of_neighbourhoods) and tests planarity
+        # only as often as a fresh n <= 6 search (13 times)
+        counts = {"is_planar": 0, "canonical_key": 0}
+        for name in counts:
+            monkeypatch.setattr(td.search, name, counting(counts, name, getattr(td.search, name)))
+        td.run_search(td.SearchFilter(n_max=6))
+        fresh6 = dict(counts)
+        assert fresh6["is_planar"] == 13
+        out = tmp_path / "catalog.jsonl"
+        out.write_bytes(catalog7[0])
+        counts.update(dict.fromkeys(counts, 0))
+        assert td.run_search(td.SearchFilter(n_max=7), out_path=str(out)) == catalog7[1]
+        assert counts == {"is_planar": fresh6["is_planar"], "canonical_key": 1049}
 
     def test_corrupt_catalog_line(self, tmp_path):
         out = tmp_path / "catalog.jsonl"
